@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import random
 
-from .ranks import UNREACHABLE
-from .ranks.oracle import oracle_ranks
-
 
 class AdversaryConfigError(Exception):
     pass
@@ -40,40 +37,27 @@ class RandomFair:
 
 class Avoider:
     """The strongest legal opponent: answers with an unreachable tail vertex
-    when one exists (consulting exact oracle ranks on the current graph), and
-    otherwise stalls with a marked tail vertex of maximal rank. When every
-    tail vertex is unmarked, marking is unavoidable and it yields the
-    smallest id."""
+    when one exists, and otherwise stalls with a marked tail vertex of
+    maximal rank (smallest id on ties). When every tail vertex is unmarked,
+    marking is unavoidable and it yields the smallest id.
+
+    Ranks are the session's own exact table ranks, looked up only for marked
+    tail vertices (an unmarked vertex always has rank 1). Inside a session
+    the lookups do no engine work: the tester's edge has rank r - 1, below
+    the drain frontier, so every tail vertex is already settled.
+    """
 
     kind = "avoider"
 
-    def __init__(self):
-        self._cache_key = None
-        self._vrank = None
-
-    def _ranks(self, gs):
-        key = (id(gs), len(gs.marked), gs.states_total())
-        if key != self._cache_key:
-            self._vrank, _ = oracle_ranks(
-                gs.table.known_vertices(), gs.table.live_edge_objects(),
-                gs.marked, include_dead=False)
-            self._cache_key = key
-        return self._vrank
-
     def respond(self, gs, eid: str) -> str:
         tail = sorted(gs.edge(eid).tail)
-        vrank = self._ranks(gs)
-        unreachable = [t for t in tail if vrank[t] == UNREACHABLE]
-        if unreachable:
-            return unreachable[0]
         marked = [t for t in tail if t in gs.marked]
-        if marked:
-            best, best_rank = None, -1
-            for t in marked:  # id order; strict > keeps the smallest id on ties
-                if vrank[t] > best_rank:
-                    best, best_rank = t, vrank[t]
-            return best
-        return tail[0]
+        if not marked:
+            return tail[0]
+        # UNREACHABLE ranks above every finite rank, and max keeps the first
+        # of equal keys: the first unreachable vertex, else the smallest id
+        # of highest rank.
+        return max(marked, key=gs.table.ensure_settled)
 
 
 class SubsetSystem:

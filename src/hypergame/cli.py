@@ -33,12 +33,24 @@ class CliError(Exception):
     pass
 
 
-def _load_decl(path, strict=False):
+def _read_text(path):
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
+def _load_decl(path, strict=False):
+    text = _read_text(path)
     try:
         decl = parse_model(text, strict_vertices=strict)
         build_game_graph(decl)
@@ -54,9 +66,6 @@ def _rank_value(r):
 def cmd_rank(args):
     decl = _load_decl(args.model, strict=args.strict_vertices)
     marked = {decl.initial}
-    by_head = {}
-    for e in decl.edges:
-        by_head.setdefault(e.head, []).append(e)
     for v in args.after_mark or []:
         if v not in decl.vertex_set():
             raise CliError(f"--after-mark: unknown vertex {v!r}")
@@ -77,13 +86,12 @@ def _build_adversary(args):
     if args.adversary == "subset":
         if not args.allowed:
             raise CliError("--allowed FILE is required for the subset adversary")
-        with open(args.allowed, encoding="utf-8") as f:
-            allowed = parse_allowed_file(f.read())
+        allowed = parse_allowed_file(_read_text(args.allowed))
     if args.adversary == "script":
         if not args.script:
             raise CliError("--script FILE is required for the script adversary")
-        with open(args.script, encoding="utf-8") as f:
-            script = [line.strip() for line in f if line.strip()]
+        script = [line.strip() for line in _read_text(args.script).split("\n")
+                  if line.strip()]
     return make_adversary(args.adversary, seed=args.seed, allowed=allowed, script=script)
 
 
@@ -116,24 +124,22 @@ def cmd_run(args):
         runs.append(stats)
         last_reason = stats.terminated
         if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as f:
-                f.write(format_trace(transcript))
+            _write_text(args.trace, format_trace(transcript))
 
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as f:
-            if args.repeat == 1:
-                f.write(format_stats(runs[0]))
-            else:
-                agg = {
-                    "runs": [s.to_json() for s in runs],
-                    "aggregate": {
-                        "sessions": len(runs),
-                        "full_coverage": sum(1 for s in runs if s.terminated == ALL_MARKED),
-                        "moves_total": sum(s.moves for s in runs),
-                        "max_rank_R": max(s.max_rank_R for s in runs),
-                    },
-                }
-                f.write(json.dumps(agg, indent=2, sort_keys=True) + "\n")
+        if args.repeat == 1:
+            _write_text(args.stats, format_stats(runs[0]))
+        else:
+            agg = {
+                "runs": [s.to_json() for s in runs],
+                "aggregate": {
+                    "sessions": len(runs),
+                    "full_coverage": sum(1 for s in runs if s.terminated == ALL_MARKED),
+                    "moves_total": sum(s.moves for s in runs),
+                    "max_rank_R": max(s.max_rank_R for s in runs),
+                },
+            }
+            _write_text(args.stats, json.dumps(agg, indent=2, sort_keys=True) + "\n")
     s = runs[-1]
     print(f"terminated={s.terminated} coverage={s.coverage}/"
           f"{s.states_total + s.interior_total} moves={s.moves} R={s.max_rank_R}")
@@ -178,11 +184,9 @@ def cmd_transform(args):
         out, report = apply_transforms(decl, names)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(serialize_model(out))
+    _write_text(args.output, serialize_model(out))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
+        _write_text(args.report, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}: {len(out.vertices)} vertices, {len(out.edges)} edges")
     return 0
 
@@ -199,8 +203,7 @@ def cmd_gen(args):
             decl = gen_chain(args.length)
         except ValueError as exc:
             raise CliError(str(exc)) from None
-    with open(args.output, "w", encoding="utf-8") as f:
-        f.write(serialize_model(decl))
+    _write_text(args.output, serialize_model(decl))
     print(f"wrote {args.output}: {len(decl.vertices)} vertices, {len(decl.edges)} edges")
     return 0
 

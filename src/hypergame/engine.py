@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 from .model import ModelDecl, build_game_graph
-from .providers import ProviderError
 from .ranks import UNREACHABLE, RankTable
 from .ranks.table import WorkStats
 
@@ -131,7 +130,7 @@ class GameState:
         self.transcript: list[MoveRecord] = []
         self.interior_covered: set[str] = set()
         self.terminated: str | None = None
-        self.table.ensure_settled(self.current)
+        self.rank = self.table.ensure_settled(self.current)  # of current; set per move
 
     # -- accessors -----------------------------------------------------------
 
@@ -157,17 +156,17 @@ class GameState:
         return list(self.table.incident_ids(v))
 
     def current_rank(self) -> float:
-        return self.table.ensure_settled(self.current)
+        return self.rank
 
     def is_terminal(self) -> bool:
-        return self.table.ensure_settled(self.current) == UNREACHABLE
+        return self.rank == UNREACHABLE
 
     # -- moves ----------------------------------------------------------------
 
     def tester_choose(self) -> str:
         """The strategy: a minimal-rank live edge at the current state, ties
         broken by edge id. Its rank is rank(current) - 1 by definition."""
-        r = self.table.ensure_settled(self.current)
+        r = self.rank
         if r == UNREACHABLE:
             raise SessionError("tester_choose on a terminal state")
         best_id = None
@@ -177,7 +176,9 @@ class GameState:
             if er < best_rank:
                 best_rank = er
                 best_id = eid
-        assert best_id is not None and best_rank == r - 1, "min edge rank must be rank(current)-1"
+        if best_id is None or best_rank != r - 1:
+            raise SessionError(f"min edge rank at {self.current} is {best_rank}, "
+                               f"expected rank(current) - 1 = {r - 1}")
         return best_id
 
     def apply_response(self, eid: str, v: str) -> None:
@@ -188,7 +189,7 @@ class GameState:
             raise SessionError(f"edge {eid} is not incident on {self.current}")
         if v not in e.tail_set():
             raise SessionError(f"response {v} is not in the tail of {eid}")
-        rank_before = self.table.ensure_settled(self.current)
+        rank_before = self.rank
         newly = v not in self.marked
         self.moves += 1
         self.transcript.append(
@@ -200,7 +201,7 @@ class GameState:
         for i in e.interior:
             self.interior_covered.add(i)
         self.current = v
-        self.table.ensure_settled(self.current)
+        self.rank = self.table.ensure_settled(v)
 
     # -- reporting -------------------------------------------------------------
 
@@ -264,21 +265,6 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
                 f"adversary answered {response!r} to {eid}, legal: {sorted(tail)}")
         gs.apply_response(eid, response)
     return gs.transcript, gs.stats(seed=seed)
-
-
-def force_play(gs: GameState, moves: int, adversary) -> int:
-    """Keep stimulating past termination (first live edge by id each turn);
-    used to double-check that a blocked session really cannot make coverage
-    progress. Returns the number of new markings (interiors included)."""
-    before = gs.coverage
-    for _ in range(moves):
-        choices = gs.live_incident(gs.current)
-        if not choices:
-            break
-        eid = choices[0]
-        response = adversary.respond(gs, eid)
-        gs.apply_response(eid, response)
-    return gs.coverage - before
 
 
 def format_trace(transcript) -> str:

@@ -70,8 +70,9 @@ class ModelDecl:
         return {e.id: e for e in self.edges}
 
     def with_edges(self, edges, extra_vertices=(), extra_virtual=(), drop_vertices=()):
-        verts = [v for v in self.vertices if v not in set(drop_vertices)]
-        verts.extend(v for v in extra_vertices if v not in verts)
+        drop = set(drop_vertices)
+        verts = {v for v in self.vertices if v not in drop}
+        verts.update(extra_vertices)  # kept even when also listed in drop
         return replace(
             self,
             vertices=tuple(sorted(verts)),

@@ -247,7 +247,8 @@ class PureRankEngine:
         if c == key:
             self.vdirty[y] = False
             return
-        assert c > key, "stored ranks are nondecreasing"
+        if c < key:
+            raise AssertionError("stored ranks are nondecreasing")
         self.vstored[y] = c
         if c == UNREACH_INT:
             self.vdirty[y] = False  # unreachability is final

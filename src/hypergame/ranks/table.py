@@ -109,7 +109,9 @@ class RankTable:
         else:
             dense = self.eng.mark(hv, tail_lists)
         for e, d in zip(edges, dense):
-            assert d == len(self.edge_names)
+            if d != len(self.edge_names):
+                raise RuntimeError(f"engine gave edge {e.id} id {d}, "
+                                   f"expected {len(self.edge_names)}")
             self.eid[e.id] = d
             self.edge_names.append(e.id)
             self.edges[e.id] = e

@@ -6,9 +6,11 @@ import pytest
 from hypergame.adversaries import (AdversaryConfigError, Avoider, RandomFair,
                                    Scripted, ScriptError, SubsetSystem,
                                    make_adversary, parse_allowed_file)
-from hypergame.engine import format_trace, run_session, start_session
+from hypergame.engine import (format_stats, format_trace, run_session,
+                              start_session)
 from hypergame.model import parse_model
-from hypergame.providers import gen_strongly_connected
+from hypergame.providers import (DeclProvider, gen_random_bounded_degree,
+                                 gen_strongly_connected)
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
@@ -36,6 +38,95 @@ class TestRandomFair:
         counts = Counter(adv.respond(gs, "a") for _ in range(10_000))
         for v in ("s1", "s2"):
             assert 0.45 <= counts[v] / 10_000 <= 0.55
+
+
+class ReferenceAvoider:
+    """The Avoider's choice rules on ranks from a fresh `oracle_ranks`
+    fixpoint over the session's known vertices and live edges."""
+
+    def respond(self, gs, eid):
+        tail = sorted(gs.edge(eid).tail)
+        vrank, _ = oracle_ranks(gs.table.known_vertices(),
+                                gs.table.live_edge_objects(), gs.marked,
+                                include_dead=False)
+        unreachable = [t for t in tail if vrank[t] == UNREACHABLE]
+        if unreachable:
+            return unreachable[0]
+        marked = [t for t in tail if t in gs.marked]
+        if marked:
+            return max(marked, key=vrank.__getitem__)  # first max: smallest id
+        return tail[0]
+
+
+def _avoider_models():
+    rng = random.Random(17)
+    for _ in range(120):
+        yield random_decl(rng)
+    for seed in range(3):
+        yield gen_random_bounded_degree(64, 3, 2, seed)
+        yield gen_strongly_connected(24, extra_degree=1, fanout=2, seed=seed)
+
+
+def _session(decl, adversary, lazy, backend):
+    source = DeclProvider(decl) if lazy else decl
+    return run_session(source, adversary, max_moves=5000, seed=1, backend=backend)
+
+
+class TestAvoiderMatchesReference:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_sessions_identical(self, lazy, backend):
+        unreachable = 0
+        for decl in _avoider_models():
+            got = _session(decl, Avoider(), lazy, backend)
+            want = _session(decl, ReferenceAvoider(), lazy, backend)
+            assert format_trace(got[0]) == format_trace(want[0])
+            assert format_stats(got[1]) == format_stats(want[1])
+            unreachable += got[1].terminated == "unreachable"
+        assert unreachable > 20
+
+    def test_respond_on_every_live_edge_at_random_positions(self, backend):
+        # Positions reached by random legal moves, not by the tester, and
+        # lookups on edges the tester would not choose: the table has to
+        # drain past its frontier, and some answers are unreachable.
+        rng = random.Random(5)
+        answers = unreachable = drained = 0
+        for _ in range(150):
+            decl = random_decl(rng)
+            gs = start_session(decl, backend=backend)
+            for _ in range(rng.randint(0, 10)):
+                choices = gs.live_incident(gs.current)
+                if not choices:
+                    break
+                eid = rng.choice(choices)
+                gs.apply_response(eid, rng.choice(gs.edge(eid).tail))
+            ref = ReferenceAvoider()
+            for eid in gs.table.edge_names:
+                want = ref.respond(gs, eid)
+                before = gs.table.snapshot_work().work
+                assert Avoider().respond(gs, eid) == want
+                drained += gs.table.snapshot_work().work > before
+                answers += 1
+                unreachable += gs.table.ensure_settled(want) == UNREACHABLE
+        assert answers > 300 and unreachable > 30 and drained > 10
+
+    def test_reused_instance_plays_like_fresh(self):
+        adv = Avoider()
+        for decl in _avoider_models():
+            for lazy in (False, True):
+                got = _session(decl, adv, lazy, None)
+                want = _session(decl, Avoider(), lazy, None)
+                assert format_trace(got[0]) == format_trace(want[0])
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_lookups_add_no_engine_work(self, lazy, backend):
+        # Replaying the Avoider's answers from a script, which reads no
+        # ranks, must cost the engine exactly as much.
+        for decl in _avoider_models():
+            transcript, stats = _session(decl, Avoider(), lazy, backend)
+            replay = Scripted([m.response for m in transcript])
+            transcript2, stats2 = _session(decl, replay, lazy, backend)
+            assert format_trace(transcript2) == format_trace(transcript)
+            assert stats2.work == stats.work
 
 
 class TestAvoider:

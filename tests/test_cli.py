@@ -143,6 +143,57 @@ class TestRun:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestConfigErrorsExit2:
+    """Bad files exit 2 with a one-line error, never a traceback."""
+
+    @staticmethod
+    def _one_line_error(capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_missing_allowed_file(self, g1_path, tmp_path, capsys):
+        missing = tmp_path / "allowed.txt"
+        assert main(["run", g1_path, "--adversary", "subset",
+                     "--allowed", str(missing)]) == 2
+        self._one_line_error(capsys, missing)
+
+    def test_missing_script_file(self, g1_path, tmp_path, capsys):
+        missing = tmp_path / "script.txt"
+        assert main(["run", g1_path, "--adversary", "script",
+                     "--script", str(missing)]) == 2
+        self._one_line_error(capsys, missing)
+
+    @pytest.mark.parametrize("flag", ["--stats", "--trace"])
+    def test_unwritable_run_output(self, flag, g1_path, tmp_path, capsys):
+        bad = tmp_path / "no-such-dir" / "out"
+        assert main(["run", g1_path, flag, str(bad)]) == 2
+        self._one_line_error(capsys, bad)
+
+    def test_unwritable_transform_output(self, g1_path, tmp_path, capsys):
+        bad = tmp_path / "no-such-dir" / "out.hg"
+        assert main(["transform", g1_path, "--apply", "edge-coverage",
+                     "-o", str(bad)]) == 2
+        self._one_line_error(capsys, bad)
+
+    def test_unwritable_transform_report(self, g1_path, tmp_path, capsys):
+        bad = tmp_path / "no-such-dir" / "report.json"
+        assert main(["transform", g1_path, "--apply", "edge-coverage",
+                     "-o", str(tmp_path / "out.hg"), "--report", str(bad)]) == 2
+        self._one_line_error(capsys, bad)
+
+    def test_unwritable_gen_output(self, tmp_path, capsys):
+        bad = tmp_path / "no-such-dir" / "chain.hg"
+        assert main(["gen", "chain", "--length", "3", "-o", str(bad)]) == 2
+        self._one_line_error(capsys, bad)
+
+    def test_non_utf8_model(self, tmp_path, capsys):
+        p = tmp_path / "latin1.hg"
+        p.write_bytes("initial s\xe9\n".encode("latin-1"))
+        assert main(["run", str(p)]) == 2
+        self._one_line_error(capsys, p)
+
+
 class TestSolve:
     def test_g1(self, g1_path, capsys):
         assert main(["solve", g1_path]) == 0

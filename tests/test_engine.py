@@ -72,6 +72,13 @@ class TestTesterChoose:
         with pytest.raises(SessionError, match="terminal"):
             gs.tester_choose()
 
+    def test_rank_invariant_is_checked(self, g1):
+        # An explicit raise, which `python -O` keeps.
+        gs = start_session(g1)
+        gs.rank = 5  # no edge at s0 has rank 4
+        with pytest.raises(SessionError, match="expected rank"):
+            gs.tester_choose()
+
 
 class TestApplyResponse:
     def test_g1_marks_and_blocks(self, g1):

@@ -106,6 +106,11 @@ class TestGameGraph:
         g = build_game_graph(g3)
         assert g.incident_edges("s0") == ["f"]
 
+    def test_with_edges_vertex_set(self, g1):
+        out = g1.with_edges(g1.edges, extra_vertices=["x", "s1", "x"],
+                            drop_vertices=["s1", "s2"])
+        assert out.vertices == ("s0", "s1", "x")  # extra wins over drop
+
     def test_build_rejects_invalid(self):
         decl = ModelDecl(initial="s0", vertices=("s0",),
                          edges=(Edge("a", "s0", ("zz",)),))

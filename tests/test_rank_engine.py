@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hypergame.ranks import RankTable, UNREACHABLE, compute_ranks
+from hypergame.ranks.pure import PureRankEngine
 from hypergame.ranks.oracle import oracle_ranks
 
 from conftest import edges_by_head, random_decl
@@ -90,6 +91,21 @@ class TestMarkingErrors:
         t, by_head = make_table(g1, backend)
         with pytest.raises(ValueError, match="head"):
             t.apply_marking("s1", by_head["s2"])
+
+    def test_pure_rank_decrease_is_checked(self):
+        # A stored rank above its recomputed value breaks the engine's
+        # invariant; the pure core raises as the compiled core does, also
+        # under `python -O`.
+        eng = PureRankEngine()
+        h, t = eng.add_vertex(), eng.add_vertex()
+        eng.set_initial(h)
+        eng.add_initial_edges(h, [(t,)])
+        assert eng.ensure(h) == 2
+        eng.vstored[h] = 5
+        eng.vdirty[h] = True
+        eng.heap.append((5, h))
+        with pytest.raises(AssertionError, match="nondecreasing"):
+            eng.ensure(h)
 
 
 class TestWorkStats:
