@@ -1,28 +1,14 @@
-"""Build script: compiles the optional Cython rank-engine core.
+"""Build script: compiles the optional C++ rank-engine core.
 
 The package works without the extension (a pure-Python engine is selected
-at import time), so any build failure here degrades to a warning.
+at import time), so the extension is optional: where it cannot be compiled,
+for instance with no C++ compiler, the build warns and goes on pure-Python
+only.
 """
 
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/hypergame/ranks/_core.pyx"],
-        language_level=3,
-        compiler_directives={
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "initializedcheck": False,
-        },
-    )
-except ImportError:
-    print("hypergame: Cython not available, building pure-Python only", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("hypergame.ranks._core", ["src/hypergame/ranks/_core.cpp"],
+              language="c++", optional=True),
+])

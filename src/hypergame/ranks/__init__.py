@@ -1,8 +1,8 @@
 """Rank maintenance: lazy decremental engine plus the naive oracle.
 
-The engine has two interchangeable backends: a compiled Cython core and a
-pure-Python fallback. The compiled one is preferred when the extension was
-built; HYPERGAME_BACKEND=pure|compiled overrides.
+The engine has two interchangeable backends: a compiled C++ core
+(`_core.cpp`) and a pure-Python fallback. The compiled one is preferred
+when the extension was built; HYPERGAME_BACKEND=pure|compiled overrides.
 """
 
 import os

@@ -56,6 +56,7 @@ class PureRankEngine:
         self.live_size = 0
         self.markings = 0
         self.max_rank = 0
+        self.flushes = 0
 
     @property
     def all_unreachable(self):
@@ -78,6 +79,8 @@ class PureRankEngine:
         return v
 
     def set_initial(self, v: int) -> None:
+        if self.vmarked[v]:
+            raise ValueError("vertex already marked")
         self.vmarked[v] = True
         self.unmarked -= 1
         self.live_size -= 1
@@ -88,6 +91,7 @@ class PureRankEngine:
         """Zero the work counters after construction; live size is kept."""
         self.relaxations = 0
         self.queue_ops = 0
+        self.flushes = 0
 
     # -- mutations ---------------------------------------------------------
 
@@ -115,6 +119,7 @@ class PureRankEngine:
         return self._register(v, tail_lists)
 
     def _register(self, v, tail_lists):
+        out = self.out_edges[v]
         eids = []
         for tails in tail_lists:
             e = len(self.estored)
@@ -127,7 +132,7 @@ class PureRankEngine:
             self.estored.append(best)
             self.ehead.append(v)
             self.etail_count.append(len(tails))
-            self.out_edges[v].append(e)
+            out.append(e)
             self.live_size += 1 + len(tails)
             eids.append(e)
         return eids
@@ -270,6 +275,7 @@ class PureRankEngine:
         """Recompute the well-founded reachable set (counter pass from the
         unmarked bases over live edges) and finalize everything outside it,
         purging rank-creep from the queue."""
+        self.flushes += 1
         n = len(self.vstored)
         good = [not m for m in self.vmarked]
         cnt = list(self.etail_count)

@@ -22,6 +22,7 @@ class WorkStats:
     live_size_H_prime: int = 0
     markings_E: int = 0
     max_rank_R: int = 0
+    flushes: int = 0  # unreachable sweeps; not in SessionStats.to_json
 
     @property
     def work(self) -> int:
@@ -168,6 +169,7 @@ class RankTable:
             live_size_H_prime=e.live_size,
             markings_E=e.markings,
             max_rank_R=e.max_rank,
+            flushes=e.flushes,
         )
 
     @property

@@ -1,9 +1,71 @@
+import importlib.machinery
+import importlib.util
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import pytest
 
+import hypergame.ranks
 from hypergame.model import Edge, ModelDecl, parse_model
-from hypergame.ranks import available_backends
+
+ROOT = Path(__file__).resolve().parent.parent
+NO_COMPILER = "no C++ compiler"
+# None once the compiled backend is registered; else why it is not.
+_COMPILED_MISSING = pytest.StashKey[str | None]()
+
+
+def _have_compiler() -> bool:
+    # setup.py compiles .cpp files with CC and links them with CXX.
+    for var in ("CC", "CXX"):
+        cmd = shlex.split(os.environ.get(var) or sysconfig.get_config_var(var) or "")
+        if not cmd or shutil.which(cmd[0]) is None:
+            return False
+    return True
+
+
+def _build_compiled(tmp: Path) -> str | None:
+    """Build the C++ rank core from this checkout's sources into `tmp` with
+    setup.py and register it as hypergame.ranks.CompiledRankEngine. Returns
+    None on success, else the reason the compiled backend is missing."""
+    if not _have_compiler():
+        return NO_COMPILER
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"),
+         "--build-temp", str(tmp / "obj")],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in (tmp / "lib" / "hypergame" / "ranks").glob("_core" + suffix)]
+    if proc.returncode != 0 or not built:
+        return f"building the C++ rank core failed:\n{proc.stdout}{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("hypergame.ranks._core", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[spec.name] = module
+    hypergame.ranks.CompiledRankEngine = module.CompiledRankEngine
+    return None
+
+
+@pytest.hookimpl(trylast=True)  # after the tmpdir plugin set up its factory
+def pytest_configure(config):
+    tmp = config._tmp_path_factory.mktemp("rank-core")
+    config.stash[_COMPILED_MISSING] = _build_compiled(tmp)
+
+
+def require_compiled(config) -> None:
+    """Skip when no compiler can build the compiled backend; fail when the
+    build itself failed."""
+    missing = config.stash[_COMPILED_MISSING]
+    if missing == NO_COMPILER:
+        pytest.skip(NO_COMPILER)
+    if missing is not None:
+        pytest.fail(missing, pytrace=False)
+
 
 G1_TEXT = """\
 model G1
@@ -42,8 +104,10 @@ def g3():
     return parse_model(G3_TEXT)
 
 
-@pytest.fixture(params=available_backends())
+@pytest.fixture(params=["pure", "compiled"])
 def backend(request):
+    if request.param == "compiled":
+        require_compiled(request.config)
     return request.param
 
 
@@ -70,3 +134,32 @@ def edges_by_head(decl):
     for e in decl.edges:
         out.setdefault(e.head, []).append(e)
     return {h: sorted(es, key=lambda e: e.id) for h, es in out.items()}
+
+
+def lost_base_decl(rng: random.Random, cycles=12):
+    """A cyclic region that loses its last unmarked base, with the marking
+    order that makes it do so.
+
+    Each of `cycles` rings of 2..4 states has one state with an edge to the
+    base `c`; s0 reaches the first ring. The order marks every ring state,
+    then `c`, whose marking leaves the whole region without support, then a
+    spare state `z` (kept unmarked until last so that queries still drain).
+    The region's ranks then creep up one ring length per queue pop towards
+    the vertex-count cap, which takes more pops than the engine's work
+    budget, so the engine finalizes the region with an unreachable flush.
+    """
+    edges = []
+    ring_states = []
+    for i in range(cycles):
+        ring = [f"r{i:02d}_{j}" for j in range(rng.randint(2, 4))]
+        for j, v in enumerate(ring):
+            edges.append(Edge(f"e{i:02d}_{j}", v, (ring[(j + 1) % len(ring)],)))
+        edges.append(Edge(f"e{i:02d}_c", ring[0], ("c",)))
+        ring_states += ring
+    edges.append(Edge("e_s0", "s0", ("r00_0",)))
+    order = list(ring_states)
+    rng.shuffle(order)
+    order += ["c", "z"]
+    decl = ModelDecl(initial="s0", vertices=tuple(["s0", "c", "z"] + ring_states),
+                     edges=tuple(edges))
+    return decl, order

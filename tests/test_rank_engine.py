@@ -4,11 +4,14 @@ import random
 
 import pytest
 
-from hypergame.ranks import RankTable, UNREACHABLE, compute_ranks
+from hypergame.adversaries import Avoider, RandomFair
+from hypergame.engine import format_stats, format_trace, run_session
+from hypergame.providers import DeclProvider, gen_random_bounded_degree
+from hypergame.ranks import RankTable, UNREACHABLE, compute_ranks, get_engine_class
 from hypergame.ranks.pure import PureRankEngine
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import edges_by_head, random_decl
+from conftest import edges_by_head, lost_base_decl, random_decl, require_compiled
 
 
 def make_table(decl, backend, lazy=False):
@@ -137,15 +140,19 @@ class TestWorkStats:
             assert b.markings_E >= a.markings_E
 
 
-def drive_and_check(decl, backend, rng, ensure_each_step=True):
-    """Mark in random order; after every marking the settled table must agree
-    with the oracle on every vertex and every live edge, stored values must
-    never exceed oracle values, and exact ranks must never decrease."""
+def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
+    """Mark in random order, or in `order` when given; after every marking
+    the settled table must agree with the oracle on every vertex and every
+    live edge, stored values must never exceed oracle values, and exact
+    ranks must never decrease. Returns the table."""
     t, by_head = make_table(decl, backend)
     marked = {decl.initial}
     last_exact = {}
-    order = [v for v in decl.vertices if v != decl.initial]
-    rng.shuffle(order)
+    if order is None:
+        order = [v for v in decl.vertices if v != decl.initial]
+        rng.shuffle(order)
+    else:
+        order = order[::-1]  # popped from the end
     while True:
         vr, er = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=False)
         # lower-bound property before settling
@@ -164,7 +171,7 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True):
                     assert t.edge_settled(e.id)
                     assert t.edge_rank(e.id) == er[e.id]
         if not order:
-            return
+            return t
         v = order.pop()
         t.apply_marking(v, by_head.get(v, []))
         marked.add(v)
@@ -177,15 +184,26 @@ def test_oracle_equivalence_random(backend):
         drive_and_check(decl, backend, rng)
 
 
-def test_backends_agree_exactly():
-    from hypergame.ranks import available_backends
-    if len(available_backends()) < 2:
-        pytest.skip("compiled backend not built")
+def test_unreachable_flush_matches_oracle(backend):
+    # The lost-base family overruns the default work budget, so the engine
+    # takes the unreachable-flush path; ranks must still match the oracle
+    # after every marking.
+    rng = random.Random(31)
+    for _ in range(10):
+        decl, order = lost_base_decl(rng)
+        t = drive_and_check(decl, backend, rng, order=order)
+        assert t.snapshot_work().flushes >= 1
+
+
+def test_backends_agree_exactly(request):
+    require_compiled(request.config)
     rng = random.Random(23)
-    for _ in range(40):
-        decl = random_decl(rng)
-        order = [v for v in decl.vertices if v != decl.initial]
-        rng.shuffle(order)
+    cases = [(random_decl(rng), None) for _ in range(40)]
+    cases += [lost_base_decl(rng) for _ in range(5)]
+    for decl, order in cases:
+        if order is None:
+            order = [v for v in decl.vertices if v != decl.initial]
+            rng.shuffle(order)
         results = []
         for backend in ("pure", "compiled"):
             t, by_head = make_table(decl, backend)
@@ -193,6 +211,57 @@ def test_backends_agree_exactly():
             for v in order:
                 t.apply_marking(v, by_head.get(v, []))
                 trace.append(tuple(t.ensure_settled(u) for u in decl.vertices))
-            w = t.snapshot_work()
-            results.append((trace, w.relaxations, w.queue_ops, w.live_size_H_prime))
+            results.append((trace, t.snapshot_work()))
         assert results[0] == results[1]
+    assert results[0][1].flushes >= 1  # the last case is a lost-base model
+
+    # Whole sessions: traces and stats byte for byte, and every counter.
+    models = [random_decl(rng) for _ in range(60)]
+    models += [gen_random_bounded_degree(1024, 3, 2, seed) for seed in (1, 2)]
+    for decl in models:
+        for lazy in (False, True):
+            for adversary in (lambda: RandomFair(7), Avoider):
+                runs = []
+                for backend in ("pure", "compiled"):
+                    source = DeclProvider(decl) if lazy else decl
+                    transcript, stats = run_session(source, adversary(), seed=3,
+                                                    backend=backend)
+                    runs.append((format_trace(transcript), format_stats(stats), stats.work))
+                assert runs[0] == runs[1]
+
+
+def test_index_out_of_range(backend):
+    # Every method that takes a vertex or edge index rejects one past the
+    # end with IndexError on both backends, tail indices included.
+    cls = get_engine_class(backend)
+
+    def fresh():
+        eng = cls()
+        h, t = eng.add_vertex(), eng.add_vertex()
+        eng.set_initial(h)
+        eng.add_initial_edges(h, [(t,)])
+        return eng  # 2 vertices, 1 edge
+
+    calls = [
+        lambda e: e.ensure(2), lambda e: e.vertex_value(2), lambda e: e.vertex_exact(2),
+        lambda e: e.set_initial(2), lambda e: e.mark(2, [()]), lambda e: e.mark(1, [(0, 2)]),
+        lambda e: e.add_initial_edges(2, [()]), lambda e: e.add_initial_edges(0, [(2,)]),
+        lambda e: e.edge_value(1), lambda e: e.edge_exact(1),
+    ]
+    for call in calls:
+        with pytest.raises(IndexError):
+            call(fresh())
+    if backend == "compiled":
+        # Python lists wrap negative indices; the compiled core has no
+        # wraparound and rejects them.
+        with pytest.raises(IndexError):
+            fresh().ensure(-1)
+        with pytest.raises(IndexError):
+            fresh().mark(1, [(-1,)])
+    eng = fresh()
+    eng.mark(1, [])
+    for marked in (0, 1):
+        with pytest.raises(ValueError, match="already marked"):
+            eng.mark(marked, [])
+        with pytest.raises(ValueError, match="already marked"):
+            eng.set_initial(marked)
