@@ -5,34 +5,30 @@ tester picks a stimulus (an edge incident on the current state), the system
 picks the next state from its tail. Coverage grows while the current state
 keeps a finite rank; the session stops exactly when the system has a
 strategy to avoid all further coverage.
+
+A session runs as `hypergame run` runs it: `parse_model`, then
+`build_game_graph` (validation), then `apply_transforms`, then
+`run_session` on the declaration (eager) or on a `DeclProvider` (lazy)
+against an adversary from `make_adversary`; `format_trace` and
+`format_stats` render the result.
 """
 
 __version__ = "0.1.0"
 
-from .adversaries import Avoider, RandomFair, Scripted, SubsetSystem, make_adversary
-from .engine import (GameState, MoveRecord, SessionStats, format_stats,
-                     format_trace, run_session, start_session)
+from .adversaries import Avoider, RandomFair, make_adversary
+from .engine import GameState, format_stats, format_trace, run_session
 from .minimax import minimax_moves_to_mark, strategy_moves_to_mark
-from .model import (Edge, GameGraph, ModelDecl, ModelError, build_game_graph,
-                    parse_model, serialize_model, validate)
-from .providers import (CounterMachineProvider, DeclProvider, gen_chain,
-                        gen_random_bounded_degree)
-from .ranks import (BACKEND, RankTable, UNREACHABLE, WorkStats,
-                    available_backends, compute_ranks, oracle_for_decl,
-                    oracle_ranks)
-from .transforms import (apply_transforms, branch_coverage_transform,
-                         break_self_loops, compress_chains,
-                         edge_coverage_transform)
+from .model import (Edge, ModelDecl, ModelError, build_game_graph, parse_model,
+                    serialize_model)
+from .providers import DeclProvider, gen_chain, gen_random_bounded_degree
+from .ranks import RankTable, UNREACHABLE, compute_ranks, oracle_ranks
+from .transforms import apply_transforms
 
 __all__ = [
-    "Avoider", "BACKEND", "CounterMachineProvider", "DeclProvider", "Edge",
-    "GameGraph", "GameState", "ModelDecl", "ModelError", "MoveRecord",
-    "RandomFair", "RankTable", "Scripted", "SessionStats", "SubsetSystem",
-    "UNREACHABLE", "WorkStats", "apply_transforms", "available_backends",
-    "branch_coverage_transform", "break_self_loops", "build_game_graph",
-    "compress_chains", "compute_ranks", "edge_coverage_transform",
-    "format_stats", "format_trace", "gen_chain", "gen_random_bounded_degree",
-    "make_adversary", "minimax_moves_to_mark", "oracle_for_decl",
-    "oracle_ranks", "parse_model", "run_session", "serialize_model",
-    "start_session", "strategy_moves_to_mark", "validate",
+    "Avoider", "DeclProvider", "Edge", "GameState", "ModelDecl", "ModelError",
+    "RandomFair", "RankTable", "UNREACHABLE", "apply_transforms",
+    "build_game_graph", "compute_ranks", "format_stats", "format_trace",
+    "gen_chain", "gen_random_bounded_degree", "make_adversary",
+    "minimax_moves_to_mark", "oracle_ranks", "parse_model", "run_session",
+    "serialize_model", "strategy_moves_to_mark",
 ]

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .model import ModelDecl, build_game_graph
+from .model import ModelDecl
+from .providers import DeclProvider
 from .ranks import UNREACHABLE, RankTable
 from .ranks.table import WorkStats
 
@@ -85,43 +86,17 @@ class SessionStats:
         }
 
 
-class _EagerSource:
-    """Materialized declaration with dead-edge deferral: every edge is known
-    up front but handed to the rank engine only when its head is marked."""
-
-    lazy = False
-
-    def __init__(self, decl: ModelDecl):
-        build_game_graph(decl)  # validation
-        self.decl = decl
-        self._by_head: dict[str, list] = {}
-        for e in decl.edges:
-            self._by_head.setdefault(e.head, []).append(e)
-
-    @property
-    def initial(self):
-        return self.decl.initial
-
-    def expand(self, v):
-        return sorted(self._by_head.get(v, []), key=lambda e: e.id)
-
-    def known_vertices(self):
-        return sorted(self.decl.vertices)
-
-    def virtual_vertices(self):
-        return self.decl.virtual_vertices
-
-
 class GameState:
     """One testing-game position with its rank table and statistics."""
 
     def __init__(self, source, backend=None):
+        """source: a provider (see `providers`), or a declaration, which is
+        played eagerly."""
         if isinstance(source, ModelDecl):
-            source = _EagerSource(source)
+            source = DeclProvider(source, lazy=False)
         self.source = source
-        self.lazy = bool(getattr(source, "lazy", True))
-        self.virtual = set(getattr(source, "virtual_vertices", lambda: ())())
-        known = source.known_vertices() if not self.lazy else ()
+        self.lazy = source.lazy
+        known = () if self.lazy else sorted(source.decl.vertices)
         initial = source.initial
         self.table = RankTable(initial, source.expand(initial),
                                known_vertices=known, backend=backend)
@@ -150,13 +125,6 @@ class GameState:
 
     def edge(self, eid: str):
         return self.table.edges[eid]
-
-    def live_incident(self, v: str) -> list[str]:
-        """Live real/virtual edge ids with head v, in id order."""
-        return list(self.table.incident_ids(v))
-
-    def current_rank(self) -> float:
-        return self.rank
 
     def is_terminal(self) -> bool:
         return self.rank == UNREACHABLE
@@ -219,7 +187,7 @@ class GameState:
         return SessionStats(
             states_total=self.states_total(),
             states_marked=len(self.marked),
-            virtual_marked=len(self.marked & self.virtual),
+            virtual_marked=len(self.marked & self.source.virtual_vertices),
             interior_total=self.interior_total(),
             interior_covered=len(self.interior_covered),
             moves=self.moves,

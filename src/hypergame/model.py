@@ -1,14 +1,17 @@
-"""Hypergraph model: declarations, the line-oriented file format, validation,
-and construction of the playable game graph with its trivial marker edges.
+"""Hypergraph model: declarations, the line-oriented file format and
+validation.
+
+A declaration holds only real and virtual edges. The empty-tail marker edge
+that every unmarked vertex carries in the game is implicit: it exists only
+in the rank engine and the rank oracle, never in a declaration.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 REAL = "real"
-TRIVIAL = "trivial"
 VIRTUAL = "virtual"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
@@ -41,10 +44,10 @@ class Edge:
     interior: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind == TRIVIAL:
-            if self.tail:
-                raise ModelError(f"trivial edge {self.id} must have an empty tail")
-        elif not self.tail:
+        if self.kind not in (REAL, VIRTUAL):
+            raise ModelError(f"edge {self.id}: kind {self.kind!r} is neither "
+                             f"{REAL!r} nor {VIRTUAL!r}")
+        if not self.tail:
             raise ModelError(f"edge {self.id}: empty tail on {self.kind} edge")
         if len(set(self.tail)) != len(self.tail):
             raise ModelError(f"edge {self.id}: duplicate tail vertex")
@@ -230,7 +233,7 @@ def serialize_model(decl: ModelDecl) -> str:
 
 def validate(decl: ModelDecl) -> list[Violation]:
     """Return every invariant violation; an empty list means the declaration
-    can be turned into a game graph."""
+    can be played."""
     out = []
     vset = decl.vertex_set()
     if decl.initial not in vset:
@@ -240,9 +243,6 @@ def validate(decl: ModelDecl) -> list[Violation]:
         if e.id in seen:
             out.append(Violation("DuplicateEdgeId", e.id))
         seen.add(e.id)
-        if e.kind == TRIVIAL:
-            out.append(Violation("TrivialEdgeInDecl", e.id, "marker edges are implicit"))
-            continue
         if not e.tail:
             out.append(Violation("EmptyTail", e.id))
         if e.head not in vset:
@@ -253,58 +253,10 @@ def validate(decl: ModelDecl) -> list[Violation]:
     return out
 
 
-def trivial_edge_id(vertex: str) -> str:
-    # "!" is outside the id alphabet, so marker ids can never collide.
-    return "!" + vertex
-
-
-@dataclass(frozen=True)
-class GameGraph:
-    """Indexed, immutable view of a declaration at its starting position:
-    the initial vertex marked, its edges live, every other real edge dead."""
-
-    decl: ModelDecl
-    marked: frozenset[str] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.marked is None:
-            object.__setattr__(self, "marked", frozenset({self.decl.initial}))
-
-    @property
-    def initial(self):
-        return self.decl.initial
-
-    def trivial_edges(self):
-        """Map vertex -> marker edge id, for unmarked non-initial vertices."""
-        return {
-            v: trivial_edge_id(v)
-            for v in self.decl.vertices
-            if v not in self.marked
-        }
-
-    def live_edges(self):
-        return [e for e in self.decl.edges if e.head in self.marked]
-
-    def dead_edges(self):
-        return [e for e in self.decl.edges if e.head not in self.marked]
-
-    def incident_edges(self, vertex: str, include_dead: bool = False) -> list[str]:
-        """Edge ids with head `vertex` (marker edge first), in id order."""
-        if vertex not in self.decl.vertex_set():
-            raise ModelError(f"unknown vertex {vertex!r}")
-        out = []
-        if vertex != self.initial and vertex not in self.marked:
-            out.append(trivial_edge_id(vertex))
-        live = vertex in self.marked
-        for e in sorted(self.decl.edges, key=lambda e: e.id):
-            if e.head == vertex and (live or include_dead):
-                out.append(e.id)
-        return out
-
-
-def build_game_graph(decl: ModelDecl) -> GameGraph:
-    """Validate and index a declaration."""
+def build_game_graph(decl: ModelDecl) -> ModelDecl:
+    """Validate a declaration: raise ModelError naming every violation, else
+    return the declaration unchanged."""
     problems = validate(decl)
     if problems:
         raise ModelError("; ".join(str(p) for p in problems))
-    return GameGraph(decl)
+    return decl

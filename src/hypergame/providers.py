@@ -1,15 +1,25 @@
-"""State-space providers (eager and lazy) and model generators for benchmarks.
+"""State-space providers and model generators for benchmarks.
 
 A provider answers two questions: where does the session start, and which
 edges leave a vertex. The engine asks the latter exactly once per vertex,
 when the vertex is marked (or at session start for the initial vertex).
+
+`GameState` reads this protocol from every provider:
+
+- `initial`: the starting vertex;
+- `lazy`: False when the whole state space is known up front;
+- `virtual_vertices`: the vertices that count as virtual in the stats;
+- `expand(v)`: the edges with head `v`, in any order.
+
+An eager provider (`lazy` False) also has `decl`, the declaration from
+which the session takes its known vertices and interiors.
 """
 
 from __future__ import annotations
 
 import random
 
-from .model import Edge, ModelDecl
+from .model import Edge, ModelDecl, build_game_graph
 
 
 class ProviderError(Exception):
@@ -17,14 +27,17 @@ class ProviderError(Exception):
 
 
 class DeclProvider:
-    """Lazy provider backed by a parsed declaration: edges are handed out
-    only when their head is marked, so the engine sees the state space grow
-    exactly as it would with a generated one."""
+    """Provider backed by a declaration, which it validates once. Edges are
+    handed out only when their head is marked. A lazy provider lets the
+    session discover states as live tails name them, exactly as with a
+    generated state space; an eager one (`lazy=False`) gives the session
+    every declared vertex and interior from the start."""
 
-    lazy = True
-
-    def __init__(self, decl: ModelDecl):
+    def __init__(self, decl: ModelDecl, lazy: bool = True):
+        build_game_graph(decl)  # raises ModelError on an invalid declaration
         self.decl = decl
+        self.lazy = lazy
+        self.virtual_vertices = decl.virtual_vertices
         self._by_head: dict[str, list[Edge]] = {}
         for e in decl.edges:
             self._by_head.setdefault(e.head, []).append(e)
@@ -38,7 +51,7 @@ class DeclProvider:
         if v in self._expanded:
             raise ProviderError(f"expand({v!r}) called twice in one session")
         self._expanded.add(v)
-        return sorted(self._by_head.get(v, []), key=lambda e: e.id)
+        return self._by_head.get(v, [])
 
 
 class CounterMachineProvider:
@@ -46,6 +59,7 @@ class CounterMachineProvider:
     exercise truly generated (never materialized) state spaces."""
 
     lazy = True
+    virtual_vertices = frozenset()
 
     def __init__(self, n: int):
         if n < 0:

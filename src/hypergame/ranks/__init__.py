@@ -1,11 +1,13 @@
 """Rank maintenance: lazy decremental engine plus the naive oracle.
 
-The engine has two interchangeable backends: a compiled C++ core
-(`_core.cpp`) and a pure-Python fallback. The compiled one is preferred
-when the extension was built; HYPERGAME_BACKEND=pure|compiled overrides.
-"""
+These are the only places that know the game's marker edges: every unmarked
+vertex carries an implicit empty-tail edge, which is the base case of the
+rank recursion. Declarations and providers hold only real and virtual edges.
 
-import os
+The engine has two interchangeable backends: a compiled C++ core
+(`_core.cpp`) and a pure-Python fallback. `backend=None` or "auto" picks the
+compiled one when the extension was built.
+"""
 
 from .pure import PureRankEngine
 
@@ -14,11 +16,9 @@ try:
 except ImportError:  # extension not built
     CompiledRankEngine = None
 
-BACKEND = "compiled" if CompiledRankEngine is not None else "pure"
-
 
 def get_engine_class(backend=None):
-    backend = backend or os.environ.get("HYPERGAME_BACKEND") or "auto"
+    backend = backend or "auto"
     if backend in ("auto", "compiled") and CompiledRankEngine is not None:
         return CompiledRankEngine
     if backend == "compiled":
@@ -37,7 +37,6 @@ from .oracle import UNREACHABLE, oracle_ranks, oracle_for_decl  # noqa: E402
 from .table import RankTable, WorkStats, compute_ranks  # noqa: E402
 
 __all__ = [
-    "BACKEND",
     "RankTable",
     "UNREACHABLE",
     "WorkStats",

@@ -3,7 +3,7 @@
 // CPython C API. The two backends must agree exactly on every returned value
 // and every counter; tests/test_rank_engine.py checks that they do.
 //
-// Unlike the pure engine, every method checks each vertex and edge index it
+// As in the pure engine, every method checks each vertex and edge index it
 // is given (IndexError) and reads a marking's tail lists in full before it
 // changes anything.
 

@@ -79,6 +79,7 @@ class PureRankEngine:
         return v
 
     def set_initial(self, v: int) -> None:
+        self._vertex(v)
         if self.vmarked[v]:
             raise ValueError("vertex already marked")
         self.vmarked[v] = True
@@ -100,14 +101,15 @@ class PureRankEngine:
 
         tail_lists is a sequence of tail-vertex index tuples; returns the
         dense edge ids assigned. Must not be the initial vertex or already
-        marked.
+        marked. Checks every index before it changes anything.
         """
+        self._vertex(v)
         if self.vmarked[v]:
             raise ValueError("vertex already marked")
+        eids = self._register(v, tail_lists)
         self.vmarked[v] = True
         self.unmarked -= 1
         self.markings += 1
-        eids = self._register(v, tail_lists)
         # Losing the marker edge invalidates v; its old value stays as a
         # lower bound and the queue drains it on demand.
         if not self.vdirty[v]:
@@ -116,9 +118,14 @@ class PureRankEngine:
         return eids
 
     def add_initial_edges(self, v: int, tail_lists) -> list[int]:
+        self._vertex(v)
         return self._register(v, tail_lists)
 
     def _register(self, v, tail_lists):
+        tail_lists = [tuple(tails) for tails in tail_lists]
+        for tails in tail_lists:
+            for t in tails:
+                self._vertex(t)
         out = self.out_edges[v]
         eids = []
         for tails in tail_lists:
@@ -143,6 +150,7 @@ class PureRankEngine:
         """Drain until v's rank is certified exact; returns it (UNREACH_INT
         when unreachable). Repeat calls without mutations do no relaxation.
         """
+        self._vertex(v)
         if self.all_unreachable:
             return UNREACH_INT
         pops = 0
@@ -189,11 +197,13 @@ class PureRankEngine:
         return UNREACH_INT if mk is None else mk - 1
 
     def vertex_value(self, v: int) -> int:
+        self._vertex(v)
         if self.all_unreachable:
             return UNREACH_INT
         return self.vstored[v]
 
     def vertex_exact(self, v: int) -> bool:
+        self._vertex(v)
         if self.all_unreachable:
             return True
         if self.vdirty[v]:
@@ -205,11 +215,13 @@ class PureRankEngine:
         return mk is None or mk >= s
 
     def edge_value(self, e: int) -> int:
+        self._edge(e)
         if self.all_unreachable:
             return UNREACH_INT
         return self.estored[e]
 
     def edge_exact(self, e: int) -> bool:
+        self._edge(e)
         if self.all_unreachable:
             return True
         s = self.estored[e]
@@ -219,6 +231,16 @@ class PureRankEngine:
         return mk is None or mk > s
 
     # -- internals ---------------------------------------------------------
+
+    # Python lists would take a negative index from the end; the compiled
+    # core has no wraparound, so both reject any index outside 0..n-1.
+    def _vertex(self, v):
+        if not 0 <= v < len(self.vstored):
+            raise IndexError(f"vertex index {v} out of range")
+
+    def _edge(self, e):
+        if not 0 <= e < len(self.estored):
+            raise IndexError(f"edge index {e} out of range")
 
     def _push(self, key, v):
         self.queue_ops += 1

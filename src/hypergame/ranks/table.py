@@ -76,9 +76,6 @@ class RankTable:
     def vertex_count(self) -> int:
         return len(self.vertex_names)
 
-    def marked_count(self) -> int:
-        return len(self.marked)
-
     def live_edge_objects(self) -> list[Edge]:
         return [self.edges[name] for name in self.edge_names]
 
@@ -134,9 +131,6 @@ class RankTable:
     def ensure_settled(self, v: str) -> float:
         return _out(self.eng.ensure(self.vid[v]))
 
-    def settle_all(self) -> None:
-        self.eng.drain(UNREACH_INT)
-
     def settle_up_to(self, threshold) -> None:
         t = UNREACH_INT if threshold == UNREACHABLE else int(threshold)
         self.eng.drain(t)
@@ -158,9 +152,6 @@ class RankTable:
     def settled_frontier(self) -> float:
         return _out(self.eng.frontier())
 
-    def is_marked(self, v: str) -> bool:
-        return v in self.marked
-
     def snapshot_work(self) -> WorkStats:
         e = self.eng
         return WorkStats(
@@ -177,11 +168,10 @@ class RankTable:
         return self.eng.backend
 
 
-def compute_ranks(decl_or_graph, threshold=UNREACHABLE, backend=None) -> RankTable:
+def compute_ranks(decl, threshold=UNREACHABLE, backend=None) -> RankTable:
     """Batch computation for a declaration at its start position, settled up
     to `threshold` (everything, by default). Items beyond the returned
     table's frontier hold tentative lower bounds."""
-    decl = getattr(decl_or_graph, "decl", decl_or_graph)
     initial_edges = [e for e in decl.edges if e.head == decl.initial]
     table = RankTable(decl.initial, initial_edges, known_vertices=sorted(decl.vertices),
                       backend=backend)

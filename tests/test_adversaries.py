@@ -94,7 +94,7 @@ class TestAvoiderMatchesReference:
             decl = random_decl(rng)
             gs = start_session(decl, backend=backend)
             for _ in range(rng.randint(0, 10)):
-                choices = gs.live_incident(gs.current)
+                choices = gs.table.incident_ids(gs.current)
                 if not choices:
                     break
                 eid = rng.choice(choices)
@@ -198,7 +198,7 @@ class TestAvoider:
                                  gs.marked, include_dead=False)
             assert vr[gs.current] == UNREACHABLE
             adv = Avoider()
-            for eid in gs.live_incident(gs.current):
+            for eid in gs.table.incident_ids(gs.current):
                 answer = adv.respond(gs, eid)
                 assert vr[answer] == UNREACHABLE
                 checked += 1

@@ -31,8 +31,13 @@ class TestStart:
         gs = start_session(g1)
         assert gs.current == "s0"
         assert gs.coverage == 1
-        assert gs.current_rank() == 2
+        assert gs.rank == 2
         assert not gs.is_terminal()
+        # Only the initial vertex's edge is live; b and c stay dead until
+        # their heads are marked, and s1, s2 hold rank 1 by their markers.
+        assert gs.table.incident_ids("s0") == ["a"]
+        assert sorted(gs.table.edges) == ["a"]
+        assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == 1
 
     def test_single_vertex_model(self):
         gs = start_session(parse_model("initial s0\n"))
@@ -102,11 +107,11 @@ class TestApplyResponse:
             gs.apply_response(eid, v)
         # current m has rank 3; the strategy edge leads to marked m2 (rank 2)
         cov = gs.coverage
-        assert gs.current_rank() == 3
+        assert gs.rank == 3
         assert gs.tester_choose() == "pm"
         gs.apply_response("pm", "m2")
         assert gs.coverage == cov
-        assert gs.current_rank() == 2
+        assert gs.rank == 2
 
     def test_illegal_response_rejected(self, g1):
         gs = start_session(g1)

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
-                             parse_model, serialize_model, trivial_edge_id,
-                             validate)
+                             parse_model, serialize_model, validate)
 
 from conftest import G1_TEXT
 
@@ -62,6 +61,15 @@ class TestParse:
 class TestValidate:
     def test_g1_valid(self, g1):
         assert validate(g1) == []
+        assert build_game_graph(g1) is g1
+
+    def test_edge_kind_is_real_or_virtual(self):
+        # Marker edges are implicit in the engine and the oracle; a
+        # declaration cannot hold one, nor any other kind.
+        for kind in ("trivial", "marker", ""):
+            with pytest.raises(ModelError, match="neither"):
+                Edge("x", "s0", ("s1",), kind=kind)
+        assert Edge("x", "s0", ("s1",), kind="virtual").kind == "virtual"
 
     def test_duplicate_edge_ids_reported(self):
         decl = ModelDecl(initial="s0", vertices=("s0", "s1"),
@@ -77,35 +85,6 @@ class TestValidate:
 
 
 class TestGameGraph:
-    def test_g1_start_position(self, g1):
-        g = build_game_graph(g1)
-        assert set(g.trivial_edges()) == {"s1", "s2"}
-        assert [e.id for e in g.live_edges()] == ["a"]
-        assert sorted(e.id for e in g.dead_edges()) == ["b", "c"]
-
-    def test_g2_start_position(self, g2):
-        g = build_game_graph(g2)
-        assert set(g.trivial_edges()) == {"s1", "s2"}
-        assert [e.id for e in g.live_edges()] == ["e1"]
-        assert [e.id for e in g.dead_edges()] == ["e2"]
-
-    def test_single_vertex_model(self):
-        g = build_game_graph(parse_model("initial s0\n"))
-        assert g.trivial_edges() == {}
-        assert g.live_edges() == []
-
-    def test_incident_edges(self, g1):
-        g = build_game_graph(g1)
-        assert g.incident_edges("s0") == ["a"]
-        assert g.incident_edges("s1") == [trivial_edge_id("s1")]
-        assert g.incident_edges("s1", include_dead=True) == [trivial_edge_id("s1"), "b"]
-        with pytest.raises(ModelError, match="unknown vertex"):
-            g.incident_edges("nope")
-
-    def test_incident_edges_g3(self, g3):
-        g = build_game_graph(g3)
-        assert g.incident_edges("s0") == ["f"]
-
     def test_with_edges_vertex_set(self, g1):
         out = g1.with_edges(g1.edges, extra_vertices=["x", "s1", "x"],
                             drop_vertices=["s1", "s2"])
@@ -116,6 +95,7 @@ class TestGameGraph:
                          edges=(Edge("a", "s0", ("zz",)),))
         with pytest.raises(ModelError):
             build_game_graph(decl)
+
 
 
 @st.composite

@@ -4,11 +4,12 @@ import pytest
 
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import format_trace, run_session, start_session
-from hypergame.model import parse_model
+from hypergame.model import ModelError, parse_model
 from hypergame.providers import (CounterMachineProvider, DeclProvider,
                                  ProviderError, gen_chain,
                                  gen_random_bounded_degree,
                                  gen_strongly_connected)
+from hypergame.transforms import branch_coverage_transform
 
 from conftest import random_decl
 
@@ -30,6 +31,12 @@ class TestDeclProvider:
         gs.apply_response("e1", "s1")
         assert gs.states_total() == 3
         assert gs.stats().lazy is True
+
+    def test_invalid_declaration_rejected_eager_and_lazy(self):
+        decl = parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
+        for source in (lambda: decl, lambda: DeclProvider(decl)):
+            with pytest.raises(ModelError, match="UnknownVertex"):
+                run_session(source(), RandomFair(0))
 
 
 class TestCounterMachine:
@@ -116,3 +123,15 @@ class TestLazyEagerEquivalence:
                     assert lazy[1].terminated == "all_marked"
                     assert eager[1].terminated == "unreachable"
                     assert lazy[1].states_total < eager[1].states_total
+
+    def test_branch_coverage_virtual_counts_agree(self):
+        # The lazy session counts the transform's virtual waypoints as the
+        # eager one does.
+        for seed in range(3):
+            decl, _ = branch_coverage_transform(
+                gen_random_bounded_degree(64, 3, 2, seed=seed))
+            lazy = run_session(DeclProvider(decl), RandomFair(seed), seed=seed)
+            eager = run_session(decl, RandomFair(seed), seed=seed)
+            assert format_trace(lazy[0]) == format_trace(eager[0])
+            assert lazy[1].virtual_marked == eager[1].virtual_marked > 0
+            assert lazy[1].real_marked == eager[1].real_marked

@@ -232,7 +232,8 @@ def test_backends_agree_exactly(request):
 
 def test_index_out_of_range(backend):
     # Every method that takes a vertex or edge index rejects one past the
-    # end with IndexError on both backends, tail indices included.
+    # end, and a negative one, with IndexError on both backends, tail
+    # indices included.
     cls = get_engine_class(backend)
 
     def fresh():
@@ -242,22 +243,30 @@ def test_index_out_of_range(backend):
         eng.add_initial_edges(h, [(t,)])
         return eng  # 2 vertices, 1 edge
 
-    calls = [
-        lambda e: e.ensure(2), lambda e: e.vertex_value(2), lambda e: e.vertex_exact(2),
-        lambda e: e.set_initial(2), lambda e: e.mark(2, [()]), lambda e: e.mark(1, [(0, 2)]),
-        lambda e: e.add_initial_edges(2, [()]), lambda e: e.add_initial_edges(0, [(2,)]),
-        lambda e: e.edge_value(1), lambda e: e.edge_exact(1),
-    ]
-    for call in calls:
-        with pytest.raises(IndexError):
-            call(fresh())
-    if backend == "compiled":
-        # Python lists wrap negative indices; the compiled core has no
-        # wraparound and rejects them.
-        with pytest.raises(IndexError):
-            fresh().ensure(-1)
-        with pytest.raises(IndexError):
-            fresh().mark(1, [(-1,)])
+    for bad_v, bad_e in ((2, 1), (-1, -1)):
+        calls = [
+            lambda e: e.ensure(bad_v), lambda e: e.vertex_value(bad_v),
+            lambda e: e.vertex_exact(bad_v), lambda e: e.set_initial(bad_v),
+            lambda e: e.mark(bad_v, [()]), lambda e: e.mark(1, [(0, bad_v)]),
+            lambda e: e.add_initial_edges(bad_v, [()]),
+            lambda e: e.add_initial_edges(0, [(bad_v,)]),
+            lambda e: e.edge_value(bad_e), lambda e: e.edge_exact(bad_e),
+        ]
+        for call in calls:
+            with pytest.raises(IndexError):
+                call(fresh())
+    # A marking rejected for a bad tail index changes nothing: the engine
+    # then takes the same marking as one that never saw the bad call.
+    eng, ref = fresh(), fresh()
+    with pytest.raises(IndexError):
+        eng.mark(1, [(0, 2)])
+    assert eng.mark(1, [(0,)]) == ref.mark(1, [(0,)]) == [1]
+
+    def state(e):
+        return (e.ensure(0), e.ensure(1), e.edge_value(1), e.markings,
+                e.live_size, e.queue_ops, e.relaxations)
+
+    assert state(eng) == state(ref)
     eng = fresh()
     eng.mark(1, [])
     for marked in (0, 1):
