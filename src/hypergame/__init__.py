@@ -21,14 +21,14 @@ from .minimax import minimax_moves_to_mark, strategy_moves_to_mark
 from .model import (Edge, ModelDecl, ModelError, build_game_graph, parse_model,
                     serialize_model)
 from .providers import DeclProvider, gen_chain, gen_random_bounded_degree
-from .ranks import RankTable, UNREACHABLE, compute_ranks, oracle_ranks
+from .ranks import RankTable, UNREACHABLE, oracle_ranks
 from .transforms import apply_transforms
 
 __all__ = [
     "Avoider", "DeclProvider", "Edge", "GameState", "ModelDecl", "ModelError",
     "RandomFair", "RankTable", "UNREACHABLE", "apply_transforms",
-    "build_game_graph", "compute_ranks", "format_stats", "format_trace",
-    "gen_chain", "gen_random_bounded_degree", "make_adversary",
-    "minimax_moves_to_mark", "oracle_ranks", "parse_model", "run_session",
-    "serialize_model", "strategy_moves_to_mark",
+    "build_game_graph", "format_stats", "format_trace", "gen_chain",
+    "gen_random_bounded_degree", "make_adversary", "minimax_moves_to_mark",
+    "oracle_ranks", "parse_model", "run_session", "serialize_model",
+    "strategy_moves_to_mark",
 ]

@@ -15,12 +15,12 @@ from . import __version__
 from .adversaries import (AdversaryConfigError, ScriptError, make_adversary,
                           parse_allowed_file)
 from .engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
-                     AdversaryProtocolError, format_stats, format_trace,
-                     run_session)
+                     AdversaryProtocolError, GameState, format_stats,
+                     format_trace, run_session)
 from .minimax import TooLargeError, minimax_moves_to_mark, strategy_moves_to_mark
 from .model import ModelError, build_game_graph, parse_model, serialize_model
 from .providers import DeclProvider, gen_chain, gen_random_bounded_degree
-from .ranks import UNREACHABLE, compute_ranks, oracle_ranks
+from .ranks import UNREACHABLE, oracle_ranks
 from .transforms import apply_transforms
 
 EXIT_CONFIG = 2
@@ -106,6 +106,7 @@ def cmd_run(args):
     if args.repeat > 1 and args.trace:
         raise CliError("--trace is only supported for single runs")
 
+    source = DeclProvider(decl, lazy=args.lazy)  # validated once, shared by every session
     runs = []
     last_reason = None
     for i in range(args.repeat):
@@ -113,7 +114,6 @@ def cmd_run(args):
         adversary = _build_adversary(argparse.Namespace(
             adversary=args.adversary, seed=seed, allowed=args.allowed,
             script=args.script))
-        source = DeclProvider(decl) if args.lazy else decl
         try:
             transcript, stats = run_session(source, adversary,
                                             max_moves=args.max_moves, seed=seed,
@@ -157,17 +157,12 @@ def cmd_solve(args):
         value = minimax_moves_to_mark(decl, marked, decl.initial)
     except TooLargeError as exc:
         raise CliError(str(exc)) from None
-    table = compute_ranks(decl)
+    # The strategy asks only at the initial vertex: every other position it
+    # reaches is unmarked, where a move ends.
+    gs = GameState(decl)
 
     def choose(u):
-        best_id, best = None, UNREACHABLE
-        for e in decl.edges:
-            if e.head != u or e.id not in table.eid:
-                continue
-            er = table.edge_rank(e.id)
-            if er < best:
-                best, best_id = er, e.id
-        return best_id
+        return None if gs.is_terminal() else gs.tester_choose()
 
     attained = strategy_moves_to_mark(decl, marked, decl.initial, choose)
     v = "unbounded" if value == UNREACHABLE else str(int(value))

@@ -243,8 +243,6 @@ def validate(decl: ModelDecl) -> list[Violation]:
         if e.id in seen:
             out.append(Violation("DuplicateEdgeId", e.id))
         seen.add(e.id)
-        if not e.tail:
-            out.append(Violation("EmptyTail", e.id))
         if e.head not in vset:
             out.append(Violation("UnknownVertex", e.head, f"head of edge {e.id}"))
         for t in e.tail:

@@ -3,6 +3,8 @@
 A provider answers two questions: where does the session start, and which
 edges leave a vertex. The engine asks the latter exactly once per vertex,
 when the vertex is marked (or at session start for the initial vertex).
+Providers hold no per-session state, so one provider may serve many
+sessions.
 
 `GameState` reads this protocol from every provider:
 
@@ -22,10 +24,6 @@ import random
 from .model import Edge, ModelDecl, build_game_graph
 
 
-class ProviderError(Exception):
-    """A provider broke its contract; the session aborts."""
-
-
 class DeclProvider:
     """Provider backed by a declaration, which it validates once. Edges are
     handed out only when their head is marked. A lazy provider lets the
@@ -41,16 +39,12 @@ class DeclProvider:
         self._by_head: dict[str, list[Edge]] = {}
         for e in decl.edges:
             self._by_head.setdefault(e.head, []).append(e)
-        self._expanded: set[str] = set()
 
     @property
     def initial(self) -> str:
         return self.decl.initial
 
     def expand(self, v: str) -> list[Edge]:
-        if v in self._expanded:
-            raise ProviderError(f"expand({v!r}) called twice in one session")
-        self._expanded.add(v)
         return self._by_head.get(v, [])
 
 
@@ -65,16 +59,12 @@ class CounterMachineProvider:
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n
-        self._expanded: set[str] = set()
 
     @property
     def initial(self) -> str:
         return "0"
 
     def expand(self, v: str) -> list[Edge]:
-        if v in self._expanded:
-            raise ProviderError(f"expand({v!r}) called twice in one session")
-        self._expanded.add(v)
         i = int(v)
         if i >= self.n:
             return []

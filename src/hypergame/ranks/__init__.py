@@ -34,14 +34,13 @@ def available_backends():
 
 
 from .oracle import UNREACHABLE, oracle_ranks, oracle_for_decl  # noqa: E402
-from .table import RankTable, WorkStats, compute_ranks  # noqa: E402
+from .table import RankTable, WorkStats  # noqa: E402
 
 __all__ = [
     "RankTable",
     "UNREACHABLE",
     "WorkStats",
     "available_backends",
-    "compute_ranks",
     "get_engine_class",
     "oracle_for_decl",
     "oracle_ranks",

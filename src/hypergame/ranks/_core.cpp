@@ -1,6 +1,8 @@
 // Compiled rank engine: the algorithm, data layout and work accounting of
-// ranks.pure.PureRankEngine (see its module docstring), written against the
-// CPython C API. The two backends must agree exactly on every returned value
+// ranks.pure.PureRankEngine, written against the CPython C API. It
+// implements the engine protocol documented on that class (seven methods
+// and the read-only counters); see the pure module docstring for the
+// algorithm. The two backends must agree exactly on every returned value
 // and every counter; tests/test_rank_engine.py checks that they do.
 //
 // As in the pure engine, every method checks each vertex and edge index it
@@ -63,6 +65,11 @@ struct Ref {
     ~Ref() { Py_XDECREF(p); }
     Ref(const Ref &) = delete;
     Ref &operator=(const Ref &) = delete;
+    PyObject *release() {
+        PyObject *out = p;
+        p = NULL;
+        return out;
+    }
 };
 
 // Runs a method body, turning a C++ exception into a Python one.
@@ -221,23 +228,6 @@ void flush_unreachable(Engine *self) {
     }
 }
 
-// Pops until `done` holds, flushing whenever a call's pops reach the
-// live-size budget.
-template <class Done>
-int drain_until(Engine *self, Done done) {
-    i64 pops = 0;
-    i64 budget = self->live_size + (i64)self->st->vstored.size() + 64;
-    while (!done()) {
-        if (step(self) < 0)
-            return -1;
-        if (++pops >= budget) {
-            flush_unreachable(self);
-            pops = 0;
-        }
-    }
-    return 0;
-}
-
 // Reads tail lists (an iterable of iterables of vertex indices) into one
 // flat array plus offsets, checking every index.
 int read_tails(Engine *self, PyObject *tail_lists, std::vector<int> &flat,
@@ -299,9 +289,61 @@ PyObject *register_edges(Engine *self, int v, PyObject *tail_lists) {
         s.out_edges[v].push_back(e);
         self->live_size += 1 + ntails;
     }
-    PyObject *out = eids.p;
-    eids.p = NULL;
-    return out;
+    return eids.release();
+}
+
+// A new list holding conv(x) for every x in xs.
+template <class T, class Conv>
+PyObject *to_list(const std::vector<T> &xs, Conv conv) {
+    Ref out(PyList_New((Py_ssize_t)xs.size()));
+    if (!out.p)
+        return NULL;
+    for (size_t i = 0; i < xs.size(); i++) {
+        PyObject *x = conv(xs[i]);
+        if (!x)
+            return NULL;
+        PyList_SET_ITEM(out.p, (Py_ssize_t)i, x);
+    }
+    return out.release();
+}
+
+// Stores value (a new reference, or NULL after an error) under key.
+int put(PyObject *dict, const char *key, PyObject *value) {
+    Ref v(value);
+    return v.p ? PyDict_SetItemString(dict, key, v.p) : -1;
+}
+
+// Marks v and registers its out-edges: set_initial for the initial vertex,
+// whose marker edge leaves the live size, and mark, which counts a marking.
+PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initial) {
+    return guarded(self, [&]() -> PyObject * {
+        State &s = *self->st;
+        PyObject *vertex, *tail_lists;
+        int v;
+        if (!PyArg_UnpackTuple(args, name, 2, 2, &vertex, &tail_lists) ||
+            vertex_index(self, vertex, &v) < 0)
+            return NULL;
+        if (s.vmarked[v]) {
+            PyErr_SetString(PyExc_ValueError, "vertex already marked");
+            return NULL;
+        }
+        Ref eids(register_edges(self, v, tail_lists));
+        if (!eids.p)
+            return NULL;
+        s.vmarked[v] = 1;
+        self->unmarked--;
+        if (initial)
+            self->live_size--;
+        else
+            self->markings++;
+        // Losing the marker edge invalidates v; its old value stays as a
+        // lower bound and the queue drains it on demand.
+        if (!s.vdirty[v]) {
+            s.vdirty[v] = 1;
+            push(self, s.vstored[v], v);
+        }
+        return eids.release();
+    });
 }
 
 // -- methods -------------------------------------------------------------------
@@ -325,23 +367,8 @@ PyObject *Engine_add_vertex(Engine *self, PyObject *) {
     });
 }
 
-PyObject *Engine_set_initial(Engine *self, PyObject *arg) {
-    return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
-        int v;
-        if (vertex_index(self, arg, &v) < 0)
-            return NULL;
-        if (s.vmarked[v]) {
-            PyErr_SetString(PyExc_ValueError, "vertex already marked");
-            return NULL;
-        }
-        s.vmarked[v] = 1;
-        self->unmarked--;
-        self->live_size--;
-        s.vdirty[v] = 1;
-        push(self, s.vstored[v], v);
-        Py_RETURN_NONE;
-    });
+PyObject *Engine_set_initial(Engine *self, PyObject *args) {
+    return mark_vertex(self, args, "set_initial", true);
 }
 
 PyObject *Engine_reset_work(Engine *self, PyObject *) {
@@ -352,42 +379,7 @@ PyObject *Engine_reset_work(Engine *self, PyObject *) {
 }
 
 PyObject *Engine_mark(Engine *self, PyObject *args) {
-    return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
-        PyObject *vertex, *tail_lists;
-        int v;
-        if (!PyArg_UnpackTuple(args, "mark", 2, 2, &vertex, &tail_lists) ||
-            vertex_index(self, vertex, &v) < 0)
-            return NULL;
-        if (s.vmarked[v]) {
-            PyErr_SetString(PyExc_ValueError, "vertex already marked");
-            return NULL;
-        }
-        PyObject *eids = register_edges(self, v, tail_lists);
-        if (!eids)
-            return NULL;
-        s.vmarked[v] = 1;
-        self->unmarked--;
-        self->markings++;
-        // Losing the marker edge invalidates v; its old value stays as a
-        // lower bound and the queue drains it on demand.
-        if (!s.vdirty[v]) {
-            s.vdirty[v] = 1;
-            push(self, s.vstored[v], v);
-        }
-        return eids;
-    });
-}
-
-PyObject *Engine_add_initial_edges(Engine *self, PyObject *args) {
-    return guarded(self, [&]() -> PyObject * {
-        PyObject *vertex, *tail_lists;
-        int v;
-        if (!PyArg_UnpackTuple(args, "add_initial_edges", 2, 2, &vertex, &tail_lists) ||
-            vertex_index(self, vertex, &v) < 0)
-            return NULL;
-        return register_edges(self, v, tail_lists);
-    });
+    return mark_vertex(self, args, "mark", false);
 }
 
 PyObject *Engine_ensure(Engine *self, PyObject *arg) {
@@ -398,77 +390,30 @@ PyObject *Engine_ensure(Engine *self, PyObject *arg) {
             return NULL;
         if (self->unmarked == 0)
             return PyLong_FromLongLong(UNREACH);
-        auto certified = [&]() {
-            if (s.vdirty[v])
-                return false;
-            i64 sv = s.vstored[v];
-            if (sv == UNREACH)
-                return true;
-            i64 mk = peek(self);
-            return mk < 0 || mk >= sv;
-        };
-        if (drain_until(self, certified) < 0)
-            return NULL;
+        // Pops until v is certified, flushing whenever this call's pops
+        // reach the live-size budget.
+        i64 pops = 0;
+        i64 budget = self->live_size + (i64)s.vstored.size() + 64;
+        while (true) {
+            if (!s.vdirty[v]) {
+                i64 sv = s.vstored[v];
+                if (sv == UNREACH)
+                    break;
+                i64 mk = peek(self);
+                if (mk < 0 || mk >= sv)
+                    break;
+            }
+            if (step(self) < 0)
+                return NULL;
+            if (++pops >= budget) {
+                flush_unreachable(self);
+                pops = 0;
+            }
+        }
         i64 r = s.vstored[v];
         if (r != UNREACH && r > self->max_rank)
             self->max_rank = r;
         return PyLong_FromLongLong(r);
-    });
-}
-
-PyObject *Engine_drain(Engine *self, PyObject *arg) {
-    return guarded(self, [&]() -> PyObject * {
-        int overflow;
-        i64 threshold = PyLong_AsLongLongAndOverflow(arg, &overflow);
-        if (threshold == -1 && PyErr_Occurred())
-            return NULL;
-        if (overflow)
-            threshold = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-        if (self->unmarked == 0)
-            Py_RETURN_NONE;
-        auto past = [&]() {
-            i64 mk = peek(self);
-            return mk < 0 || mk > threshold;
-        };
-        if (drain_until(self, past) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    });
-}
-
-PyObject *Engine_frontier(Engine *self, PyObject *) {
-    return guarded(self, [&]() -> PyObject * {
-        if (self->unmarked == 0)
-            return PyLong_FromLongLong(UNREACH);
-        i64 mk = peek(self);
-        return PyLong_FromLongLong(mk < 0 ? UNREACH : mk - 1);
-    });
-}
-
-PyObject *Engine_vertex_value(Engine *self, PyObject *arg) {
-    return guarded(self, [&]() -> PyObject * {
-        int v;
-        if (vertex_index(self, arg, &v) < 0)
-            return NULL;
-        return PyLong_FromLongLong(self->unmarked == 0 ? UNREACH : self->st->vstored[v]);
-    });
-}
-
-PyObject *Engine_vertex_exact(Engine *self, PyObject *arg) {
-    return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
-        int v;
-        if (vertex_index(self, arg, &v) < 0)
-            return NULL;
-        if (self->unmarked == 0)
-            Py_RETURN_TRUE;
-        if (s.vdirty[v])
-            Py_RETURN_FALSE;
-        i64 sv = s.vstored[v];
-        if (sv == UNREACH)
-            Py_RETURN_TRUE;
-        i64 mk = peek(self);
-        return PyBool_FromLong(mk < 0 || mk >= sv);
     });
 }
 
@@ -481,28 +426,23 @@ PyObject *Engine_edge_value(Engine *self, PyObject *arg) {
     });
 }
 
-PyObject *Engine_edge_exact(Engine *self, PyObject *arg) {
+PyObject *Engine_snapshot(Engine *self, PyObject *) {
     return guarded(self, [&]() -> PyObject * {
-        int e;
-        if (edge_index(self, arg, &e) < 0)
+        State &s = *self->st;
+        auto num = [](i64 x) { return PyLong_FromLongLong(x); };
+        auto flag = [](char x) { return PyBool_FromLong(x); };
+        Ref out(PyDict_New());
+        if (!out.p || put(out.p, "vstored", to_list(s.vstored, num)) < 0 ||
+            put(out.p, "vdirty", to_list(s.vdirty, flag)) < 0 ||
+            put(out.p, "vmarked", to_list(s.vmarked, flag)) < 0 ||
+            put(out.p, "estored", to_list(s.estored, num)) < 0)
             return NULL;
-        if (self->unmarked == 0)
-            Py_RETURN_TRUE;
-        i64 se = self->st->estored[e];
-        if (se == UNREACH)
-            Py_RETURN_TRUE;
-        i64 mk = peek(self);
-        return PyBool_FromLong(mk < 0 || mk > se);
+        return out.release();
     });
 }
 
 PyObject *Engine_get_backend(Engine *, void *) {
     return PyUnicode_FromString("compiled");
-}
-
-PyObject *Engine_get_all_unreachable(Engine *self, void *) {
-    // No unmarked vertex means no empty-tail base: nothing is reachable.
-    return PyBool_FromLong(self->unmarked == 0);
 }
 
 // -- type ----------------------------------------------------------------------
@@ -532,20 +472,15 @@ void Engine_dealloc(Engine *self) {
 
 PyMethodDef Engine_methods[] = {
     METHOD(add_vertex, METH_NOARGS, "add_vertex() -> int: a new unmarked vertex."),
-    METHOD(set_initial, METH_O, "set_initial(v): mark the initial vertex."),
-    METHOD(reset_work, METH_NOARGS, "reset_work(): zero the work counters; live size is kept."),
+    METHOD(set_initial, METH_VARARGS,
+           "set_initial(v, tail_lists) -> list[int]: mark the initial vertex, add its edges."),
     METHOD(mark, METH_VARARGS,
            "mark(v, tail_lists) -> list[int]: mark v and promote its edges to live."),
-    METHOD(add_initial_edges, METH_VARARGS,
-           "add_initial_edges(v, tail_lists) -> list[int]: live edges of the initial vertex."),
     METHOD(ensure, METH_O, "ensure(v) -> int: drain until v's rank is exact; returns it."),
-    METHOD(drain, METH_O, "drain(threshold): process every pending item with key <= threshold."),
-    METHOD(frontier, METH_NOARGS,
-           "frontier() -> int: largest rank below which every stored value is exact."),
-    METHOD(vertex_value, METH_O, "vertex_value(v) -> int: stored rank of v."),
-    METHOD(vertex_exact, METH_O, "vertex_exact(v) -> bool: whether v's stored rank is exact."),
     METHOD(edge_value, METH_O, "edge_value(e) -> int: stored rank of edge e."),
-    METHOD(edge_exact, METH_O, "edge_exact(e) -> bool: whether e's stored rank is exact."),
+    METHOD(reset_work, METH_NOARGS, "reset_work(): zero the work counters; live size is kept."),
+    METHOD(snapshot, METH_NOARGS,
+           "snapshot() -> dict: copies of vstored, vdirty, vmarked and estored."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -559,7 +494,6 @@ PyMemberDef Engine_members[] = {
 
 PyGetSetDef Engine_getset[] = {
     {"backend", (getter)Engine_get_backend, NULL, NULL, NULL},
-    {"all_unreachable", (getter)Engine_get_all_unreachable, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 

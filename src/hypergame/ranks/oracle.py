@@ -23,7 +23,7 @@ def oracle_ranks(vertices, edges, marked, include_dead=True):
     with .id/.head/.tail); marked: the set of marked vertices. Edges whose
     head is unmarked are "dead"; with include_dead they still receive ranks
     (they never affect vertex ranks, since an unmarked head keeps rank 1
-    through its marker edge). Returns (vertex_rank, edge_rank) dicts.
+    through its marker edge). Returns (vertex ranks, edge ranks) dicts.
     """
     vertices = list(vertices)
     marked = set(marked)

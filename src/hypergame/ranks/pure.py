@@ -36,7 +36,43 @@ UNREACH_INT = 1 << 62
 
 
 class PureRankEngine:
-    """Dense-index rank engine; the RankTable wrapper owns string ids."""
+    """Dense-index rank engine; the RankTable wrapper owns string ids.
+
+    The engine protocol, which the compiled core (`_core.cpp`) implements
+    with the same results and counters:
+
+    - `add_vertex() -> int`: a new unmarked vertex, ids 0, 1, 2, ...;
+    - `set_initial(v, tail_lists) -> list[int]`: mark the initial vertex and
+      register its out-edges;
+    - `mark(v, tail_lists) -> list[int]`: mark v and register its out-edges;
+    - `ensure(v) -> int`: drain until v's rank is exact and return it;
+    - `edge_value(e) -> int`: the stored rank of edge e;
+    - `reset_work()`: zero `relaxations`, `queue_ops` and `flushes`;
+    - `snapshot() -> dict`: plain copies of `vstored`, `vdirty`, `vmarked`
+      (by vertex id) and `estored` (by edge id), for tests; it changes no
+      counter.
+
+    Read-only counters: `unmarked`, `relaxations`, `queue_ops`, `live_size`,
+    `markings`, `max_rank` and `flushes`; `backend` names the backend.
+
+    `tail_lists` holds one sequence of tail-vertex ids per edge. Edge ids
+    are handed out 0, 1, 2, ... in call order, so each vertex's out-edges
+    arrive in exactly one `set_initial` or `mark` call, which rejects an
+    already-marked vertex (ValueError). Every method checks each index it
+    is given (IndexError) before it changes anything. Ranks are ints, and
+    UNREACH_INT stands for "unreachable".
+
+    `RankTable` relies on three things: edge ids come in call order;
+    `ensure(v)` returns v's exact rank; and when that rank r is finite, the
+    smallest `edge_value` over v's out-edges is then exact and equals r - 1.
+
+    Tests derive exactness from a snapshot. Every dirty vertex has a live
+    queue entry at its stored value, so the queue minimum is the smallest
+    stored value of a dirty vertex (none: no bound). A clean vertex is exact
+    when its value is unreachable or at most that minimum, an edge when its
+    value is unreachable or below it; once `unmarked` is 0, every value is
+    unreachable.
+    """
 
     backend = "pure"
 
@@ -58,13 +94,6 @@ class PureRankEngine:
         self.max_rank = 0
         self.flushes = 0
 
-    @property
-    def all_unreachable(self):
-        # No unmarked vertex means no empty-tail base: nothing is reachable.
-        # Lazy growth can only add unmarked vertices inside the marking call
-        # itself, so once this holds at a query it holds forever.
-        return self.unmarked == 0
-
     # -- construction ------------------------------------------------------
 
     def add_vertex(self) -> int:
@@ -78,15 +107,13 @@ class PureRankEngine:
         self.live_size += 1  # the marker edge itself
         return v
 
-    def set_initial(self, v: int) -> None:
-        self._vertex(v)
-        if self.vmarked[v]:
-            raise ValueError("vertex already marked")
-        self.vmarked[v] = True
-        self.unmarked -= 1
+    def set_initial(self, v: int, tail_lists) -> list[int]:
+        """Mark the initial vertex v and register its edges; returns their
+        ids. Its marker edge leaves the live size, and the marking is not
+        counted in `markings`."""
+        eids = self._mark(v, tail_lists)
         self.live_size -= 1
-        self.vdirty[v] = True
-        self._push(self.vstored[v], v)
+        return eids
 
     def reset_work(self) -> None:
         """Zero the work counters after construction; live size is kept."""
@@ -97,35 +124,27 @@ class PureRankEngine:
     # -- mutations ---------------------------------------------------------
 
     def mark(self, v: int, tail_lists) -> list[int]:
-        """Mark v: drop its marker edge and promote its own edges to live.
+        """Mark v: drop its marker edge and promote its own edges to live;
+        returns the dense edge ids assigned."""
+        eids = self._mark(v, tail_lists)
+        self.markings += 1
+        return eids
 
-        tail_lists is a sequence of tail-vertex index tuples; returns the
-        dense edge ids assigned. Must not be the initial vertex or already
-        marked. Checks every index before it changes anything.
-        """
+    def _mark(self, v, tail_lists):
         self._vertex(v)
         if self.vmarked[v]:
             raise ValueError("vertex already marked")
-        eids = self._register(v, tail_lists)
+        tail_lists = [tuple(tails) for tails in tail_lists]
+        for tails in tail_lists:
+            for t in tails:
+                self._vertex(t)
         self.vmarked[v] = True
         self.unmarked -= 1
-        self.markings += 1
         # Losing the marker edge invalidates v; its old value stays as a
         # lower bound and the queue drains it on demand.
         if not self.vdirty[v]:
             self.vdirty[v] = True
             self._push(self.vstored[v], v)
-        return eids
-
-    def add_initial_edges(self, v: int, tail_lists) -> list[int]:
-        self._vertex(v)
-        return self._register(v, tail_lists)
-
-    def _register(self, v, tail_lists):
-        tail_lists = [tuple(tails) for tails in tail_lists]
-        for tails in tail_lists:
-            for t in tails:
-                self._vertex(t)
         out = self.out_edges[v]
         eids = []
         for tails in tail_lists:
@@ -151,7 +170,10 @@ class PureRankEngine:
         when unreachable). Repeat calls without mutations do no relaxation.
         """
         self._vertex(v)
-        if self.all_unreachable:
+        # No unmarked vertex means no empty-tail base: nothing is reachable.
+        # Lazy growth adds unmarked vertices only inside a marking call, so
+        # once this holds at a query it holds forever.
+        if self.unmarked == 0:
             return UNREACH_INT
         pops = 0
         budget = self.live_size + len(self.vstored) + 64
@@ -173,62 +195,17 @@ class PureRankEngine:
             self.max_rank = r
         return r
 
-    def drain(self, threshold: int) -> None:
-        """Process every pending item whose key is <= threshold."""
-        if self.all_unreachable:
-            return
-        pops = 0
-        budget = self.live_size + len(self.vstored) + 64
-        while True:
-            mk = self._peek()
-            if mk is None or mk > threshold:
-                return
-            self._step()
-            pops += 1
-            if pops >= budget:
-                self._flush_unreachable()
-                pops = 0
-
-    def frontier(self) -> int:
-        """Largest rank value below which every stored value is exact."""
-        if self.all_unreachable:
-            return UNREACH_INT
-        mk = self._peek()
-        return UNREACH_INT if mk is None else mk - 1
-
-    def vertex_value(self, v: int) -> int:
-        self._vertex(v)
-        if self.all_unreachable:
-            return UNREACH_INT
-        return self.vstored[v]
-
-    def vertex_exact(self, v: int) -> bool:
-        self._vertex(v)
-        if self.all_unreachable:
-            return True
-        if self.vdirty[v]:
-            return False
-        s = self.vstored[v]
-        if s == UNREACH_INT:
-            return True
-        mk = self._peek()
-        return mk is None or mk >= s
-
     def edge_value(self, e: int) -> int:
         self._edge(e)
-        if self.all_unreachable:
+        if self.unmarked == 0:
             return UNREACH_INT
         return self.estored[e]
 
-    def edge_exact(self, e: int) -> bool:
-        self._edge(e)
-        if self.all_unreachable:
-            return True
-        s = self.estored[e]
-        if s == UNREACH_INT:
-            return True
-        mk = self._peek()
-        return mk is None or mk > s
+    def snapshot(self) -> dict:
+        """Plain copies of the stored vertex values, dirty and marked flags
+        and stored edge values; changes no counter and leaves the queue."""
+        return {"vstored": list(self.vstored), "vdirty": list(self.vdirty),
+                "vmarked": list(self.vmarked), "estored": list(self.estored)}
 
     # -- internals ---------------------------------------------------------
 

@@ -55,9 +55,8 @@ class RankTable:
         self._intern_vertex(initial)
         for v in known_vertices:
             self._intern_vertex(v)
-        self.eng.set_initial(self.vid[initial])
+        self._register_edges(initial, initial_edges, self.eng.set_initial)
         self.marked.add(initial)
-        self._register_edges(initial, initial_edges, at_init=True)
         self.eng.reset_work()
 
     # -- ids ----------------------------------------------------------------
@@ -69,9 +68,6 @@ class RankTable:
             self.vid[name] = v
             self.vertex_names.append(name)
         return v
-
-    def known_vertices(self) -> list[str]:
-        return list(self.vertex_names)
 
     def vertex_count(self) -> int:
         return len(self.vertex_names)
@@ -86,7 +82,9 @@ class RankTable:
 
     # -- mutations ------------------------------------------------------------
 
-    def _register_edges(self, head: str, new_edges, at_init=False):
+    def _register_edges(self, head: str, new_edges, engine_mark):
+        """Hand head's edges to `engine_mark` (the engine's `mark`, or
+        `set_initial` for the initial vertex) in id order."""
         new_vertices = []
         tail_lists = []
         edges = sorted(new_edges, key=lambda e: e.id)
@@ -101,11 +99,7 @@ class RankTable:
                     new_vertices.append(t)
                 tails.append(self._intern_vertex(t))
             tail_lists.append(tuple(tails))
-        hv = self.vid[head]
-        if at_init:
-            dense = self.eng.add_initial_edges(hv, tail_lists)
-        else:
-            dense = self.eng.mark(hv, tail_lists)
+        dense = engine_mark(self.vid[head], tail_lists)
         for e, d in zip(edges, dense):
             if d != len(self.edge_names):
                 raise RuntimeError(f"engine gave edge {e.id} id {d}, "
@@ -122,7 +116,7 @@ class RankTable:
         if v == self.initial or v in self.marked:
             raise ValueError(f"vertex {v} already marked")
         self._intern_vertex(v)
-        new_vertices = self._register_edges(v, new_edges)
+        new_vertices = self._register_edges(v, new_edges, self.eng.mark)
         self.marked.add(v)
         return new_vertices
 
@@ -131,26 +125,8 @@ class RankTable:
     def ensure_settled(self, v: str) -> float:
         return _out(self.eng.ensure(self.vid[v]))
 
-    def settle_up_to(self, threshold) -> None:
-        t = UNREACH_INT if threshold == UNREACHABLE else int(threshold)
-        self.eng.drain(t)
-
-    def vertex_rank(self, v: str) -> float:
-        """Current stored rank: exact at or below the frontier, otherwise a
-        lower bound."""
-        return _out(self.eng.vertex_value(self.vid[v]))
-
-    def vertex_settled(self, v: str) -> bool:
-        return self.eng.vertex_exact(self.vid[v])
-
     def edge_rank(self, eid: str) -> float:
         return _out(self.eng.edge_value(self.eid[eid]))
-
-    def edge_settled(self, eid: str) -> bool:
-        return self.eng.edge_exact(self.eid[eid])
-
-    def settled_frontier(self) -> float:
-        return _out(self.eng.frontier())
 
     def snapshot_work(self) -> WorkStats:
         e = self.eng
@@ -167,13 +143,3 @@ class RankTable:
     def backend(self) -> str:
         return self.eng.backend
 
-
-def compute_ranks(decl, threshold=UNREACHABLE, backend=None) -> RankTable:
-    """Batch computation for a declaration at its start position, settled up
-    to `threshold` (everything, by default). Items beyond the returned
-    table's frontier hold tentative lower bounds."""
-    initial_edges = [e for e in decl.edges if e.head == decl.initial]
-    table = RankTable(decl.initial, initial_edges, known_vertices=sorted(decl.vertices),
-                      backend=backend)
-    table.settle_up_to(threshold)
-    return table

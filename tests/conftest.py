@@ -13,6 +13,8 @@ import pytest
 
 import hypergame.ranks
 from hypergame.model import Edge, ModelDecl, parse_model
+from hypergame.ranks import UNREACHABLE
+from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
 
 ROOT = Path(__file__).resolve().parent.parent
 NO_COMPILER = "no C++ compiler"
@@ -109,6 +111,42 @@ def backend(request):
     if request.param == "compiled":
         require_compiled(request.config)
     return request.param
+
+
+def snapshot_ranks(table):
+    """Stored ranks of a RankTable's vertices and live edges, each with
+    whether it is exact, from the engine's snapshot() alone.
+
+    Returns ({vertex: (rank, exact)}, {edge id: (rank, exact)}). The queue
+    minimum is the smallest stored value of a dirty vertex; a clean vertex
+    is exact at or below it, an edge below it, and either one once it is
+    unreachable. With no unmarked vertex left, everything is unreachable.
+    """
+    eng = table.eng
+    snap = eng.snapshot()
+    if eng.unmarked == 0:
+        return ({v: (UNREACHABLE, True) for v in table.vid},
+                {e: (UNREACHABLE, True) for e in table.eid})
+    dirty = [s for s, d in zip(snap["vstored"], snap["vdirty"]) if d]
+    qmin = min(dirty, default=UNREACH_INT)
+    if isinstance(eng, PureRankEngine):
+        # Every dirty vertex has a live queue entry at its stored value.
+        live = [k for k, v in eng.heap if eng.vdirty[v] and k == eng.vstored[v]]
+        assert min(live, default=UNREACH_INT) == qmin
+
+    def rank(value):
+        return UNREACHABLE if value == UNREACH_INT else value
+
+    vertices = {}
+    for name, v in table.vid.items():
+        s = snap["vstored"][v]
+        exact = not snap["vdirty"][v] and (s == UNREACH_INT or s <= qmin)
+        vertices[name] = (rank(s), exact)
+    edges = {}
+    for name, e in table.eid.items():
+        s = snap["estored"][e]
+        edges[name] = (rank(s), s == UNREACH_INT or s < qmin)
+    return vertices, edges
 
 
 def random_decl(rng: random.Random, max_vertices=12, max_edges=20,

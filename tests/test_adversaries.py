@@ -46,7 +46,7 @@ class ReferenceAvoider:
 
     def respond(self, gs, eid):
         tail = sorted(gs.edge(eid).tail)
-        vrank, _ = oracle_ranks(gs.table.known_vertices(),
+        vrank, _ = oracle_ranks(gs.table.vertex_names,
                                 gs.table.live_edge_objects(), gs.marked,
                                 include_dead=False)
         unreachable = [t for t in tail if vrank[t] == UNREACHABLE]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hypergame.model
 from hypergame.cli import main
 
 from conftest import G1_TEXT, G2_TEXT, G3_TEXT
@@ -136,6 +137,19 @@ class TestRun:
                      "--trace", str(tmp_path / "t.tsv")])
         assert code == 2
 
+    @pytest.mark.parametrize("lazy", [[], ["--lazy"]], ids=["eager", "lazy"])
+    def test_repeat_validates_twice(self, lazy, g1_path, monkeypatch):
+        # build_game_graph runs once on the loaded model and once on the
+        # transformed one, in the provider that every session shares.
+        calls = []
+        validate = hypergame.model.validate
+        monkeypatch.setattr(hypergame.model, "validate",
+                            lambda decl: calls.append(decl) or validate(decl))
+        code = main(["run", g1_path, "--transform", "branch-coverage",
+                     "--repeat", "5"] + lazy)
+        assert code in (0, 3)
+        assert len(calls) == 2 and calls[1] != calls[0]
+
     def test_lazy_trace_equals_eager(self, g2_path, tmp_path):
         a, b = tmp_path / "eager.tsv", tmp_path / "lazy.tsv"
         main(["run", g2_path, "--seed", "2", "--trace", str(a)])
@@ -211,6 +225,17 @@ class TestSolve:
         assert main(["solve", g3_path]) == 0
         out = capsys.readouterr().out
         assert "minimax moves to next marking: unbounded" in out
+
+    def test_strategy_picks_the_min_rank_edge(self, tmp_path, capsys):
+        # Of three edges at the start only `b` forces a marking; the others
+        # let the system answer s0 forever.
+        p = tmp_path / "choice.hg"
+        p.write_text("initial s0\nedge a s0 -> s0\nedge b s0 -> s1\n"
+                     "edge c s0 -> s0 s2\n")
+        assert main(["solve", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "minimax moves to next marking: 1" in out
+        assert "min-rank strategy attains it: yes" in out
 
     def test_too_large_exit_2(self, tmp_path, capsys):
         lines = ["initial v0"] + [f"edge e{i} v0 -> v{i}" for i in range(1, 10)]

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from hypergame.engine import GameState
 from hypergame.minimax import (TooLargeError, minimax_moves_to_mark,
                                strategy_moves_to_mark)
 from hypergame.model import Edge, ModelDecl
-from hypergame.ranks import UNREACHABLE, compute_ranks
+from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import edges_by_head, random_decl
+from conftest import random_decl
 
 
 def test_g1_start_value_one(g1):
@@ -89,3 +90,28 @@ def test_strategy_matches_minimax_random_small():
     for _ in range(60):
         decl = random_decl(rng, max_vertices=5, max_edges=8)
         assert_strategy_optimal(decl)
+
+
+def assert_session_starts_optimal(decl, backend):
+    """At the start, the session's own tester picks min_rank_chooser's edge,
+    or stops where the game value is unbounded; `hypergame solve` relies on
+    this."""
+    marked = {decl.initial}
+    gs = GameState(decl, backend=backend)
+    if minimax_moves_to_mark(decl, marked, decl.initial) == UNREACHABLE:
+        assert gs.is_terminal()
+    else:
+        choose, _ = min_rank_chooser(decl, marked)
+        assert gs.tester_choose() == choose(decl.initial)
+
+
+def test_session_start_on_fixtures(g1, g2, g3, backend):
+    for decl in (g1, g2, g3):
+        assert_session_starts_optimal(decl, backend)
+
+
+def test_session_start_random_small(backend):
+    rng = random.Random(17)
+    for _ in range(60):
+        decl = random_decl(rng, max_vertices=5, max_edges=8)
+        assert_session_starts_optimal(decl, backend)

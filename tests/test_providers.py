@@ -6,8 +6,7 @@ from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import format_trace, run_session, start_session
 from hypergame.model import ModelError, parse_model
 from hypergame.providers import (CounterMachineProvider, DeclProvider,
-                                 ProviderError, gen_chain,
-                                 gen_random_bounded_degree,
+                                 gen_chain, gen_random_bounded_degree,
                                  gen_strongly_connected)
 from hypergame.transforms import branch_coverage_transform
 
@@ -19,11 +18,17 @@ class TestDeclProvider:
         p = DeclProvider(g1)
         assert [e.id for e in p.expand("s0")] == ["a"]
 
-    def test_expand_twice_is_a_contract_violation(self, g1):
-        p = DeclProvider(g1)
-        p.expand("s0")
-        with pytest.raises(ProviderError, match="twice"):
-            p.expand("s0")
+    def test_one_provider_serves_many_sessions(self, g1):
+        # Providers keep no per-session state: a reused one plays every
+        # session as a fresh one does.
+        for make in (lambda: DeclProvider(g1), lambda: DeclProvider(g1, lazy=False),
+                     lambda: CounterMachineProvider(6)):
+            shared = make()
+            for seed in range(3):
+                again = run_session(shared, RandomFair(seed), seed=seed)
+                fresh = run_session(make(), RandomFair(seed), seed=seed)
+                assert format_trace(again[0]) == format_trace(fresh[0])
+                assert again[1] == fresh[1]
 
     def test_lazy_session_grows_states_total(self, g2):
         gs = start_session(DeclProvider(g2))

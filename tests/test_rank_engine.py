@@ -7,11 +7,12 @@ import pytest
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import format_stats, format_trace, run_session
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
-from hypergame.ranks import RankTable, UNREACHABLE, compute_ranks, get_engine_class
+from hypergame.ranks import RankTable, UNREACHABLE, get_engine_class
 from hypergame.ranks.pure import PureRankEngine
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import edges_by_head, lost_base_decl, random_decl, require_compiled
+from conftest import (edges_by_head, lost_base_decl, random_decl, require_compiled,
+                      snapshot_ranks)
 
 
 def make_table(decl, backend, lazy=False):
@@ -23,19 +24,24 @@ def make_table(decl, backend, lazy=False):
 
 class TestBatch:
     def test_g1_full_matches_oracle(self, g1, backend):
-        t = compute_ranks(g1, backend=backend)
+        t, _ = make_table(g1, backend)
         vr, er = oracle_ranks(g1.vertices, g1.edges, {"s0"}, include_dead=False)
         for v in g1.vertices:
-            assert t.vertex_rank(v) == vr[v]
+            assert t.ensure_settled(v) == vr[v]
         assert t.edge_rank("a") == er["a"]
 
     def test_g1_threshold_one(self, g1, backend):
-        t = compute_ranks(g1, threshold=1, backend=backend)
-        assert t.vertex_rank("s1") == 1 and t.vertex_settled("s1")
-        assert t.vertex_rank("s2") == 1 and t.vertex_settled("s2")
-        assert not t.vertex_settled("s0")  # true rank 2 beyond the threshold
-        assert t.settled_frontier() == 1
-        assert t.vertex_rank("s0") <= 2  # lower bound
+        # A fresh table has drained nothing: s0 waits in the queue at its
+        # stored value 1, so only values up to 1 are certified.
+        t, _ = make_table(g1, backend)
+        vertices, _ = snapshot_ranks(t)
+        assert vertices["s1"] == vertices["s2"] == (1, True)
+        rank, exact = vertices["s0"]
+        assert not exact and rank <= 2  # a lower bound of its true rank 2
+        assert t.ensure_settled("s0") == 2
+        vertices, edges = snapshot_ranks(t)
+        assert all(exact for _, exact in vertices.values())
+        assert edges["a"] == (1, True)
 
     def test_no_base_case(self, backend):
         from hypergame.model import Edge, ModelDecl
@@ -101,8 +107,7 @@ class TestMarkingErrors:
         # under `python -O`.
         eng = PureRankEngine()
         h, t = eng.add_vertex(), eng.add_vertex()
-        eng.set_initial(h)
-        eng.add_initial_edges(h, [(t,)])
+        eng.set_initial(h, [(t,)])
         assert eng.ensure(h) == 2
         eng.vstored[h] = 5
         eng.vdirty[h] = True
@@ -143,8 +148,9 @@ class TestWorkStats:
 def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
     """Mark in random order, or in `order` when given; after every marking
     the settled table must agree with the oracle on every vertex and every
-    live edge, stored values must never exceed oracle values, and exact
-    ranks must never decrease. Returns the table."""
+    live edge, stored values must never exceed oracle values, values the
+    snapshot shows as exact must equal them, and exact ranks must never
+    decrease. Returns the table."""
     t, by_head = make_table(decl, backend)
     marked = {decl.initial}
     last_exact = {}
@@ -155,9 +161,13 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
         order = order[::-1]  # popped from the end
     while True:
         vr, er = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=False)
-        # lower-bound property before settling
+        # lower-bound property before settling; exact values are the oracle's
+        vertices, edges = snapshot_ranks(t)
         for v in decl.vertices:
-            assert t.vertex_rank(v) <= vr[v]
+            rank, exact = vertices[v]
+            assert rank == vr[v] if exact else rank <= vr[v], (v, rank, vr[v])
+        for e, (rank, exact) in edges.items():
+            assert rank == er[e] if exact else rank <= er[e], (e, rank, er[e])
         if ensure_each_step:
             for v in decl.vertices:
                 got = t.ensure_settled(v)
@@ -166,9 +176,10 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
                 if prev is not None:
                     assert got >= prev  # monotone across markings
                 last_exact[v] = got
+            _, edges = snapshot_ranks(t)
             for e in decl.edges:
                 if e.head in marked:
-                    assert t.edge_settled(e.id)
+                    assert edges[e.id] == (er[e.id], True)
                     assert t.edge_rank(e.id) == er[e.id]
         if not order:
             return t
@@ -236,36 +247,46 @@ def test_index_out_of_range(backend):
     # indices included.
     cls = get_engine_class(backend)
 
-    def fresh():
+    def blank():
         eng = cls()
-        h, t = eng.add_vertex(), eng.add_vertex()
-        eng.set_initial(h)
-        eng.add_initial_edges(h, [(t,)])
+        for _ in range(2):
+            eng.add_vertex()
+        return eng  # 2 vertices, none marked
+
+    def fresh():
+        eng = blank()
+        eng.set_initial(0, [(1,)])
         return eng  # 2 vertices, 1 edge
 
     for bad_v, bad_e in ((2, 1), (-1, -1)):
         calls = [
-            lambda e: e.ensure(bad_v), lambda e: e.vertex_value(bad_v),
-            lambda e: e.vertex_exact(bad_v), lambda e: e.set_initial(bad_v),
+            lambda e: e.ensure(bad_v),
             lambda e: e.mark(bad_v, [()]), lambda e: e.mark(1, [(0, bad_v)]),
-            lambda e: e.add_initial_edges(bad_v, [()]),
-            lambda e: e.add_initial_edges(0, [(bad_v,)]),
-            lambda e: e.edge_value(bad_e), lambda e: e.edge_exact(bad_e),
+            lambda e: e.edge_value(bad_e),
         ]
         for call in calls:
             with pytest.raises(IndexError):
                 call(fresh())
-    # A marking rejected for a bad tail index changes nothing: the engine
-    # then takes the same marking as one that never saw the bad call.
+        for call in (lambda e: e.set_initial(bad_v, []),
+                     lambda e: e.set_initial(0, [(1,), (bad_v,)])):
+            with pytest.raises(IndexError):
+                call(blank())
+
+    def state(e):
+        return (e.ensure(0), e.ensure(1), e.edge_value(0), e.markings,
+                e.live_size, e.queue_ops, e.relaxations, e.snapshot())
+
+    # A call rejected for a bad tail index changes nothing: the engine then
+    # takes the same call as one that never saw the bad one.
+    eng = blank()
+    with pytest.raises(IndexError):
+        eng.set_initial(0, [(1,), (2,)])
+    assert eng.set_initial(0, [(1,)]) == [0]
+    assert state(eng) == state(fresh())
     eng, ref = fresh(), fresh()
     with pytest.raises(IndexError):
         eng.mark(1, [(0, 2)])
     assert eng.mark(1, [(0,)]) == ref.mark(1, [(0,)]) == [1]
-
-    def state(e):
-        return (e.ensure(0), e.ensure(1), e.edge_value(1), e.markings,
-                e.live_size, e.queue_ops, e.relaxations)
-
     assert state(eng) == state(ref)
     eng = fresh()
     eng.mark(1, [])
@@ -273,4 +294,36 @@ def test_index_out_of_range(backend):
         with pytest.raises(ValueError, match="already marked"):
             eng.mark(marked, [])
         with pytest.raises(ValueError, match="already marked"):
-            eng.set_initial(marked)
+            eng.set_initial(marked, [])
+
+
+ENGINE_API = {"add_vertex", "set_initial", "mark", "ensure", "edge_value",
+              "reset_work", "snapshot"}
+ENGINE_COUNTERS = {"unmarked", "relaxations", "queue_ops", "live_size",
+                   "markings", "max_rank", "flushes"}
+
+
+def test_engine_api_is_the_session_api(request):
+    # Both backends expose exactly the methods sessions use plus snapshot(),
+    # and the same read-only counters.
+    require_compiled(request.config)
+    for cls in (PureRankEngine, get_engine_class("compiled")):
+        public = {name for name in dir(cls) if not name.startswith("_")}
+        assert {name for name in public if callable(getattr(cls, name))} == ENGINE_API
+        eng = cls()
+        assert all(type(getattr(eng, name)) is int for name in ENGINE_COUNTERS)
+
+
+def test_snapshot_copies_and_counts_nothing(backend):
+    cls = get_engine_class(backend)
+    eng = cls()
+    h, t = eng.add_vertex(), eng.add_vertex()
+    eng.set_initial(h, [(t,), (h, t)])
+    counters = [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)]
+    snap = eng.snapshot()
+    assert snap == {"vstored": [1, 1], "vdirty": [True, False],
+                    "vmarked": [True, False], "estored": [1, 1]}
+    snap["vstored"][0] = 9  # a copy: the engine does not see it
+    assert eng.snapshot()["vstored"] == [1, 1]
+    assert [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)] == counters
+    assert eng.ensure(h) == 2
