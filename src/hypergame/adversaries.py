@@ -77,7 +77,7 @@ class SubsetSystem:
         allowed = self.allowed.get(eid)
         if allowed is None:
             raise AdversaryConfigError(f"no allowed set configured for edge {eid}")
-        tail = gs.edge(eid).tail_set()
+        tail = gs.edge(eid).tail
         bad = [v for v in allowed if v not in tail]
         if bad:
             raise AdversaryConfigError(f"allowed[{eid}] contains non-tail vertices {bad}")
@@ -100,7 +100,7 @@ class Scripted:
             raise ScriptError(f"script exhausted at move {self.pos + 1}")
         v = self.script[self.pos]
         self.pos += 1
-        if v not in gs.edge(eid).tail_set():
+        if v not in gs.edge(eid).tail:
             raise ScriptError(f"scripted response {v!r} not in tail of {eid}")
         return v
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes for `run`: 0 full coverage, 3 stopped because the system can
-avoid further coverage, 4 move budget exhausted, 2 configuration or model
-errors, 5 adversary contract violation.
+Every subcommand exits 2 on bad input (options, files or models), with one
+`error:` line on stderr and no traceback. Other exit codes for `run`: 0 full
+coverage, 3 stopped because the system can avoid further coverage, 4 move
+budget exhausted, 5 adversary contract violation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from .engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
                      format_trace, run_session)
 from .minimax import TooLargeError, minimax_moves_to_mark, strategy_moves_to_mark
 from .model import ModelError, build_game_graph, parse_model, serialize_model
-from .providers import DeclProvider, gen_chain, gen_random_bounded_degree
+from .providers import (DeclProvider, check_random_params, gen_chain,
+                        gen_random_bounded_degree)
 from .ranks import UNREACHABLE, oracle_ranks
 from .transforms import apply_transforms
 
@@ -59,6 +61,14 @@ def _load_decl(path, strict=False):
     return decl
 
 
+def _transform(decl, spec):
+    """Apply the comma-separated rewrites in `spec` (None: none)."""
+    try:
+        return apply_transforms(decl, spec.split(",") if spec else [])
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _rank_value(r):
     return "unreachable" if r == UNREACHABLE else str(int(r))
 
@@ -96,9 +106,7 @@ def _build_adversary(args):
 
 
 def cmd_run(args):
-    decl = _load_decl(args.model)
-    if args.transform:
-        decl, _ = apply_transforms(decl, args.transform.split(","))
+    decl, _ = _transform(_load_decl(args.model), args.transform)
     if args.max_moves < 1:
         raise CliError("--max-moves must be >= 1")
     if args.repeat < 1:
@@ -173,12 +181,7 @@ def cmd_solve(args):
 
 
 def cmd_transform(args):
-    decl = _load_decl(args.model)
-    names = args.apply.split(",") if args.apply else []
-    try:
-        out, report = apply_transforms(decl, names)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    out, report = _transform(_load_decl(args.model), args.apply)
     _write_text(args.output, serialize_model(out))
     if args.report:
         _write_text(args.report, json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n")
@@ -206,9 +209,16 @@ def cmd_gen(args):
 def cmd_bench(args):
     from .bench import run_benchmark
 
-    run_benchmark(sizes=[2 ** k for k in range(args.min_pow, args.max_pow + 1)],
-                  out_degree=args.out_degree, fanout=args.fanout, seed=args.seed,
-                  compare=args.compare_backends)
+    if not 0 <= args.min_pow <= args.max_pow:
+        raise CliError("need 0 <= --min-pow <= --max-pow")
+    sizes = [2 ** k for k in range(args.min_pow, args.max_pow + 1)]
+    try:
+        for n in sizes:
+            check_random_params(n, args.out_degree, args.fanout)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
+                  seed=args.seed, compare=args.compare_backends)
     return 0
 
 

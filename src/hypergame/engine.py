@@ -9,6 +9,7 @@ coverage), or the move budget ran out.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from .model import ModelDecl
@@ -110,7 +111,7 @@ class GameState:
     # -- accessors -----------------------------------------------------------
 
     @property
-    def marked(self) -> set[str]:
+    def marked(self) -> Set[str]:
         return self.table.marked
 
     @property
@@ -137,17 +138,11 @@ class GameState:
         r = self.rank
         if r == UNREACHABLE:
             raise SessionError("tester_choose on a terminal state")
-        best_id = None
-        best_rank = UNREACHABLE
-        for eid in self.table.incident_ids(self.current):
-            er = self.table.edge_rank(eid)
-            if er < best_rank:
-                best_rank = er
-                best_id = eid
-        if best_id is None or best_rank != r - 1:
-            raise SessionError(f"min edge rank at {self.current} is {best_rank}, "
+        eid, er = self.table.min_rank_edge(self.current)
+        if er != r - 1:
+            raise SessionError(f"min edge rank at {self.current} is {er}, "
                                f"expected rank(current) - 1 = {r - 1}")
-        return best_id
+        return eid
 
     def apply_response(self, eid: str, v: str) -> None:
         """Advance: the system answered `v` to stimulus `eid`. Marks v if
@@ -155,7 +150,7 @@ class GameState:
         e = self.table.edges.get(eid)
         if e is None or e.head != self.current:
             raise SessionError(f"edge {eid} is not incident on {self.current}")
-        if v not in e.tail_set():
+        if v not in e.tail:
             raise SessionError(f"response {v} is not in the tail of {eid}")
         rank_before = self.rank
         newly = v not in self.marked
@@ -227,7 +222,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
             break
         eid = gs.tester_choose()
         response = adversary.respond(gs, eid)
-        tail = gs.edge(eid).tail_set()
+        tail = gs.edge(eid).tail
         if response not in tail:
             raise AdversaryProtocolError(
                 f"adversary answered {response!r} to {eid}, legal: {sorted(tail)}")

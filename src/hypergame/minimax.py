@@ -12,6 +12,8 @@ states), so the horizon is safe at |marked| + 1.
 
 from __future__ import annotations
 
+import functools
+
 from .model import ModelDecl
 from .ranks import UNREACHABLE
 
@@ -22,12 +24,22 @@ class TooLargeError(Exception):
     pass
 
 
-def _live_incident(decl: ModelDecl, marked):
-    by_head = {}
-    for e in decl.edges:
-        if e.head in marked:
-            by_head.setdefault(e.head, []).append(e)
-    return by_head
+def _moves_to_mark(marked, current, horizon, edges_at) -> float:
+    """Fewest moves, up to `horizon`, in which the tester forces a marking
+    from `current` against every system, playing at each marked u only the
+    edges `edges_at(u)`; UNREACHABLE when it cannot within the horizon."""
+    # Each call recurses on k - 1 only, so the search is a DAG and caching
+    # it is exact.
+    @functools.cache
+    def within(u, k):
+        # Can the tester force a marking within <= k moves from u?
+        return k > 0 and any(all(t not in marked or within(t, k - 1) for t in e.tail)
+                             for e in edges_at(u))
+
+    for k in range(1, horizon + 1):
+        if within(current, k):
+            return k
+    return UNREACHABLE
 
 
 def minimax_moves_to_mark(decl: ModelDecl, marked, current) -> float:
@@ -38,58 +50,21 @@ def minimax_moves_to_mark(decl: ModelDecl, marked, current) -> float:
         raise TooLargeError(
             f"exhaustive solver capped at {MAX_SOLVE_VERTICES} vertices")
     marked = frozenset(marked)
-    by_head = _live_incident(decl, marked)
-    horizon = len(marked) + 1
-    memo: dict[tuple[str, int], bool] = {}
-
-    def can_mark(u, k):
-        # Can the tester force a marking within <= k moves from u?
-        if k <= 0:
-            return False
-        key = (u, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        memo[key] = False  # cycle within the horizon counts as failure
-        ok = False
-        for e in by_head.get(u, ()):
-            if all(t not in marked or can_mark(t, k - 1) for t in e.tail):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    for k in range(1, horizon + 1):
-        if can_mark(current, k):
-            return k
-    return UNREACHABLE
+    by_head = {}
+    for e in decl.edges:
+        if e.head in marked:
+            by_head.setdefault(e.head, []).append(e)
+    return _moves_to_mark(marked, current, len(marked) + 1,
+                          lambda u: by_head.get(u, ()))
 
 
 def strategy_moves_to_mark(decl: ModelDecl, marked, current, choose) -> float:
     """Worst case over system strategies when the tester is pinned to
     `choose(position) -> edge`; same horizon logic as the minimax value."""
-    marked = frozenset(marked)
-    horizon = len(decl.vertices) + 1
-    memo: dict[tuple[str, int], bool] = {}
     by_id = decl.edge_map()
 
-    def within(u, k):
-        if k <= 0:
-            return False
-        key = (u, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        memo[key] = False
+    def chosen(u):
         eid = choose(u)
-        if eid is None:  # no playable edge: the tester is stuck
-            return False
-        e = by_id[eid]
-        ok = all(t not in marked or within(t, k - 1) for t in e.tail)
-        memo[key] = ok
-        return ok
+        return () if eid is None else (by_id[eid],)  # None: the tester is stuck
 
-    for k in range(1, horizon + 1):
-        if within(current, k):
-            return k
-    return UNREACHABLE
+    return _moves_to_mark(frozenset(marked), current, len(decl.vertices) + 1, chosen)

@@ -52,9 +52,6 @@ class Edge:
         if len(set(self.tail)) != len(self.tail):
             raise ModelError(f"edge {self.id}: duplicate tail vertex")
 
-    def tail_set(self):
-        return frozenset(self.tail)
-
 
 @dataclass(frozen=True)
 class ModelDecl:
@@ -195,10 +192,6 @@ def _parse_edge_line(line, fields, lineno, edge_ids):
         interior = [_check_id(t, lineno) for t in rest[i + 1 :]]
         rest = rest[:i]
     tail = [_check_id(t, lineno) for t in rest]
-    if not tail:
-        raise ModelError(f"edge {eid}: empty tail on real edge", lineno)
-    if len(set(tail)) != len(tail):
-        raise ModelError(f"edge {eid}: duplicate tail vertex", lineno)
     try:
         return Edge(eid, head, tuple(tail), kind=kind, label=label, interior=tuple(interior))
     except ModelError as exc:

@@ -75,19 +75,24 @@ def _pad(i: int, width: int) -> str:
     return f"{i:0{width}d}"
 
 
+def check_random_params(n: int, out_degree: int, fanout: int) -> None:
+    """Raise ValueError unless `gen_random_bounded_degree` takes these."""
+    if n < 1 or out_degree < 1 or fanout < 1:
+        raise ValueError("n, out_degree and fanout must be >= 1")
+    if n > 1 and fanout > n - 1:
+        raise ValueError(f"fanout {fanout} too large for {n} states (needs distinct tail)")
+
+
 def gen_random_bounded_degree(n: int, out_degree: int, fanout: int, seed: int) -> ModelDecl:
     """Random model: n states, `out_degree` edges per state, each tail a set
     of `fanout` distinct states drawn uniformly excluding the head (so no
     self-loops). Deterministic in the seed; connectivity is not guaranteed.
     """
-    if n < 1 or out_degree < 1 or fanout < 1:
-        raise ValueError("n, out_degree and fanout must be >= 1")
+    check_random_params(n, out_degree, fanout)
     width = max(1, len(str(n - 1)))
     vertices = [f"s{_pad(i, width)}" for i in range(n)]
     if n == 1:
         return ModelDecl(initial=vertices[0], vertices=tuple(vertices), edges=())
-    if fanout > n - 1:
-        raise ValueError(f"fanout {fanout} too large for {n} states (needs distinct tail)")
     rng = random.Random(seed)
     ewidth = max(1, len(str(out_degree - 1)))
     indices = range(n)

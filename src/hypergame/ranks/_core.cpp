@@ -1,9 +1,11 @@
 // Compiled rank engine: the algorithm, data layout and work accounting of
 // ranks.pure.PureRankEngine, written against the CPython C API. It
-// implements the engine protocol documented on that class (seven methods
+// implements the engine protocol documented on that class (six methods
 // and the read-only counters); see the pure module docstring for the
-// algorithm. The two backends must agree exactly on every returned value
-// and every counter; tests/test_rank_engine.py checks that they do.
+// algorithm. As there, a marked vertex's out-edges are one id range,
+// efirst[v] .. efirst[v] + ecount[v] - 1, and set_initial counts no work.
+// The two backends must agree exactly on every returned value and every
+// counter; tests/test_rank_engine.py checks that they do.
 //
 // As in the pure engine, every method checks each vertex and edge index it
 // is given (IndexError) and reads a marking's tail lists in full before it
@@ -35,7 +37,8 @@ struct State {
     std::vector<i64> vstored;
     std::vector<char> vdirty;
     std::vector<char> vmarked;
-    std::vector<std::vector<int>> out_edges;   // live edges with head v
+    std::vector<int> efirst;  // out-edges of v: efirst[v] .. efirst[v] + ecount[v] - 1
+    std::vector<int> ecount;
     std::vector<std::vector<int>> tail_edges;  // live edges with v in tail
     std::vector<i64> estored;
     std::vector<int> ehead;
@@ -146,7 +149,7 @@ int step(Engine *self) {
         return 0;
     self->relaxations++;
     i64 best = UNREACH;
-    for (int e : s.out_edges[y])
+    for (int e = s.efirst[y], end = e + s.ecount[y]; e < end; e++)
         if (s.estored[e] < best)
             best = s.estored[e];
     i64 c = best != UNREACH ? best + 1 : UNREACH;
@@ -229,7 +232,7 @@ void flush_unreachable(Engine *self) {
 }
 
 // Reads tail lists (an iterable of iterables of vertex indices) into one
-// flat array plus offsets, checking every index.
+// flat array plus offsets, checking every index and the new edge count.
 int read_tails(Engine *self, PyObject *tail_lists, std::vector<int> &flat,
                std::vector<size_t> &offsets) {
     Ref outer(PySequence_Tuple(tail_lists));
@@ -248,31 +251,22 @@ int read_tails(Engine *self, PyObject *tail_lists, std::vector<int> &flat,
         }
         offsets.push_back(flat.size());
     }
+    if (self->st->estored.size() + offsets.size() - 1 > (size_t)INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "too many edges");
+        return -1;
+    }
     return 0;
 }
 
-// Adds the edges given by tail lists with head v; returns their ids.
-PyObject *register_edges(Engine *self, int v, PyObject *tail_lists) {
+// Adds the edges read by read_tails with head v, ids in order from the
+// next free one.
+void register_edges(Engine *self, int v, const std::vector<int> &flat,
+                    const std::vector<size_t> &offsets) {
     State &s = *self->st;
-    std::vector<int> flat;
-    std::vector<size_t> offsets;
-    if (read_tails(self, tail_lists, flat, offsets) < 0)
-        return NULL;
     size_t m = offsets.size() - 1;
     size_t first = s.estored.size();
-    if (first + m > (size_t)INT_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "too many edges");
-        return NULL;
-    }
-    Ref eids(PyList_New((Py_ssize_t)m));
-    if (!eids.p)
-        return NULL;
-    for (size_t k = 0; k < m; k++) {
-        PyObject *id = PyLong_FromSize_t(first + k);
-        if (!id)
-            return NULL;
-        PyList_SET_ITEM(eids.p, (Py_ssize_t)k, id);
-    }
+    s.efirst[v] = (int)first;
+    s.ecount[v] = (int)m;
     for (size_t k = 0; k < m; k++) {
         int e = (int)(first + k);
         i64 best = 1;
@@ -286,10 +280,8 @@ PyObject *register_edges(Engine *self, int v, PyObject *tail_lists) {
         s.estored.push_back(best);
         s.ehead.push_back(v);
         s.etail_count.push_back((int)ntails);
-        s.out_edges[v].push_back(e);
         self->live_size += 1 + ntails;
     }
-    return eids.release();
 }
 
 // A new list holding conv(x) for every x in xs.
@@ -314,7 +306,8 @@ int put(PyObject *dict, const char *key, PyObject *value) {
 }
 
 // Marks v and registers its out-edges: set_initial for the initial vertex,
-// whose marker edge leaves the live size, and mark, which counts a marking.
+// which is set-up (its marker edge leaves the live size, and it counts no
+// work), and mark, which counts a marking and its queue push.
 PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initial) {
     return guarded(self, [&]() -> PyObject * {
         State &s = *self->st;
@@ -327,8 +320,9 @@ PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initi
             PyErr_SetString(PyExc_ValueError, "vertex already marked");
             return NULL;
         }
-        Ref eids(register_edges(self, v, tail_lists));
-        if (!eids.p)
+        std::vector<int> flat;
+        std::vector<size_t> offsets;
+        if (read_tails(self, tail_lists, flat, offsets) < 0)
             return NULL;
         s.vmarked[v] = 1;
         self->unmarked--;
@@ -340,9 +334,12 @@ PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initi
         // lower bound and the queue drains it on demand.
         if (!s.vdirty[v]) {
             s.vdirty[v] = 1;
-            push(self, s.vstored[v], v);
+            s.heap.push(Item(s.vstored[v], v));
+            if (!initial)
+                self->queue_ops++;
         }
-        return eids.release();
+        register_edges(self, v, flat, offsets);
+        Py_RETURN_NONE;
     });
 }
 
@@ -359,7 +356,8 @@ PyObject *Engine_add_vertex(Engine *self, PyObject *) {
         s.vstored.push_back(1);  // marker edge support
         s.vdirty.push_back(0);
         s.vmarked.push_back(0);
-        s.out_edges.emplace_back();
+        s.efirst.push_back(0);
+        s.ecount.push_back(0);
         s.tail_edges.emplace_back();
         self->unmarked++;
         self->live_size++;  // the marker edge itself
@@ -369,13 +367,6 @@ PyObject *Engine_add_vertex(Engine *self, PyObject *) {
 
 PyObject *Engine_set_initial(Engine *self, PyObject *args) {
     return mark_vertex(self, args, "set_initial", true);
-}
-
-PyObject *Engine_reset_work(Engine *self, PyObject *) {
-    self->relaxations = 0;
-    self->queue_ops = 0;
-    self->flushes = 0;
-    Py_RETURN_NONE;
 }
 
 PyObject *Engine_mark(Engine *self, PyObject *args) {
@@ -473,12 +464,10 @@ void Engine_dealloc(Engine *self) {
 PyMethodDef Engine_methods[] = {
     METHOD(add_vertex, METH_NOARGS, "add_vertex() -> int: a new unmarked vertex."),
     METHOD(set_initial, METH_VARARGS,
-           "set_initial(v, tail_lists) -> list[int]: mark the initial vertex, add its edges."),
-    METHOD(mark, METH_VARARGS,
-           "mark(v, tail_lists) -> list[int]: mark v and promote its edges to live."),
+           "set_initial(v, tail_lists): mark the initial vertex, add its edges; counts no work."),
+    METHOD(mark, METH_VARARGS, "mark(v, tail_lists): mark v and promote its edges to live."),
     METHOD(ensure, METH_O, "ensure(v) -> int: drain until v's rank is exact; returns it."),
     METHOD(edge_value, METH_O, "edge_value(e) -> int: stored rank of edge e."),
-    METHOD(reset_work, METH_NOARGS, "reset_work(): zero the work counters; live size is kept."),
     METHOD(snapshot, METH_NOARGS,
            "snapshot() -> dict: copies of vstored, vdirty, vmarked and estored."),
     {NULL, NULL, 0, NULL},

@@ -39,15 +39,15 @@ class PureRankEngine:
     """Dense-index rank engine; the RankTable wrapper owns string ids.
 
     The engine protocol, which the compiled core (`_core.cpp`) implements
-    with the same results and counters:
+    with the same results and counters, has six methods:
 
     - `add_vertex() -> int`: a new unmarked vertex, ids 0, 1, 2, ...;
-    - `set_initial(v, tail_lists) -> list[int]`: mark the initial vertex and
-      register its out-edges;
-    - `mark(v, tail_lists) -> list[int]`: mark v and register its out-edges;
+    - `set_initial(v, tail_lists)`: mark the initial vertex and register
+      its out-edges; this is set-up, so it counts no marking and no work,
+      and its marker edge leaves the live size;
+    - `mark(v, tail_lists)`: mark v and register its out-edges;
     - `ensure(v) -> int`: drain until v's rank is exact and return it;
     - `edge_value(e) -> int`: the stored rank of edge e;
-    - `reset_work()`: zero `relaxations`, `queue_ops` and `flushes`;
     - `snapshot() -> dict`: plain copies of `vstored`, `vdirty`, `vmarked`
       (by vertex id) and `estored` (by edge id), for tests; it changes no
       counter.
@@ -56,15 +56,17 @@ class PureRankEngine:
     `markings`, `max_rank` and `flushes`; `backend` names the backend.
 
     `tail_lists` holds one sequence of tail-vertex ids per edge. Edge ids
-    are handed out 0, 1, 2, ... in call order, so each vertex's out-edges
-    arrive in exactly one `set_initial` or `mark` call, which rejects an
-    already-marked vertex (ValueError). Every method checks each index it
-    is given (IndexError) before it changes anything. Ranks are ints, and
-    UNREACH_INT stands for "unreachable".
+    are handed out 0, 1, 2, ... in call order. A vertex's out-edges all
+    arrive in one `set_initial` or `mark` call, which rejects an
+    already-marked vertex (ValueError), so they are one id range,
+    `efirst[v]` up to `efirst[v] + ecount[v]`; a caller that counts the
+    edges it hands over knows every range. Every method checks each index
+    it is given (IndexError) before it changes anything. Ranks are ints,
+    and UNREACH_INT stands for "unreachable".
 
-    `RankTable` relies on three things: edge ids come in call order;
-    `ensure(v)` returns v's exact rank; and when that rank r is finite, the
-    smallest `edge_value` over v's out-edges is then exact and equals r - 1.
+    `RankTable` relies on this: `ensure(v)` returns v's exact rank, and when
+    that rank r is finite, the smallest `edge_value` over v's out-edges is
+    then exact and equals r - 1.
 
     Tests derive exactness from a snapshot. Every dirty vertex has a live
     queue entry at its stored value, so the queue minimum is the smallest
@@ -80,7 +82,9 @@ class PureRankEngine:
         self.vstored: list[int] = []
         self.vdirty: list[bool] = []
         self.vmarked: list[bool] = []
-        self.out_edges: list[list[int]] = []   # live edges with head v
+        # The out-edges of v are the ids efirst[v] .. efirst[v] + ecount[v] - 1.
+        self.efirst: list[int] = []
+        self.ecount: list[int] = []
         self.tail_edges: list[list[int]] = []  # live edges with v in tail
         self.estored: list[int] = []
         self.ehead: list[int] = []
@@ -101,36 +105,26 @@ class PureRankEngine:
         self.vstored.append(1)  # marker edge support
         self.vdirty.append(False)
         self.vmarked.append(False)
-        self.out_edges.append([])
+        self.efirst.append(0)
+        self.ecount.append(0)
         self.tail_edges.append([])
         self.unmarked += 1
         self.live_size += 1  # the marker edge itself
         return v
 
-    def set_initial(self, v: int, tail_lists) -> list[int]:
-        """Mark the initial vertex v and register its edges; returns their
-        ids. Its marker edge leaves the live size, and the marking is not
-        counted in `markings`."""
-        eids = self._mark(v, tail_lists)
-        self.live_size -= 1
-        return eids
-
-    def reset_work(self) -> None:
-        """Zero the work counters after construction; live size is kept."""
-        self.relaxations = 0
-        self.queue_ops = 0
-        self.flushes = 0
+    def set_initial(self, v: int, tail_lists) -> None:
+        """Mark the initial vertex v and register its edges. Set-up: its
+        marker edge leaves the live size, and neither a marking nor work is
+        counted."""
+        self._mark(v, tail_lists, initial=True)
 
     # -- mutations ---------------------------------------------------------
 
-    def mark(self, v: int, tail_lists) -> list[int]:
-        """Mark v: drop its marker edge and promote its own edges to live;
-        returns the dense edge ids assigned."""
-        eids = self._mark(v, tail_lists)
-        self.markings += 1
-        return eids
+    def mark(self, v: int, tail_lists) -> None:
+        """Mark v: drop its marker edge and promote its own edges to live."""
+        self._mark(v, tail_lists, initial=False)
 
-    def _mark(self, v, tail_lists):
+    def _mark(self, v, tail_lists, initial):
         self._vertex(v)
         if self.vmarked[v]:
             raise ValueError("vertex already marked")
@@ -140,13 +134,19 @@ class PureRankEngine:
                 self._vertex(t)
         self.vmarked[v] = True
         self.unmarked -= 1
+        if initial:
+            self.live_size -= 1
+        else:
+            self.markings += 1
         # Losing the marker edge invalidates v; its old value stays as a
         # lower bound and the queue drains it on demand.
         if not self.vdirty[v]:
             self.vdirty[v] = True
-            self._push(self.vstored[v], v)
-        out = self.out_edges[v]
-        eids = []
+            heappush(self.heap, (self.vstored[v], v))
+            if not initial:
+                self.queue_ops += 1
+        self.efirst[v] = len(self.estored)
+        self.ecount[v] = len(tail_lists)
         for tails in tail_lists:
             e = len(self.estored)
             best = 1
@@ -158,10 +158,7 @@ class PureRankEngine:
             self.estored.append(best)
             self.ehead.append(v)
             self.etail_count.append(len(tails))
-            out.append(e)
             self.live_size += 1 + len(tails)
-            eids.append(e)
-        return eids
 
     # -- queries -----------------------------------------------------------
 
@@ -240,11 +237,8 @@ class PureRankEngine:
             return
         self.relaxations += 1
         cap = len(self.vstored)
-        best = UNREACH_INT
-        for e in self.out_edges[y]:
-            s = self.estored[e]
-            if s < best:
-                best = s
+        first = self.efirst[y]
+        best = min(self.estored[first:first + self.ecount[y]], default=UNREACH_INT)
         c = best + 1 if best != UNREACH_INT else UNREACH_INT
         if c > cap:
             c = UNREACH_INT

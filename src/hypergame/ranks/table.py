@@ -1,12 +1,16 @@
 """Session-facing rank table: string ids, work accounting, lazy settlement.
 
 Wraps a dense-index engine backend (pure Python or the compiled core) and
-owns the id interning. One table is bound to one session and is mutated
-single-threaded.
+owns the id interning. The table numbers edges itself, 0, 1, 2, ... in the
+order it hands them to the engine, which numbers them the same way. A
+vertex's out-edges go to the engine in one call when it is marked, sorted
+by name, so they are one range of dense ids. One table is bound to one
+session and is mutated single-threaded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from ..model import Edge
@@ -45,19 +49,17 @@ class RankTable:
         self.eng = engine_cls()
         self.vid: dict[str, int] = {}
         self.vertex_names: list[str] = []
-        self.eid: dict[str, int] = {}
-        self.edge_names: list[str] = []
+        self.edge_names: list[str] = []  # by dense edge id
         self.edges: dict[str, Edge] = {}
-        self.by_head: dict[str, list[str]] = {}
-        self.marked: set[str] = set()
-        self.initial = initial
+        # Each marked vertex's out-edges, as a range of dense edge ids; its
+        # keys, a live view, are the marked vertices.
+        self.out_ids: dict[str, range] = {}
+        self.marked: Set[str] = self.out_ids.keys()
 
         self._intern_vertex(initial)
         for v in known_vertices:
             self._intern_vertex(v)
         self._register_edges(initial, initial_edges, self.eng.set_initial)
-        self.marked.add(initial)
-        self.eng.reset_work()
 
     # -- ids ----------------------------------------------------------------
 
@@ -75,58 +77,47 @@ class RankTable:
     def live_edge_objects(self) -> list[Edge]:
         return [self.edges[name] for name in self.edge_names]
 
-    def incident_ids(self, v: str) -> list[str]:
-        """Live edge ids with head v, in id order (they arrive sorted,
-        all at once, when v is marked)."""
-        return self.by_head.get(v, [])
-
     # -- mutations ------------------------------------------------------------
 
     def _register_edges(self, head: str, new_edges, engine_mark):
-        """Hand head's edges to `engine_mark` (the engine's `mark`, or
-        `set_initial` for the initial vertex) in id order."""
-        new_vertices = []
-        tail_lists = []
+        """Mark head through `engine_mark` (the engine's `mark`, or
+        `set_initial` for the initial vertex), handing it head's edges in
+        name order; they take the next dense edge ids."""
         edges = sorted(new_edges, key=lambda e: e.id)
-        for e in edges:
+        for e in edges:  # before interning, so that a rejected call adds nothing
             if e.head != head:
                 raise ValueError(f"edge {e.id} has head {e.head}, expected {head}")
-            if e.id in self.eid:
+            if e.id in self.edges:
                 raise ValueError(f"edge {e.id} already live")
-            tails = []
-            for t in e.tail:
-                if t not in self.vid:
-                    new_vertices.append(t)
-                tails.append(self._intern_vertex(t))
-            tail_lists.append(tuple(tails))
-        dense = engine_mark(self.vid[head], tail_lists)
-        for e, d in zip(edges, dense):
-            if d != len(self.edge_names):
-                raise RuntimeError(f"engine gave edge {e.id} id {d}, "
-                                   f"expected {len(self.edge_names)}")
-            self.eid[e.id] = d
+        intern = self._intern_vertex
+        engine_mark(self.vid[head], [[intern(t) for t in e.tail] for e in edges])
+        first = len(self.edge_names)
+        self.out_ids[head] = range(first, first + len(edges))
+        for e in edges:
             self.edge_names.append(e.id)
             self.edges[e.id] = e
-        self.by_head.setdefault(head, []).extend(e.id for e in edges)
-        return new_vertices
 
-    def apply_marking(self, v: str, new_edges) -> list[str]:
-        """Mark v, promoting its edges to live. Returns vertices first seen
-        in the new tails (lazy sessions grow here)."""
-        if v == self.initial or v in self.marked:
+    def apply_marking(self, v: str, new_edges) -> None:
+        """Mark v, promoting its edges to live. Lazy sessions meet new
+        vertices here, in the new tails."""
+        if v in self.marked:
             raise ValueError(f"vertex {v} already marked")
         self._intern_vertex(v)
-        new_vertices = self._register_edges(v, new_edges, self.eng.mark)
-        self.marked.add(v)
-        return new_vertices
+        self._register_edges(v, new_edges, self.eng.mark)
 
     # -- queries --------------------------------------------------------------
 
     def ensure_settled(self, v: str) -> float:
         return _out(self.eng.ensure(self.vid[v]))
 
-    def edge_rank(self, eid: str) -> float:
-        return _out(self.eng.edge_value(self.eid[eid]))
+    def min_rank_edge(self, v: str) -> tuple[str | None, float]:
+        """The lowest-id live edge of least stored rank at the marked vertex
+        v, and that rank; (None, UNREACHABLE) when v has no edge."""
+        ids = self.out_ids[v]
+        if not ids:
+            return None, UNREACHABLE
+        e = min(ids, key=self.eng.edge_value)
+        return self.edge_names[e], _out(self.eng.edge_value(e))
 
     def snapshot_work(self) -> WorkStats:
         e = self.eng

@@ -126,7 +126,7 @@ def snapshot_ranks(table):
     snap = eng.snapshot()
     if eng.unmarked == 0:
         return ({v: (UNREACHABLE, True) for v in table.vid},
-                {e: (UNREACHABLE, True) for e in table.eid})
+                {e: (UNREACHABLE, True) for e in table.edge_names})
     dirty = [s for s, d in zip(snap["vstored"], snap["vdirty"]) if d]
     qmin = min(dirty, default=UNREACH_INT)
     if isinstance(eng, PureRankEngine):
@@ -143,10 +143,15 @@ def snapshot_ranks(table):
         exact = not snap["vdirty"][v] and (s == UNREACH_INT or s <= qmin)
         vertices[name] = (rank(s), exact)
     edges = {}
-    for name, e in table.eid.items():
+    for e, name in enumerate(table.edge_names):
         s = snap["estored"][e]
         edges[name] = (rank(s), s == UNREACH_INT or s < qmin)
     return vertices, edges
+
+
+def incident_ids(table, v):
+    """The live edges with head v, in id order: v's range of dense ids."""
+    return [table.edge_names[e] for e in table.out_ids.get(v, ())]
 
 
 def random_decl(rng: random.Random, max_vertices=12, max_edges=20,

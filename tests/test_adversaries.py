@@ -14,7 +14,7 @@ from hypergame.providers import (DeclProvider, gen_random_bounded_degree,
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import random_decl
+from conftest import incident_ids, random_decl
 
 
 class TestRandomFair:
@@ -94,7 +94,7 @@ class TestAvoiderMatchesReference:
             decl = random_decl(rng)
             gs = start_session(decl, backend=backend)
             for _ in range(rng.randint(0, 10)):
-                choices = gs.table.incident_ids(gs.current)
+                choices = incident_ids(gs.table, gs.current)
                 if not choices:
                     break
                 eid = rng.choice(choices)
@@ -198,7 +198,7 @@ class TestAvoider:
                                  gs.marked, include_dead=False)
             assert vr[gs.current] == UNREACHABLE
             adv = Avoider()
-            for eid in gs.table.incident_ids(gs.current):
+            for eid in incident_ids(gs.table, gs.current):
                 answer = adv.respond(gs, eid)
                 assert vr[answer] == UNREACHABLE
                 checked += 1

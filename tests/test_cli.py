@@ -158,13 +158,16 @@ class TestRun:
 
 
 class TestConfigErrorsExit2:
-    """Bad files exit 2 with a one-line error, never a traceback."""
+    """Bad files and options exit 2 with a one-line error, never a
+    traceback."""
 
     @staticmethod
-    def _one_line_error(capsys, path):
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(path) in err
+    def _one_line_error(capsys, needle):
+        """Checks stderr; returns stdout."""
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(needle) in err
         assert err.count("\n") == 1
+        return out
 
     def test_missing_allowed_file(self, g1_path, tmp_path, capsys):
         missing = tmp_path / "allowed.txt"
@@ -206,6 +209,25 @@ class TestConfigErrorsExit2:
         p.write_bytes("initial s\xe9\n".encode("latin-1"))
         assert main(["run", str(p)]) == 2
         self._one_line_error(capsys, p)
+
+    @pytest.mark.parametrize("spec,needle", [
+        ("nope", "unknown transform(s): nope"),
+        ("edge-coverage,branch-coverage", "mutually exclusive"),
+    ])
+    def test_bad_run_transform(self, spec, needle, g1_path, capsys):
+        assert main(["run", g1_path, "--transform", spec]) == 2
+        assert self._one_line_error(capsys, needle) == ""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["--min-pow", "3", "--max-pow", "2"], "--min-pow"),
+        (["--min-pow", "-1", "--max-pow", "1"], "--min-pow"),
+        (["--min-pow", "1", "--max-pow", "1", "--out-degree", "0"], "out_degree"),
+        (["--min-pow", "1", "--max-pow", "1", "--fanout", "3"], "fanout 3 too large"),
+    ], ids=["empty-range", "negative-pow", "out-degree-0", "fanout-too-large"])
+    def test_bad_bench_options(self, argv, needle, capsys):
+        # Rejected before any session runs: nothing reaches stdout.
+        assert main(["bench", *argv]) == 2
+        assert self._one_line_error(capsys, needle) == ""
 
 
 class TestSolve:

@@ -10,7 +10,7 @@ from hypergame.model import parse_model
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import random_decl
+from conftest import incident_ids, random_decl, snapshot_ranks
 
 # A model that reaches a position with incident edge ranks {3, 1, 1}:
 # script [m, m2, s0] walks the m-chain and resets, after which p has rank 3
@@ -35,7 +35,7 @@ class TestStart:
         assert not gs.is_terminal()
         # Only the initial vertex's edge is live; b and c stay dead until
         # their heads are marked, and s1, s2 hold rank 1 by their markers.
-        assert gs.table.incident_ids("s0") == ["a"]
+        assert incident_ids(gs.table, "s0") == ["a"]
         assert sorted(gs.table.edges) == ["a"]
         assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == 1
 
@@ -68,7 +68,8 @@ class TestTesterChoose:
         assert gs.tester_choose() == "pm"
         gs.apply_response("pm", "m2")
         gs.apply_response("z", "s0")  # legal non-strategy move back home
-        ranks = {e: gs.table.edge_rank(e) for e in ("p", "q", "r")}
+        _, edges = snapshot_ranks(gs.table)
+        ranks = {e: edges[e][0] for e in ("p", "q", "r")}
         assert ranks == {"p": 3, "q": 1, "r": 1}
         assert gs.tester_choose() == "q"  # ties {q, r} at rank 1 break by id
 

@@ -1,0 +1,150 @@
+"""Seeded sessions stay identical byte for byte.
+
+Each case plays one session and hashes its `format_trace`, `format_stats`
+and `WorkStats`; both backends must give the pinned hash. The grid covers
+random 256-state models (each session ends with one unreachable flush) and
+a lost-base model, with and without `branch-coverage`, eager and lazy,
+against RandomFair and the Avoider. The lost-base model also drives a bare
+`RankTable` through the marking order that strands its cyclic region, which
+forces flushes mid-run, and hashes its ranks and counters. A change that
+alters any of these outputs on purpose must say so and update GOLDEN.
+"""
+
+import functools
+import hashlib
+import random
+
+import pytest
+
+from hypergame.adversaries import Avoider, RandomFair
+from hypergame.engine import format_stats, format_trace, run_session
+from hypergame.providers import DeclProvider, gen_random_bounded_degree
+from hypergame.ranks import RankTable
+from hypergame.transforms import apply_transforms
+
+from conftest import edges_by_head, lost_base_decl
+
+MODELS = ["random1", "random2", "random3", "lostbase"]
+TRANSFORMS = ["none", "branch-coverage"]
+MODES = ["eager", "lazy"]
+ADVERSARIES = ["random", "avoider"]
+
+GOLDEN = {
+    "random1-none-eager-random":
+        "50faaf34f58f5d2e608ae31f580ebdd9b496b67cccf53b8efd7d7a33ad67d7f5",
+    "random1-none-eager-avoider":
+        "fdcba68ebbbff04d8386528622b6144a53e2f57440d30c8000b6def6b551059a",
+    "random1-none-lazy-random":
+        "c6ac07034de0f6dac5e555a0ce9c9059689c84d5f304f44cab7946e553959e22",
+    "random1-none-lazy-avoider":
+        "7af27ea660092a26a4e1dafab40491dfc6d922d95e72a00d90acfab78b539f89",
+    "random1-branch-coverage-eager-random":
+        "e4a0c51d6804c490cd912e7d28e3e872a0b27697ac7c9c367b82ce48348a6e34",
+    "random1-branch-coverage-eager-avoider":
+        "dc1e936cbfa6582d0de0bd232a8e059f77c74097b73ac2da2c98bcb4c9e72791",
+    "random1-branch-coverage-lazy-random":
+        "64e16811ef1d55c6065ca0147de01da674115849def12535299bf604d74e1687",
+    "random1-branch-coverage-lazy-avoider":
+        "d0c124ae856816d375b039e771559307289c33487d7ef1c7daf82894ed96e2cc",
+    "random2-none-eager-random":
+        "dc9644dac0c152d035d893e90f71105664237a0723457b88a9b797efa41933d6",
+    "random2-none-eager-avoider":
+        "c3e03b5c0d2fa2e4cac9f41b5d27d05425fade8e47dc79c353b1c3d0655478d6",
+    "random2-none-lazy-random":
+        "4dcd1caf390fe465f5fa51ece411fd650a73e91cfca2163d46115e27be1e2d7b",
+    "random2-none-lazy-avoider":
+        "c86d9d8686c8f48b207b0d1823c5c200a153f9709b47cff3501dbb33d3133216",
+    "random2-branch-coverage-eager-random":
+        "410eb36d4d3e693fb8e62ed640daa09396428baafee6b981371490b562ff00fe",
+    "random2-branch-coverage-eager-avoider":
+        "eaa1504cf14fc7366dc706e68e0e0b49fc91a10f110e09a6cafa1910d1fd42cf",
+    "random2-branch-coverage-lazy-random":
+        "901979cefc82012eff035bdeec73e8dc45a99bd90d9b13115754494ed79045f7",
+    "random2-branch-coverage-lazy-avoider":
+        "51ed31718e3709dc1bd4989572a8178aab16b0a4988ea1629a2f9e8ff22065c3",
+    "random3-none-eager-random":
+        "db4fc8345ab6f281d2c9368d9e00819564c0c1fdef814bdbf24d878f6ba9ef8c",
+    "random3-none-eager-avoider":
+        "660abd81ec411cf97b3cc4ab12abdd4a4220e5d7bc410cd17b27678dfbf5c9ac",
+    "random3-none-lazy-random":
+        "01de5d146e177aa47ad3277a04bdae77217fdc8e3b15e2ba10454b1407cd512d",
+    "random3-none-lazy-avoider":
+        "eabea8ed8a31f3d6734b7091880a38a88fef98df36c3d77113026b390ea4f641",
+    "random3-branch-coverage-eager-random":
+        "d150f1cb9fa1cf5f29449c05810a9bff5d2f91a4d809a42da965c1df8f95796b",
+    "random3-branch-coverage-eager-avoider":
+        "d28590031a07f1a686c9f6e74d31d2ddfd87c3b04b3142a83a2b321d21ac44da",
+    "random3-branch-coverage-lazy-random":
+        "de4875b4f024b37645a5b437afe5087a52d6b80daa50c38625e7292b53d97933",
+    "random3-branch-coverage-lazy-avoider":
+        "714b24de8268815000047e488781c97d48d72a0db08a83b55b5a15f3af79b821",
+    "lostbase-none-eager-random":
+        "ccc1fa3da81537cab0101226ef0c691debe40c05d6f57163e7688d21962f198c",
+    "lostbase-none-eager-avoider":
+        "ccc1fa3da81537cab0101226ef0c691debe40c05d6f57163e7688d21962f198c",
+    "lostbase-none-lazy-random":
+        "fa46f842ec3b06e24319914868718c63e462fc39ec5f3322a0d29432c48b076c",
+    "lostbase-none-lazy-avoider":
+        "fa46f842ec3b06e24319914868718c63e462fc39ec5f3322a0d29432c48b076c",
+    "lostbase-branch-coverage-eager-random":
+        "92d93741af9e831ab72b7d433f485f3184217b8b44d6a0079c329e59bbbb7db5",
+    "lostbase-branch-coverage-eager-avoider":
+        "92d93741af9e831ab72b7d433f485f3184217b8b44d6a0079c329e59bbbb7db5",
+    "lostbase-branch-coverage-lazy-random":
+        "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
+    "lostbase-branch-coverage-lazy-avoider":
+        "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
+    "flush":
+        "71370aa4246c72c486a22f16f70e1eb953c2f644a38a54e28d90114c76ce06ca",
+}
+
+
+def _model(name):
+    if name == "lostbase":
+        return lost_base_decl(random.Random(31))
+    return gen_random_bounded_degree(256, 3, 2, int(name[len("random"):])), None
+
+
+@functools.cache
+def _decl(model, transform):
+    decl, _ = _model(model)
+    if transform != "none":
+        decl, _ = apply_transforms(decl, [transform])
+    return decl
+
+
+def session_digest(model, transform, mode, adversary, backend):
+    decl = _decl(model, transform)
+    source = DeclProvider(decl) if mode == "lazy" else decl
+    player = RandomFair(7) if adversary == "random" else Avoider()
+    transcript, stats = run_session(source, player, seed=7, backend=backend)
+    text = format_trace(transcript) + format_stats(stats) + repr(stats.work)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def flush_digest(backend):
+    decl, order = _model("lostbase")
+    by_head = edges_by_head(decl)
+    table = RankTable(decl.initial, by_head.get(decl.initial, []),
+                      known_vertices=sorted(decl.vertices), backend=backend)
+    lines = []
+    for v in order:
+        table.apply_marking(v, by_head.get(v, []))
+        lines.append(repr([table.ensure_settled(u) for u in decl.vertices]))
+    work = table.snapshot_work()
+    assert work.flushes >= 1
+    text = "\n".join(lines) + repr(work)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CASES = [(m, t, mode, a) for m in MODELS for t in TRANSFORMS for mode in MODES
+         for a in ADVERSARIES]
+
+
+@pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
+def test_session_output_is_pinned(case, backend):
+    assert session_digest(*case, backend) == GOLDEN["-".join(case)]
+
+
+def test_flush_path_is_pinned(backend):
+    assert flush_digest(backend) == GOLDEN["flush"]

@@ -36,6 +36,20 @@ def test_size_guard():
         minimax_moves_to_mark(decl, {"v0"}, "v0")
 
 
+def test_strategy_value_follows_the_chooser():
+    # From s0, c marks s2 at once; a goes through marked s1 first. The
+    # pinned tester gets what its chooser plays, not the minimax value.
+    decl = ModelDecl(initial="s0", vertices=("s0", "s1", "s2"),
+                     edges=(Edge("a", "s0", ("s1",)), Edge("b", "s1", ("s2",)),
+                            Edge("c", "s0", ("s2",))))
+    marked = {"s0", "s1"}
+    assert minimax_moves_to_mark(decl, marked, "s0") == 1
+    assert strategy_moves_to_mark(decl, marked, "s0", {"s0": "c"}.get) == 1
+    assert strategy_moves_to_mark(decl, marked, "s0", {"s0": "a", "s1": "b"}.get) == 2
+    # No edge chosen at s1: the tester is stuck there.
+    assert strategy_moves_to_mark(decl, marked, "s0", {"s0": "a"}.get) == UNREACHABLE
+
+
 def min_rank_chooser(decl, marked):
     """tester_choose recomputed from exact oracle ranks for a fixed position."""
     vr, er = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=False)

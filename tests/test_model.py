@@ -15,8 +15,10 @@ class TestParse:
         assert g1.edge_map()["a"].tail == ("s1", "s2")
 
     def test_empty_tail_rejected(self):
-        with pytest.raises(ModelError, match="empty tail"):
+        with pytest.raises(ModelError, match="^line 2: edge e: empty tail on real edge$"):
             parse_model("initial s0\nedge e s0 ->\n")
+        with pytest.raises(ModelError, match="^line 2: edge b: empty tail on virtual edge$"):
+            parse_model("initial s0\nedge b s0 -> virtual\n")
 
     def test_missing_initial(self):
         with pytest.raises(ModelError, match="missing initial"):
@@ -27,7 +29,7 @@ class TestParse:
             parse_model("initial s0\nedge a s0 -> s1\nedge a s0 -> s2\n")
 
     def test_duplicate_tail_vertex(self):
-        with pytest.raises(ModelError, match="duplicate tail"):
+        with pytest.raises(ModelError, match="^line 2: edge a: duplicate tail vertex$"):
             parse_model("initial s0\nedge a s0 -> s1 s1\n")
 
     def test_syntax_error_carries_line_number(self):

@@ -28,7 +28,8 @@ class TestBatch:
         vr, er = oracle_ranks(g1.vertices, g1.edges, {"s0"}, include_dead=False)
         for v in g1.vertices:
             assert t.ensure_settled(v) == vr[v]
-        assert t.edge_rank("a") == er["a"]
+        _, edges = snapshot_ranks(t)
+        assert edges["a"] == (er["a"], True)
 
     def test_g1_threshold_one(self, g1, backend):
         # A fresh table has drained nothing: s0 waits in the queue at its
@@ -100,6 +101,18 @@ class TestMarkingErrors:
         t, by_head = make_table(g1, backend)
         with pytest.raises(ValueError, match="head"):
             t.apply_marking("s1", by_head["s2"])
+
+    def test_rejected_marking_adds_no_vertex(self, g1, backend):
+        # Edge a1 is valid and names a new vertex, edge c has the wrong
+        # head: the lazy table learns nothing from the rejected call.
+        from hypergame.model import Edge
+        t, by_head = make_table(g1, backend, lazy=True)
+        before = (t.vertex_names[:], t.eng.unmarked, t.eng.live_size)
+        with pytest.raises(ValueError, match="head"):
+            t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
+        assert (t.vertex_names, t.eng.unmarked, t.eng.live_size) == before
+        t.apply_marking("s1", by_head["s1"])
+        assert t.ensure_settled("s1") == UNREACHABLE
 
     def test_pure_rank_decrease_is_checked(self):
         # A stored rank above its recomputed value breaks the engine's
@@ -180,7 +193,11 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
             for e in decl.edges:
                 if e.head in marked:
                     assert edges[e.id] == (er[e.id], True)
-                    assert t.edge_rank(e.id) == er[e.id]
+            # The tester's query: the lowest-id edge of least rank at v.
+            for v in marked:
+                least = min(((er[e.id], e.id) for e in by_head.get(v, [])),
+                            default=(UNREACHABLE, None))
+                assert t.min_rank_edge(v) == least[::-1], (v, least)
         if not order:
             return t
         v = order.pop()
@@ -281,12 +298,12 @@ def test_index_out_of_range(backend):
     eng = blank()
     with pytest.raises(IndexError):
         eng.set_initial(0, [(1,), (2,)])
-    assert eng.set_initial(0, [(1,)]) == [0]
+    assert eng.set_initial(0, [(1,)]) is None
     assert state(eng) == state(fresh())
     eng, ref = fresh(), fresh()
     with pytest.raises(IndexError):
         eng.mark(1, [(0, 2)])
-    assert eng.mark(1, [(0,)]) == ref.mark(1, [(0,)]) == [1]
+    assert eng.mark(1, [(0,)]) is ref.mark(1, [(0,)]) is None
     assert state(eng) == state(ref)
     eng = fresh()
     eng.mark(1, [])
@@ -297,8 +314,7 @@ def test_index_out_of_range(backend):
             eng.set_initial(marked, [])
 
 
-ENGINE_API = {"add_vertex", "set_initial", "mark", "ensure", "edge_value",
-              "reset_work", "snapshot"}
+ENGINE_API = {"add_vertex", "set_initial", "mark", "ensure", "edge_value", "snapshot"}
 ENGINE_COUNTERS = {"unmarked", "relaxations", "queue_ops", "live_size",
                    "markings", "max_rank", "flushes"}
 
@@ -319,6 +335,8 @@ def test_snapshot_copies_and_counts_nothing(backend):
     eng = cls()
     h, t = eng.add_vertex(), eng.add_vertex()
     eng.set_initial(h, [(t,), (h, t)])
+    # Set-up counts no work and no marking.
+    assert (eng.relaxations, eng.queue_ops, eng.flushes, eng.markings) == (0, 0, 0, 0)
     counters = [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)]
     snap = eng.snapshot()
     assert snap == {"vstored": [1, 1], "vdirty": [True, False],
