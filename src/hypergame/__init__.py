@@ -7,10 +7,11 @@ keeps a finite rank; the session stops exactly when the system has a
 strategy to avoid all further coverage.
 
 A session runs as `hypergame run` runs it: `parse_model`, then
-`build_game_graph` (validation), then `apply_transforms`, then
-`run_session` on the declaration (eager) or on a `DeclProvider` (lazy)
-against an adversary from `make_adversary`; `format_trace` and
-`format_stats` render the result.
+`apply_transforms`, then `run_session` on the declaration (eager) or on a
+`DeclProvider` (lazy) against an adversary from `make_adversary`;
+`format_trace` and `format_stats` render the result. Every `ModelDecl`,
+parsed, generated or transformed, is sorted and validated when it is built,
+so no later step checks it again.
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
                      AdversaryProtocolError, GameState, format_stats,
                      format_trace, run_session)
 from .minimax import TooLargeError, minimax_moves_to_mark, strategy_moves_to_mark
-from .model import ModelError, build_game_graph, parse_model, serialize_model
+from .model import ModelError, parse_model, serialize_model
 from .providers import (DeclProvider, check_random_params, gen_chain,
                         gen_random_bounded_degree)
 from .ranks import UNREACHABLE, oracle_ranks
@@ -54,11 +54,9 @@ def _write_text(path, text):
 def _load_decl(path, strict=False):
     text = _read_text(path)
     try:
-        decl = parse_model(text, strict_vertices=strict)
-        build_game_graph(decl)
+        return parse_model(text, strict_vertices=strict)
     except ModelError as exc:
         raise CliError(f"{path}: {exc}") from None
-    return decl
 
 
 def _transform(decl, spec):
@@ -83,14 +81,16 @@ def cmd_rank(args):
             raise CliError(f"--after-mark: {v!r} already marked")
         marked.add(v)
     vrank, erank = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=True)
-    for v in sorted(decl.vertices):
+    for v in decl.vertices:
         print(f"vertex {v} rank {_rank_value(vrank[v])}")
-    for e in sorted(decl.edges, key=lambda e: e.id):
+    for e in decl.edges:
         print(f"edge {e.id} rank {_rank_value(erank[e.id])}")
     return 0
 
 
-def _build_adversary(args):
+def _adversary_inputs(args):
+    """The `allowed` map and `script` that `make_adversary` takes, read from
+    the files the options name."""
     allowed = None
     script = None
     if args.adversary == "subset":
@@ -102,7 +102,7 @@ def _build_adversary(args):
             raise CliError("--script FILE is required for the script adversary")
         script = [line.strip() for line in _read_text(args.script).split("\n")
                   if line.strip()]
-    return make_adversary(args.adversary, seed=args.seed, allowed=allowed, script=script)
+    return {"allowed": allowed, "script": script}
 
 
 def cmd_run(args):
@@ -114,14 +114,13 @@ def cmd_run(args):
     if args.repeat > 1 and args.trace:
         raise CliError("--trace is only supported for single runs")
 
-    source = DeclProvider(decl, lazy=args.lazy)  # validated once, shared by every session
+    source = DeclProvider(decl, lazy=args.lazy)  # shared by every session
+    inputs = _adversary_inputs(args)
     runs = []
     last_reason = None
     for i in range(args.repeat):
         seed = args.seed + i
-        adversary = _build_adversary(argparse.Namespace(
-            adversary=args.adversary, seed=seed, allowed=args.allowed,
-            script=args.script))
+        adversary = make_adversary(args.adversary, seed=seed, **inputs)
         try:
             transcript, stats = run_session(source, adversary,
                                             max_moves=args.max_moves, seed=seed,

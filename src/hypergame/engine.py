@@ -91,13 +91,14 @@ class GameState:
     """One testing-game position with its rank table and statistics."""
 
     def __init__(self, source, backend=None):
-        """source: a provider (see `providers`), or a declaration, which is
-        played eagerly."""
+        """The starting position: the initial vertex marked and current, its
+        edges live, its rank settled. source: a provider (see `providers`),
+        or a declaration, which is played eagerly."""
         if isinstance(source, ModelDecl):
             source = DeclProvider(source, lazy=False)
         self.source = source
         self.lazy = source.lazy
-        known = () if self.lazy else sorted(source.decl.vertices)
+        known = () if self.lazy else source.decl.vertices
         initial = source.initial
         self.table = RankTable(initial, source.expand(initial),
                                known_vertices=known, backend=backend)
@@ -146,12 +147,14 @@ class GameState:
 
     def apply_response(self, eid: str, v: str) -> None:
         """Advance: the system answered `v` to stimulus `eid`. Marks v if
-        unmarked (promoting its edges) and credits compressed interiors."""
+        unmarked (promoting its edges) and credits compressed interiors.
+        Raises AdversaryProtocolError if v is not in the tail of `eid`."""
         e = self.table.edges.get(eid)
         if e is None or e.head != self.current:
             raise SessionError(f"edge {eid} is not incident on {self.current}")
         if v not in e.tail:
-            raise SessionError(f"response {v} is not in the tail of {eid}")
+            raise AdversaryProtocolError(
+                f"adversary answered {v!r} to {eid}, legal: {sorted(e.tail)}")
         rank_before = self.rank
         newly = v not in self.marked
         self.moves += 1
@@ -169,13 +172,9 @@ class GameState:
     # -- reporting -------------------------------------------------------------
 
     def interior_total(self) -> int:
-        seen = set()
-        for e in self.table.live_edge_objects():
-            seen.update(e.interior)
-        if not self.lazy:
-            for e in self.source.decl.edges:
-                seen.update(e.interior)
-        return len(seen)
+        # An eager session's live edges are a subset of its declaration's.
+        edges = self.table.live_edge_objects() if self.lazy else self.source.decl.edges
+        return len({i for e in edges for i in e.interior})
 
     def stats(self, seed=None) -> SessionStats:
         w = self.table.snapshot_work()
@@ -194,12 +193,6 @@ class GameState:
         )
 
 
-def start_session(source, backend=None) -> GameState:
-    """Build the starting position: initial marked and current, its edges
-    live, ranks settled for the current state."""
-    return GameState(source, backend=backend)
-
-
 def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
                 backend=None) -> tuple[list[MoveRecord], SessionStats]:
     """Play tester vs adversary to termination (or the move cap).
@@ -209,7 +202,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
     """
     if max_moves < 1:
         raise SessionError("max_moves must be >= 1")
-    gs = start_session(source, backend=backend)
+    gs = GameState(source, backend=backend)
     while True:
         if gs.all_marked():
             gs.terminated = ALL_MARKED
@@ -221,12 +214,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
             gs.terminated = MOVE_CAP
             break
         eid = gs.tester_choose()
-        response = adversary.respond(gs, eid)
-        tail = gs.edge(eid).tail
-        if response not in tail:
-            raise AdversaryProtocolError(
-                f"adversary answered {response!r} to {eid}, legal: {sorted(tail)}")
-        gs.apply_response(eid, response)
+        gs.apply_response(eid, adversary.respond(gs, eid))
     return gs.transcript, gs.stats(seed=seed)
 
 

@@ -24,10 +24,15 @@ class TooLargeError(Exception):
     pass
 
 
-def _moves_to_mark(marked, current, horizon, edges_at) -> float:
+def _moves_to_mark(decl, marked, current, horizon, edges_at) -> float:
     """Fewest moves, up to `horizon`, in which the tester forces a marking
     from `current` against every system, playing at each marked u only the
-    edges `edges_at(u)`; UNREACHABLE when it cannot within the horizon."""
+    edges `edges_at(u)`; UNREACHABLE when it cannot within the horizon.
+    Raises TooLargeError on a declaration of over MAX_SOLVE_VERTICES
+    vertices, whose search would be too deep."""
+    if len(decl.vertices) > MAX_SOLVE_VERTICES:
+        raise TooLargeError(
+            f"exhaustive solver capped at {MAX_SOLVE_VERTICES} vertices")
     # Each call recurses on k - 1 only, so the search is a DAG and caching
     # it is exact.
     @functools.cache
@@ -46,16 +51,10 @@ def minimax_moves_to_mark(decl: ModelDecl, marked, current) -> float:
     """Exact game value: min over tester strategies of the max over system
     strategies of moves until the next marking; UNREACHABLE if the system
     can avoid marking forever."""
-    if len(decl.vertices) > MAX_SOLVE_VERTICES:
-        raise TooLargeError(
-            f"exhaustive solver capped at {MAX_SOLVE_VERTICES} vertices")
     marked = frozenset(marked)
-    by_head = {}
-    for e in decl.edges:
-        if e.head in marked:
-            by_head.setdefault(e.head, []).append(e)
-    return _moves_to_mark(marked, current, len(marked) + 1,
-                          lambda u: by_head.get(u, ()))
+    by_head = decl.by_head
+    return _moves_to_mark(decl, marked, current, len(marked) + 1,
+                          lambda u: by_head.get(u, ()) if u in marked else ())
 
 
 def strategy_moves_to_mark(decl: ModelDecl, marked, current, choose) -> float:
@@ -67,4 +66,5 @@ def strategy_moves_to_mark(decl: ModelDecl, marked, current, choose) -> float:
         eid = choose(u)
         return () if eid is None else (by_id[eid],)  # None: the tester is stuck
 
-    return _moves_to_mark(frozenset(marked), current, len(decl.vertices) + 1, chosen)
+    return _moves_to_mark(decl, frozenset(marked), current, len(decl.vertices) + 1,
+                          chosen)

@@ -14,38 +14,35 @@ sessions.
 - `expand(v)`: the edges with head `v`, in any order.
 
 An eager provider (`lazy` False) also has `decl`, the declaration from
-which the session takes its known vertices and interiors.
+which the session takes its known vertices and interiors. A declaration is
+valid once built (see `model`), so a provider checks nothing itself.
 """
 
 from __future__ import annotations
 
 import random
 
-from .model import Edge, ModelDecl, build_game_graph
+from .model import Edge, ModelDecl
 
 
 class DeclProvider:
-    """Provider backed by a declaration, which it validates once. Edges are
-    handed out only when their head is marked. A lazy provider lets the
-    session discover states as live tails name them, exactly as with a
-    generated state space; an eager one (`lazy=False`) gives the session
-    every declared vertex and interior from the start."""
+    """Provider backed by a declaration. Edges are handed out, from the
+    declaration's `by_head` index, only when their head is marked. A lazy
+    provider lets the session discover states as live tails name them,
+    exactly as with a generated state space; an eager one (`lazy=False`)
+    gives the session every declared vertex and interior from the start."""
 
     def __init__(self, decl: ModelDecl, lazy: bool = True):
-        build_game_graph(decl)  # raises ModelError on an invalid declaration
         self.decl = decl
         self.lazy = lazy
         self.virtual_vertices = decl.virtual_vertices
-        self._by_head: dict[str, list[Edge]] = {}
-        for e in decl.edges:
-            self._by_head.setdefault(e.head, []).append(e)
 
     @property
     def initial(self) -> str:
         return self.decl.initial
 
-    def expand(self, v: str) -> list[Edge]:
-        return self._by_head.get(v, [])
+    def expand(self, v: str) -> tuple[Edge, ...]:
+        return self.decl.by_head.get(v, ())
 
 
 class CounterMachineProvider:
@@ -105,8 +102,7 @@ def gen_random_bounded_degree(n: int, out_degree: int, fanout: int, seed: int) -
                     break
             tail = tuple(vertices[p] for p in sorted(picks))
             edges.append(Edge(f"e{_pad(i, width)}.{_pad(j, ewidth)}", head, tail))
-    return ModelDecl(initial=vertices[0], vertices=tuple(vertices),
-                     edges=tuple(sorted(edges, key=lambda e: e.id)))
+    return ModelDecl(initial=vertices[0], vertices=tuple(vertices), edges=tuple(edges))
 
 
 def gen_chain(length: int) -> ModelDecl:
@@ -142,5 +138,4 @@ def gen_strongly_connected(n: int, extra_degree: int, fanout: int, seed: int) ->
         for j in range(extra_degree):
             tail = tuple(sorted(rng.sample(others, fanout)))
             edges.append(Edge(f"x{_pad(i, width)}.{j}", head, tail))
-    return ModelDecl(initial=vertices[0], vertices=tuple(vertices),
-                     edges=tuple(sorted(edges, key=lambda e: e.id)))
+    return ModelDecl(initial=vertices[0], vertices=tuple(vertices), edges=tuple(edges))

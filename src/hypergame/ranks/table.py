@@ -129,8 +129,3 @@ class RankTable:
             max_rank_R=e.max_rank,
             flushes=e.flushes,
         )
-
-    @property
-    def backend(self) -> str:
-        return self.eng.backend
-

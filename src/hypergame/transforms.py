@@ -152,21 +152,20 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
     covered whenever the edge fires. Chains closing a loop (t == h) are left
     alone, since the compressed edge would be a self-loop."""
     in_tail: dict[str, list[Edge]] = {v: [] for v in decl.vertices}
-    out_head: dict[str, list[Edge]] = {v: [] for v in decl.vertices}
     for e in decl.edges:
-        out_head[e.head].append(e)
         for t in e.tail:
             in_tail[t].append(e)
 
     def interior_ok(v):
+        out = decl.by_head.get(v, ())
         return (
             v != decl.initial
-            and len(out_head[v]) == 1
+            and len(out) == 1
             and len(in_tail[v]) == 1
             and len(in_tail[v][0].tail) == 1
-            and len(out_head[v][0].tail) == 1
+            and len(out[0].tail) == 1
             and not in_tail[v][0].interior
-            and not out_head[v][0].interior
+            and not out[0].interior
         )
 
     interiors = {v for v in decl.vertices if interior_ok(v)}
@@ -189,7 +188,7 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
         cur = v
         while cur in interiors:
             chain_vertices.append(cur)
-            nxt = out_head[cur][0]
+            nxt = decl.by_head[cur][0]
             chain_edges.append(nxt)
             cur = nxt.tail[0]
         if len(chain_edges) < 2 or cur == pred.head or cur in chain_vertices:

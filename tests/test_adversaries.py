@@ -6,8 +6,7 @@ import pytest
 from hypergame.adversaries import (AdversaryConfigError, Avoider, RandomFair,
                                    Scripted, ScriptError, SubsetSystem,
                                    make_adversary, parse_allowed_file)
-from hypergame.engine import (format_stats, format_trace, run_session,
-                              start_session)
+from hypergame.engine import GameState, format_stats, format_trace, run_session
 from hypergame.model import parse_model
 from hypergame.providers import (DeclProvider, gen_random_bounded_degree,
                                  gen_strongly_connected)
@@ -21,20 +20,20 @@ class TestRandomFair:
     def test_deterministic_sequence(self, g1):
         def draws(seed):
             adv = RandomFair(seed)
-            gs = start_session(g1)
+            gs = GameState(g1)
             return [adv.respond(gs, "a") for _ in range(12)]
 
         assert draws(7) == draws(7)
         assert set(draws(7)) <= {"s1", "s2"}
 
     def test_singleton_tail_ignores_rng(self, g2):
-        gs = start_session(g2)
+        gs = GameState(g2)
         assert RandomFair(1).respond(gs, "e1") == "s1"
         assert RandomFair(2).respond(gs, "e1") == "s1"
 
     def test_empirical_fairness(self, g1):
         adv = RandomFair(123)
-        gs = start_session(g1)
+        gs = GameState(g1)
         counts = Counter(adv.respond(gs, "a") for _ in range(10_000))
         for v in ("s1", "s2"):
             assert 0.45 <= counts[v] / 10_000 <= 0.55
@@ -92,7 +91,7 @@ class TestAvoiderMatchesReference:
         answers = unreachable = drained = 0
         for _ in range(150):
             decl = random_decl(rng)
-            gs = start_session(decl, backend=backend)
+            gs = GameState(decl, backend=backend)
             for _ in range(rng.randint(0, 10)):
                 choices = incident_ids(gs.table, gs.current)
                 if not choices:
@@ -131,11 +130,11 @@ class TestAvoiderMatchesReference:
 
 class TestAvoider:
     def test_g1_start_marking_unavoidable_takes_id_order(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         assert Avoider().respond(gs, "a") == "s1"
 
     def test_prefers_unreachable_tail(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         gs.apply_response("a", "s1")  # now s1 itself is unreachable
         assert Avoider().respond(gs, "b") == "s0"  # s0 unreachable too: only tail
         vr, _ = oracle_ranks(g1.vertices, g1.edges, gs.marked, include_dead=False)
@@ -150,7 +149,7 @@ class TestAvoider:
             "edge loop dead2 -> dead\n"
             "edge f1 far -> u1\n"
         )
-        gs = start_session(decl)
+        gs = GameState(decl)
         gs.apply_response("x", "dead")
         gs.apply_response("back", "dead2")
         vr, _ = oracle_ranks(decl.vertices, gs.table.live_edge_objects(),
@@ -167,11 +166,11 @@ class TestAvoider:
             "edge rb b -> m1\n"
             "edge rm m1 -> u2\n"
         )
-        gs = start_session(decl)
+        gs = GameState(decl)
         gs.apply_response("x", "a")
         gs.apply_response("ra", "u1")  # marks u1 (sink; session would stop here)
         # Build the position where a and b are both marked:
-        gs2 = start_session(decl)
+        gs2 = GameState(decl)
         gs2.apply_response("x", "a")
         gs2 = _mark_via(gs2, decl)
         vr, _ = oracle_ranks(decl.vertices, gs2.table.live_edge_objects(),
@@ -191,7 +190,7 @@ class TestAvoider:
             transcript, stats = run_session(decl, Avoider(), max_moves=100, seed=i)
             if stats.terminated != "unreachable":
                 continue
-            gs = start_session(decl)
+            gs = GameState(decl)
             for mv in transcript:
                 gs.apply_response(mv.edge, mv.response)
             vr, _ = oracle_ranks(decl.vertices, gs.table.live_edge_objects(),
@@ -228,17 +227,17 @@ class TestSubset:
         assert format_trace(a[0]) == format_trace(b[0])
 
     def test_single_allowed_always_taken(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         adv = SubsetSystem({"a": ["s2"]}, seed=9)
         assert adv.respond(gs, "a") == "s2"
 
     def test_missing_edge_is_config_error(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         with pytest.raises(AdversaryConfigError, match="no allowed set"):
             SubsetSystem({"b": ["s0"]}, seed=0).respond(gs, "a")
 
     def test_non_tail_vertex_rejected(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         with pytest.raises(AdversaryConfigError, match="non-tail"):
             SubsetSystem({"a": ["s0"]}, seed=0).respond(gs, "a")
 
@@ -261,17 +260,17 @@ class TestSubset:
 
 class TestScripted:
     def test_replay(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         adv = Scripted(["s2"])
         assert adv.respond(gs, "a") == "s2"
 
     def test_illegal_entry(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         with pytest.raises(ScriptError, match="not in tail"):
             Scripted(["s0"]).respond(gs, "a")
 
     def test_exhausted(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         adv = Scripted([])
         with pytest.raises(ScriptError, match="exhausted"):
             adv.respond(gs, "a")

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-import hypergame.model
+import hypergame.cli
 from hypergame.cli import main
+from hypergame.model import ModelDecl
 
 from conftest import G1_TEXT, G2_TEXT, G3_TEXT
 
@@ -139,16 +141,32 @@ class TestRun:
 
     @pytest.mark.parametrize("lazy", [[], ["--lazy"]], ids=["eager", "lazy"])
     def test_repeat_validates_twice(self, lazy, g1_path, monkeypatch):
-        # build_game_graph runs once on the loaded model and once on the
-        # transformed one, in the provider that every session shares.
+        # A declaration validates itself when it is built: once for the
+        # loaded model and once for the transformed one; no session or
+        # provider builds another.
         calls = []
-        validate = hypergame.model.validate
-        monkeypatch.setattr(hypergame.model, "validate",
-                            lambda decl: calls.append(decl) or validate(decl))
+        post_init = ModelDecl.__post_init__
+        monkeypatch.setattr(ModelDecl, "__post_init__",
+                            lambda decl: post_init(decl) or calls.append(decl))
         code = main(["run", g1_path, "--transform", "branch-coverage",
                      "--repeat", "5"] + lazy)
         assert code in (0, 3)
         assert len(calls) == 2 and calls[1] != calls[0]
+
+    def test_repeat_reads_script_once(self, g2_path, tmp_path, monkeypatch):
+        script = tmp_path / "script.txt"
+        script.write_text("s1\ns2\n")
+        stats = tmp_path / "agg.json"
+        reads = []
+        read_text = hypergame.cli._read_text
+        monkeypatch.setattr(hypergame.cli, "_read_text",
+                            lambda path: reads.append(path) or read_text(path))
+        assert main(["run", g2_path, "--adversary", "script", "--script", str(script),
+                     "--repeat", "3", "--stats", str(stats)]) == 0
+        assert reads.count(str(script)) == 1
+        # Every session replays the script from its start: three full runs.
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == \
+            "4bb217beb04d3f96a7fe0748c367dd9dfaad73c0252223bc0ad2a6c93b101544"
 
     def test_lazy_trace_equals_eager(self, g2_path, tmp_path):
         a, b = tmp_path / "eager.tsv", tmp_path / "lazy.tsv"

@@ -4,9 +4,10 @@ import pytest
 
 from hypergame.adversaries import Avoider, RandomFair, Scripted
 from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
-                              AdversaryProtocolError, SessionError,
-                              format_trace, run_session, start_session)
+                              AdversaryProtocolError, GameState, SessionError,
+                              format_trace, run_session)
 from hypergame.model import parse_model
+from hypergame.providers import DeclProvider
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
@@ -28,7 +29,7 @@ edge z m2 -> s0
 
 class TestStart:
     def test_g1(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         assert gs.current == "s0"
         assert gs.coverage == 1
         assert gs.rank == 2
@@ -40,29 +41,29 @@ class TestStart:
         assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == 1
 
     def test_single_vertex_model(self):
-        gs = start_session(parse_model("initial s0\n"))
+        gs = GameState(parse_model("initial s0\n"))
         assert gs.is_terminal()
         assert gs.coverage == 1
 
     def test_g3_terminal_at_start(self, g3):
-        gs = start_session(g3)
+        gs = GameState(g3)
         assert gs.is_terminal()
         assert gs.coverage == 1
 
 
 class TestTesterChoose:
     def test_only_edge(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         assert gs.tester_choose() == "a"
 
     def test_after_marking_chain(self, g2):
-        gs = start_session(g2)
+        gs = GameState(g2)
         gs.apply_response("e1", "s1")
         assert gs.current == "s1"
         assert gs.tester_choose() == "e2"
 
     def test_min_rank_tie_broken_by_edge_id(self):
-        gs = start_session(parse_model(TIE_TEXT))
+        gs = GameState(parse_model(TIE_TEXT))
         assert gs.tester_choose() == "p"  # three rank-1 edges: p < q < r
         gs.apply_response("p", "m")
         assert gs.tester_choose() == "pm"
@@ -74,13 +75,13 @@ class TestTesterChoose:
         assert gs.tester_choose() == "q"  # ties {q, r} at rank 1 break by id
 
     def test_terminal_raises(self, g3):
-        gs = start_session(g3)
+        gs = GameState(g3)
         with pytest.raises(SessionError, match="terminal"):
             gs.tester_choose()
 
     def test_rank_invariant_is_checked(self, g1):
         # An explicit raise, which `python -O` keeps.
-        gs = start_session(g1)
+        gs = GameState(g1)
         gs.rank = 5  # no edge at s0 has rank 4
         with pytest.raises(SessionError, match="expected rank"):
             gs.tester_choose()
@@ -88,14 +89,14 @@ class TestTesterChoose:
 
 class TestApplyResponse:
     def test_g1_marks_and_blocks(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         gs.apply_response("a", "s1")
         assert gs.coverage == 2
         assert gs.current == "s1"
         assert gs.is_terminal()
 
     def test_g2_full_play(self, g2):
-        gs = start_session(g2)
+        gs = GameState(g2)
         gs.apply_response("e1", "s1")
         gs.apply_response("e2", "s2")
         assert gs.coverage == 3
@@ -103,7 +104,7 @@ class TestApplyResponse:
         assert gs.is_terminal()
 
     def test_revisit_decreases_rank_without_marking(self):
-        gs = start_session(parse_model(TIE_TEXT))
+        gs = GameState(parse_model(TIE_TEXT))
         for eid, v in [("p", "m"), ("pm", "m2"), ("z", "s0"), ("p", "m")]:
             gs.apply_response(eid, v)
         # current m has rank 3; the strategy edge leads to marked m2 (rank 2)
@@ -115,12 +116,13 @@ class TestApplyResponse:
         assert gs.rank == 2
 
     def test_illegal_response_rejected(self, g1):
-        gs = start_session(g1)
-        with pytest.raises(SessionError, match="not in the tail"):
+        gs = GameState(g1)
+        with pytest.raises(AdversaryProtocolError,
+                           match=r"^adversary answered 's0' to a, legal: \['s1', 's2'\]$"):
             gs.apply_response("a", "s0")
 
     def test_edge_not_incident_rejected(self, g1):
-        gs = start_session(g1)
+        gs = GameState(g1)
         gs.apply_response("a", "s1")
         with pytest.raises(SessionError, match="not incident"):
             gs.apply_response("a", "s2")
@@ -163,6 +165,17 @@ class TestRunSession:
 
         with pytest.raises(AdversaryProtocolError):
             run_session(g1, Liar())
+
+    def test_interior_total_eager_counts_edges_never_live(self):
+        # Edge c's head is never reached: an eager session still counts its
+        # interiors (and s2, s3) among the states to cover; a lazy one never
+        # meets them.
+        decl = parse_model("initial s0\nedge a s0 -> s1\n"
+                           "edge c s2 -> s3 virtual interior i1 i2\n")
+        _, eager = run_session(decl, RandomFair(0))
+        _, lazy = run_session(DeclProvider(decl), RandomFair(0))
+        assert (eager.interior_total, lazy.interior_total) == (2, 0)
+        assert (eager.terminated, lazy.terminated) == (UNREACHABLE_REASON, ALL_MARKED)
 
     def test_single_vertex_terminates_all_marked(self):
         _, stats = run_session(parse_model("initial s0\n"), RandomFair(0))

@@ -6,8 +6,10 @@ random 256-state models (each session ends with one unreachable flush) and
 a lost-base model, with and without `branch-coverage`, eager and lazy,
 against RandomFair and the Avoider. The lost-base model also drives a bare
 `RankTable` through the marking order that strands its cyclic region, which
-forces flushes mid-run, and hashes its ranks and counters. A change that
-alters any of these outputs on purpose must say so and update GOLDEN.
+forces flushes mid-run, and hashes its ranks and counters. The declaration
+layer is pinned too: the serialized grid models, `hypergame rank` output on
+the fixtures, and the exact text of each invalid-declaration error. A change
+that alters any of these outputs on purpose must say so and update GOLDEN.
 """
 
 import functools
@@ -17,12 +19,15 @@ import random
 import pytest
 
 from hypergame.adversaries import Avoider, RandomFair
+from hypergame.cli import main
 from hypergame.engine import format_stats, format_trace, run_session
+from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
+                             parse_model, serialize_model)
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import RankTable
 from hypergame.transforms import apply_transforms
 
-from conftest import edges_by_head, lost_base_decl
+from conftest import G1_TEXT, G2_TEXT, G3_TEXT, edges_by_head, lost_base_decl
 
 MODELS = ["random1", "random2", "random3", "lostbase"]
 TRANSFORMS = ["none", "branch-coverage"]
@@ -127,10 +132,13 @@ def flush_digest(backend):
     by_head = edges_by_head(decl)
     table = RankTable(decl.initial, by_head.get(decl.initial, []),
                       known_vertices=sorted(decl.vertices), backend=backend)
+    # Ranks are read in the order lost_base_decl lists the vertices: s0, c,
+    # z, then the ring states (which sort in the order they were made).
+    probe = ["s0", "c", "z"] + [v for v in decl.vertices if v.startswith("r")]
     lines = []
     for v in order:
         table.apply_marking(v, by_head.get(v, []))
-        lines.append(repr([table.ensure_settled(u) for u in decl.vertices]))
+        lines.append(repr([table.ensure_settled(u) for u in probe]))
     work = table.snapshot_work()
     assert work.flushes >= 1
     text = "\n".join(lines) + repr(work)
@@ -148,3 +156,84 @@ def test_session_output_is_pinned(case, backend):
 
 def test_flush_path_is_pinned(backend):
     assert flush_digest(backend) == GOLDEN["flush"]
+
+
+SERIALIZED = {
+    "random1-none":
+        "d36f6359f04db28e6174b4df5733b4cdd27821bada3ccc3b52c9d1e482111bef",
+    "random1-branch-coverage":
+        "7b8ffbe88740614e154f7c2c09aa3bf96b4791a41cf3a4a35837fb2fc8273af4",
+    "random2-none":
+        "235a06f3c1697a15317ee09267eb0072b42fbd21e8de53e8bd6ea8951f20b327",
+    "random2-branch-coverage":
+        "4a24956bc16141634e08743cbb6a3e99495c1d5eafaea70bee1b97b0a86be186",
+    "random3-none":
+        "3ea3bb5dcc3192b1bec24166623ad1d67a25593245d7f4902b70d5bfdf64440c",
+    "random3-branch-coverage":
+        "f810cf5d1e1dbdcea2d9b4f3f9c5136209661e11ce2b1012778e9529559e449a",
+    "lostbase-none":
+        "6e3e7bc740433d5dbb5239b84ebc10eeca3bcbe5e4415f60aea982d0028f09bb",
+    "lostbase-branch-coverage":
+        "d8166e957279a8cd9d497c74540a20a1766d53cb723a15311b0b928ec27cc382",
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_serialized_model_is_pinned(model, transform):
+    text = serialize_model(_decl(model, transform))
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED[f"{model}-{transform}"]
+
+
+RANK_OUTPUT = {
+    "G1": "vertex s0 rank 2\nvertex s1 rank 1\nvertex s2 rank 1\n"
+          "edge a rank 1\nedge b rank 2\nedge c rank 2\n",
+    "G2": "vertex s0 rank 2\nvertex s1 rank 1\nvertex s2 rank 1\n"
+          "edge e1 rank 1\nedge e2 rank 1\n",
+    "G3": "vertex s0 rank unreachable\nvertex s1 rank 1\nedge f rank unreachable\n",
+    "G1-after-s1": "vertex s0 rank unreachable\nvertex s1 rank unreachable\n"
+                   "vertex s2 rank 1\nedge a rank unreachable\n"
+                   "edge b rank unreachable\nedge c rank unreachable\n",
+}
+
+
+@pytest.mark.parametrize("case,text,extra", [
+    ("G1", G1_TEXT, []), ("G2", G2_TEXT, []), ("G3", G3_TEXT, []),
+    ("G1-after-s1", G1_TEXT, ["--after-mark", "s1"]),
+])
+def test_rank_output_is_pinned(case, text, extra, tmp_path, capsys):
+    path = tmp_path / "model.hg"
+    path.write_text(text)
+    assert main(["rank", str(path), *extra]) == 0
+    assert capsys.readouterr() == (RANK_OUTPUT[case], "")
+
+
+UNKNOWN_TAIL = "UnknownVertex(zz): tail of edge a"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ModelDecl(initial="s9", vertices=("s0",), edges=()),
+     "UnknownVertex(s9): initial vertex not declared"),
+    (lambda: ModelDecl(initial="s0", vertices=("s0",),
+                       edges=(Edge("a", "zz", ("s0",)),)),
+     "UnknownVertex(zz): head of edge a"),
+    (lambda: ModelDecl(initial="s0", vertices=("s0", "s1"),
+                       edges=(Edge("a", "s0", ("s1",)), Edge("a", "s0", ("s0",)))),
+     "DuplicateEdgeId(a)"),
+    (lambda: ModelDecl(initial="s0", vertices=("s0",),
+                       edges=(Edge("a", "s0", ("zz",)),)),
+     UNKNOWN_TAIL),
+    (lambda: parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True),
+     UNKNOWN_TAIL),
+], ids=["initial", "head", "duplicate-id", "tail", "tail-strict-parse"])
+def test_invalid_declaration_message_is_pinned(make, message):
+    with pytest.raises(ModelError) as exc:
+        build_game_graph(make())
+    assert str(exc.value) == message
+
+
+def test_rank_strict_vertices_message_is_pinned(tmp_path, capsys):
+    path = tmp_path / "strict.hg"
+    path.write_text("initial s0\nedge a s0 -> zz\n")
+    assert main(["rank", str(path), "--strict-vertices"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {UNKNOWN_TAIL}\n")

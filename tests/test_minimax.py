@@ -6,6 +6,7 @@ from hypergame.engine import GameState
 from hypergame.minimax import (TooLargeError, minimax_moves_to_mark,
                                strategy_moves_to_mark)
 from hypergame.model import Edge, ModelDecl
+from hypergame.providers import gen_chain
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
@@ -34,6 +35,17 @@ def test_size_guard():
                      edges=(Edge("e", "v0", ("v1",)),))
     with pytest.raises(TooLargeError):
         minimax_moves_to_mark(decl, {"v0"}, "v0")
+
+
+@pytest.mark.parametrize("length", [9, 200])
+def test_strategy_size_guard(length):
+    # The cap is the minimax one; without it a 200-state chain overflows
+    # the recursion of the search.
+    decl = gen_chain(length)
+    marked = set(decl.vertices[:-1])
+    with pytest.raises(TooLargeError):
+        strategy_moves_to_mark(decl, marked, decl.initial,
+                               {e.head: e.id for e in decl.edges}.get)
 
 
 def test_strategy_value_follows_the_chooser():

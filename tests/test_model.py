@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
-                             parse_model, serialize_model, validate)
+                             parse_model, serialize_model)
 
 from conftest import G1_TEXT
 
@@ -54,16 +54,34 @@ class TestParse:
         decl = parse_model("initial s0\nedge a s0 -> s1 s2\n")
         assert decl.vertices == ("s0", "s1", "s2")
 
-    def test_strict_vertices_leaves_unknowns(self):
-        decl = parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
-        codes = [(v.code, v.subject) for v in validate(decl)]
-        assert ("UnknownVertex", "zz") in codes
+    def test_strict_vertices_rejects_unknowns(self):
+        with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): tail of edge a$"):
+            parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
 
 
 class TestValidate:
+    """A declaration sorts and validates itself when it is built."""
+
     def test_g1_valid(self, g1):
-        assert validate(g1) == []
         assert build_game_graph(g1) is g1
+
+    def test_sorted_when_built(self):
+        decl = ModelDecl(initial="s0", vertices=("s2", "s0", "s1"),
+                         edges=(Edge("c", "s2", ("s0",)), Edge("a", "s0", ("s2", "s1")),
+                                Edge("b", "s0", ("s1",))))
+        assert decl.vertices == ("s0", "s1", "s2")
+        assert [e.id for e in decl.edges] == ["a", "b", "c"]
+        assert decl.edge_map()["a"].tail == ("s2", "s1")  # tails keep their order
+        assert decl == ModelDecl(initial="s0", vertices=("s0", "s1", "s2"),
+                                 edges=tuple(sorted(decl.edges, key=lambda e: e.id)))
+
+    def test_by_head_in_id_order(self):
+        decl = ModelDecl(initial="s0", vertices=("s0", "s1"),
+                         edges=(Edge("z", "s0", ("s1",)), Edge("b", "s1", ("s0",)),
+                                Edge("a", "s0", ("s0", "s1"))))
+        assert {h: [e.id for e in es] for h, es in decl.by_head.items()} == \
+            {"s0": ["a", "z"], "s1": ["b"]}
+        assert decl.by_head is decl.by_head  # built once
 
     def test_edge_kind_is_real_or_virtual(self):
         # Marker edges are implicit in the engine and the oracle; a
@@ -74,29 +92,41 @@ class TestValidate:
         assert Edge("x", "s0", ("s1",), kind="virtual").kind == "virtual"
 
     def test_duplicate_edge_ids_reported(self):
-        decl = ModelDecl(initial="s0", vertices=("s0", "s1"),
-                         edges=(Edge("a", "s0", ("s1",)), Edge("a", "s0", ("s0",))))
-        assert any(v.code == "DuplicateEdgeId" and v.subject == "a"
-                   for v in validate(decl))
+        with pytest.raises(ModelError, match=r"^DuplicateEdgeId\(a\)$"):
+            ModelDecl(initial="s0", vertices=("s0", "s1"),
+                      edges=(Edge("a", "s0", ("s1",)), Edge("a", "s0", ("s0",))))
 
     def test_unknown_head(self):
-        decl = ModelDecl(initial="s0", vertices=("s0",),
-                         edges=(Edge("a", "zz", ("s0",)),))
-        assert any(v.code == "UnknownVertex" and v.subject == "zz"
-                   for v in validate(decl))
+        with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): head of edge a$"):
+            ModelDecl(initial="s0", vertices=("s0",), edges=(Edge("a", "zz", ("s0",)),))
+
+    def test_every_violation_named_in_id_order(self):
+        with pytest.raises(ModelError) as exc:
+            ModelDecl(initial="s9", vertices=("s0",),
+                      edges=(Edge("b", "s0", ("x", "s0", "y")), Edge("a", "h", ("s0",)),
+                             Edge("b", "s0", ("s0",)), Edge("b", "s0", ("s0",))))
+        assert str(exc.value) == (
+            "UnknownVertex(s9): initial vertex not declared; "
+            "UnknownVertex(h): head of edge a; "
+            "UnknownVertex(x): tail of edge b; UnknownVertex(y): tail of edge b; "
+            "DuplicateEdgeId(b); DuplicateEdgeId(b)")
 
 
 class TestGameGraph:
     def test_with_edges_vertex_set(self, g1):
-        out = g1.with_edges(g1.edges, extra_vertices=["x", "s1", "x"],
+        # Only edge b (s1 -> s0) is kept, so s2 may go; s1 stays.
+        out = g1.with_edges([g1.edge_map()["b"]], extra_vertices=["x", "s1", "x"],
                             drop_vertices=["s1", "s2"])
         assert out.vertices == ("s0", "s1", "x")  # extra wins over drop
 
+    def test_with_edges_validates(self, g1):
+        with pytest.raises(ModelError, match=r"^UnknownVertex\(s2\): tail of edge a; "
+                                             r"UnknownVertex\(s2\): head of edge c$"):
+            g1.with_edges(g1.edges, drop_vertices=["s2"])
+
     def test_build_rejects_invalid(self):
-        decl = ModelDecl(initial="s0", vertices=("s0",),
-                         edges=(Edge("a", "s0", ("zz",)),))
-        with pytest.raises(ModelError):
-            build_game_graph(decl)
+        with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): tail of edge a$"):
+            ModelDecl(initial="s0", vertices=("s0",), edges=(Edge("a", "s0", ("zz",)),))
 
 
 
@@ -143,3 +173,15 @@ def test_round_trip_keeps_virtual_and_interior():
 def test_g1_round_trip_exact():
     decl = parse_model(G1_TEXT)
     assert parse_model(serialize_model(decl)) == decl
+
+
+def test_round_trip_sorts_an_unsorted_tail():
+    # serialize writes tails sorted and parse keeps the file's order, so a
+    # declaration with an unsorted tail comes back with that tail sorted.
+    decl = parse_model("initial s0\nedge a s0 -> s2 s1\n")
+    assert decl.edges[0].tail == ("s2", "s1")
+    assert serialize_model(decl) == ("initial s0\nvertex s0\nvertex s1\nvertex s2\n"
+                                     "edge a s0 -> s1 s2\n")
+    back = parse_model(serialize_model(decl))
+    assert back != decl
+    assert back.edges[0].tail == ("s1", "s2")

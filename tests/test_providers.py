@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hypergame.adversaries import Avoider, RandomFair
-from hypergame.engine import format_trace, run_session, start_session
+from hypergame.engine import GameState, format_trace, run_session
 from hypergame.model import ModelError, parse_model
 from hypergame.providers import (CounterMachineProvider, DeclProvider,
                                  gen_chain, gen_random_bounded_degree,
@@ -31,17 +31,18 @@ class TestDeclProvider:
                 assert again[1] == fresh[1]
 
     def test_lazy_session_grows_states_total(self, g2):
-        gs = start_session(DeclProvider(g2))
+        gs = GameState(DeclProvider(g2))
         assert gs.states_total() == 2  # s0 and the tail of e1; s2 not yet seen
         gs.apply_response("e1", "s1")
         assert gs.states_total() == 3
         assert gs.stats().lazy is True
 
     def test_invalid_declaration_rejected_eager_and_lazy(self):
-        decl = parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
-        for source in (lambda: decl, lambda: DeclProvider(decl)):
-            with pytest.raises(ModelError, match="UnknownVertex"):
-                run_session(source(), RandomFair(0))
+        # Eager and lazy sessions both play a ModelDecl, which rejects an
+        # undeclared vertex when it is built: no provider or session can
+        # meet an invalid one.
+        with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): tail of edge a$"):
+            parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
 
 
 class TestCounterMachine:

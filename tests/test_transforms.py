@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hypergame.adversaries import Avoider, RandomFair
-from hypergame.engine import run_session, start_session
+from hypergame.engine import GameState, run_session
 from hypergame.model import Edge, ModelDecl, parse_model
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_for_decl
@@ -100,7 +100,7 @@ class TestEdgeCoverage:
         fired = {mv.edge for mv in transcript}
         # a.E marked exactly when the rewritten edge a fired
         gs_marked = set()
-        gs = start_session(out)
+        gs = GameState(out)
         for mv in transcript:
             gs.apply_response(mv.edge, mv.response)
         assert ("a.E" in gs.marked) == ("a" in fired)
@@ -114,7 +114,7 @@ class TestEdgeCoverage:
             if not decl.edges:
                 continue
             transcript, _ = run_session(out, RandomFair(i), max_moves=150, seed=i)
-            gs = start_session(out)
+            gs = GameState(out)
             for mv in transcript:
                 gs.apply_response(mv.edge, mv.response)
             fired_original_edges = {mv.edge for mv in transcript
@@ -140,7 +140,7 @@ class TestBranchCoverage:
         out, _ = branch_coverage_transform(g1)
         _, stats = run_session(out, Avoider())
         assert stats.terminated == "unreachable"
-        gs = start_session(out)
+        gs = GameState(out)
         transcript, _ = run_session(out, Avoider())
         for mv in transcript:
             gs.apply_response(mv.edge, mv.response)
