@@ -19,6 +19,7 @@ REAL = "real"
 VIRTUAL = "virtual"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
+_IDS_RE = re.compile(r"[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*\Z")  # space-joined ids
 _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 
 
@@ -64,7 +65,7 @@ class ModelDecl:
     Building one stores `vertices` sorted and `edges` sorted by id (each
     edge's tail keeps its given order), then raises ModelError, naming every
     violation, unless the initial vertex and every head and tail are
-    declared and no edge id repeats.
+    declared and no vertex or edge id repeats.
     """
 
     initial: str
@@ -80,6 +81,9 @@ class ModelDecl:
         problems = []
         if self.initial not in vset:
             problems.append(f"UnknownVertex({self.initial}): initial vertex not declared")
+        if len(vset) != len(self.vertices):  # sorted, so a repeat follows its first use
+            problems.extend(f"DuplicateVertex({v})"
+                            for prev, v in zip(self.vertices, self.vertices[1:]) if v == prev)
         prev = None
         for e in self.edges:
             if e.id == prev:  # sorted, so a repeated id follows its first use
@@ -125,6 +129,18 @@ def _check_id(token, line):
     return token
 
 
+def _cut_comment(raw):
+    """`raw` without its comment, which starts at the first `#` that is not
+    inside the quotes of the line's label."""
+    cut = raw.index("#")
+    m = _LABEL_RE.search(raw)
+    if m and m.start() < cut < m.end():
+        cut = raw.find("#", m.end())
+        if cut < 0:
+            return raw
+    return raw[:cut]
+
+
 def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     """Parse the line-oriented model format.
 
@@ -140,13 +156,20 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     edge_ids: set[str] = set()
     implicit: list[str] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = _cut_comment(line)
         fields = line.split()
+        if not fields:
+            continue
         kw = fields[0]
-        if kw == "model":
+        if kw == "edge":
+            e = _parse_edge_line(line, fields, lineno, edge_ids)
+            edges.append(e)
+            implicit.append(e.head)
+            implicit.extend(e.tail)
+            # interiors are not graph vertices; they only enter coverage
+        elif kw == "model":
             if len(fields) != 2:
                 raise ModelError("expected: model <name>", lineno)
             if name:
@@ -165,11 +188,6 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
             elif len(fields) != 2:
                 raise ModelError("expected: vertex <id> [virtual]", lineno)
             declared.append(_check_id(fields[1], lineno))
-        elif kw == "edge":
-            edges.append(_parse_edge_line(line, fields, lineno, edge_ids))
-            implicit.append(edges[-1].head)
-            implicit.extend(edges[-1].tail)
-            # interiors are not graph vertices; they only enter coverage
         else:
             raise ModelError(f"unknown keyword {kw!r}", lineno)
 
@@ -192,33 +210,39 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
 def _parse_edge_line(line, fields, lineno, edge_ids):
     # edge <id> <head> -> <t1> ... [label "<text>"] [virtual] [interior <v1> ...]
     label = ""
-    m = _LABEL_RE.search(line)
-    if m:
-        label = m.group(1).replace('\\"', '"').replace("\\\\", "\\")
-        line = (line[: m.start()] + line[m.end() :]).strip()
-        fields = line.split()
+    if '"' in line:  # a label needs a quote
+        m = _LABEL_RE.search(line)
+        if m:
+            label = m.group(1).replace('\\"', '"').replace("\\\\", "\\")
+            fields = (line[: m.start()] + line[m.end() :]).split()
     if len(fields) < 4 or fields[3] != "->":
         raise ModelError("expected: edge <id> <head> -> <tails...>", lineno)
-    eid = _check_id(fields[1], lineno)
+    eid = fields[1]
+    head = fields[2]
+    tail = fields[4:]
+    kind = REAL
+    interior = []
+    if "virtual" in tail:
+        tail.remove("virtual")
+        kind = VIRTUAL
+    if "interior" in tail:
+        i = tail.index("interior")
+        interior = tail[i + 1 :]
+        del tail[i:]
+    # One match checks every token. Only when it fails are they checked one
+    # by one, to name the first bad token: the id, then the head, interior
+    # and tail, with the repeated-id check after the id.
+    ok = _IDS_RE.match(" ".join([eid, head, *interior, *tail]))
+    if not ok:
+        _check_id(eid, lineno)
     if eid in edge_ids:
         raise ModelError(f"duplicate edge id {eid!r}", lineno)
     edge_ids.add(eid)
-    head = _check_id(fields[2], lineno)
-
-    rest = fields[4:]
-    kind = REAL
-    interior: list[str] = []
-    if "virtual" in rest:
-        i = rest.index("virtual")
-        kind = VIRTUAL
-        rest = rest[:i] + rest[i + 1 :]
-    if "interior" in rest:
-        i = rest.index("interior")
-        interior = [_check_id(t, lineno) for t in rest[i + 1 :]]
-        rest = rest[:i]
-    tail = [_check_id(t, lineno) for t in rest]
+    if not ok:
+        for token in (head, *interior, *tail):
+            _check_id(token, lineno)
     try:
-        return Edge(eid, head, tuple(tail), kind=kind, label=label, interior=tuple(interior))
+        return Edge(eid, head, tuple(tail), kind, label, tuple(interior))
     except ModelError as exc:
         raise ModelError(str(exc), lineno) from None
 

@@ -43,7 +43,8 @@ class RankTable:
     def __init__(self, initial: str, initial_edges, known_vertices=(), backend=None):
         """initial_edges: the edges incident on the initial vertex (live from
         the start). known_vertices pre-interns the full vertex set for eager
-        sessions; lazy sessions leave it empty and grow on demand.
+        sessions, whose tails are then only looked up; lazy sessions leave it
+        empty and grow on demand.
         """
         engine_cls = get_engine_class(backend)
         self.eng = engine_cls()
@@ -56,6 +57,7 @@ class RankTable:
         self.out_ids: dict[str, range] = {}
         self.marked: Set[str] = self.out_ids.keys()
 
+        self._lazy = not known_vertices
         self._intern_vertex(initial)
         for v in known_vertices:
             self._intern_vertex(v)
@@ -89,8 +91,13 @@ class RankTable:
                 raise ValueError(f"edge {e.id} has head {e.head}, expected {head}")
             if e.id in self.edges:
                 raise ValueError(f"edge {e.id} already live")
-        intern = self._intern_vertex
-        engine_mark(self.vid[head], [[intern(t) for t in e.tail] for e in edges])
+        if self._lazy:
+            intern = self._intern_vertex
+            tails = [[intern(t) for t in e.tail] for e in edges]
+        else:
+            vid = self.vid
+            tails = [[vid[t] for t in e.tail] for e in edges]
+        engine_mark(self.vid[head], tails)
         first = len(self.edge_names)
         self.out_ids[head] = range(first, first + len(edges))
         for e in edges:

@@ -131,13 +131,12 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
         for t in sorted(e.tail):
             w = fresh.take(f"{e.id}.B.{t}")
             ws.append(w)
-            outs.append(Edge(fresh.take(f"{e.id}.B2.{t}"), w, (t,), kind=VIRTUAL))
+            outs.append(Edge(fresh.take(f"{e.id}.B2.{t}"), w, (t,), VIRTUAL))
         added_vertices.extend(ws)
         report.added_vertices.extend(ws)
         report.rewritten_edges.append(e.id)
         report.added_edges.extend(o.id for o in outs)
-        edges.append(Edge(e.id, e.head, tuple(ws), kind=e.kind, label=e.label,
-                          interior=e.interior))
+        edges.append(Edge(e.id, e.head, tuple(ws), e.kind, e.label, e.interior))
         edges.extend(outs)
     if not report.rewritten_edges:
         return decl, report

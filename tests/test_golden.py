@@ -8,7 +8,9 @@ against RandomFair and the Avoider. The lost-base model also drives a bare
 `RankTable` through the marking order that strands its cyclic region, which
 forces flushes mid-run, and hashes its ranks and counters. The declaration
 layer is pinned too: the serialized grid models, `hypergame rank` output on
-the fixtures, and the exact text of each invalid-declaration error. A change
+the fixtures, and the exact text of each invalid-declaration error. So is
+the parser: the exact error for malformed lines and the serialized parse of
+texts that use its whitespace, comment, label and keyword rules. A change
 that alters any of these outputs on purpose must say so and update GOLDEN.
 """
 
@@ -237,3 +239,108 @@ def test_rank_strict_vertices_message_is_pinned(tmp_path, capsys):
     path.write_text("initial s0\nedge a s0 -> zz\n")
     assert main(["rank", str(path), "--strict-vertices"]) == 2
     assert capsys.readouterr() == ("", f"error: {path}: {UNKNOWN_TAIL}\n")
+
+
+# The parser: exact errors for malformed lines (several with two faults, so
+# the order of the checks is pinned too), and the serialized parse of texts
+# that exercise its whitespace, comment, label and keyword handling.
+PARSE_ERRORS = {
+    "dup-id-and-bad-head": ("initial s0\nedge a s0 -> s1\nedge a s~ -> s1\n",
+                            "line 3: duplicate edge id 'a'"),
+    "bad-id-and-dup-id": ("initial s0\nedge a s0 -> s1\nedge a~ s0 -> s1\nedge a s0 -> s1\n",
+                          "line 3: bad identifier 'a~'"),
+    "bad-head-and-bad-tail": ("initial s0\nedge a s~ -> t~\n", "line 2: bad identifier 's~'"),
+    "bad-tail-and-dup-tail": ("initial s0\nedge a s0 -> s1 s1 t~\n",
+                              "line 2: bad identifier 't~'"),
+    "bad-interior": ("initial s0\nedge a s0 -> s1 interior x y~\n",
+                     "line 2: bad identifier 'y~'"),
+    "bad-interior-and-bad-tail": ("initial s0\nedge a s0 -> t~ interior x~\n",
+                                  "line 2: bad identifier 'x~'"),
+    "dup-tail-and-virtual": ("initial s0\nedge a s0 -> s1 virtual s1\n",
+                             "line 2: edge a: duplicate tail vertex"),
+    "empty-tail-virtual": ("initial s0\nedge b s0 -> virtual\n",
+                           "line 2: edge b: empty tail on virtual edge"),
+    "empty-tail-interior": ("initial s0\nedge b s0 -> interior s1\n",
+                            "line 2: edge b: empty tail on real edge"),
+    "no-arrow": ("initial s0\nedge a s0 s1\n",
+                 "line 2: expected: edge <id> <head> -> <tails...>"),
+    "arrow-in-tail": ("initial s0\nedge a s0 -> s1 -> s2\n", "line 2: bad identifier '->'"),
+    "non-ascii": ("initial s0\nedge a s0 -> s\u00e9\n", "line 2: bad identifier 's\u00e9'"),
+    "open-label": ('initial s0\nedge a s0 -> s1 label "x y\n',
+                   "line 2: bad identifier '\"x'"),
+    "second-label": ('initial s0\nedge a s0 -> s1 label "x" label "y"\n',
+                     "line 2: bad identifier '\"y\"'"),
+    "token-after-label": ('initial s0\nedge a s0 -> s1 label "x" t~\n',
+                          "line 2: bad identifier 't~'"),
+    "quote-without-label": ('initial s0\nedge a s0 -> "x#y"\n',
+                            "line 2: bad identifier '\"x'"),
+    "label-in-comment": ('initial s0\nedge a s0 -> t~ # label "z"\n',
+                         "line 2: bad identifier 't~'"),
+    "bad-initial": ("initial s~0\n", "line 1: bad identifier 's~0'"),
+    "bad-vertex": ("initial s0\nvertex v~\n", "line 2: bad identifier 'v~'"),
+    "bad-virtual-vertex": ("initial s0\nvertex v~ virtual\n", "line 2: bad identifier 'v~'"),
+    "vertex-with-label": ('initial s0\nvertex v label "x#y"\n',
+                          "line 2: expected: vertex <id> [virtual]"),
+    "bad-model": ("model m~\ninitial s0\n", "line 1: bad identifier 'm~'"),
+    "model-arity": ("model m n\ninitial s0\n", "line 1: expected: model <name>"),
+    "duplicate-initial": ("initial s0\ninitial s1\n", "line 2: duplicate initial line"),
+    "unknown-keyword": ("initial s0\nnode v\n", "line 2: unknown keyword 'node'"),
+    "missing-initial": ("edge a s0 -> s1\n", "missing initial line"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_message_is_pinned(case):
+    text, message = PARSE_ERRORS[case]
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
+
+
+PARSE_TEXTS = {
+    "whitespace": ("model \t m1\ninitial\ts0\n\t edge  a\ts0  ->   s1\t s2 \n"
+                   "vertex   s3   virtual\nedge b s1 -> s0\nedge c s0 ->\u00a0s2\u3000s1\n",
+                   False),
+    "comments": ("# header\n\ninitial s0 # start\nedge a s0 -> s1 # one edge\n"
+                 "   # indented\nedge b s1 -> s0#tight\n"
+                 'edge c s0 -> s1 label "z" # label "w"\nedge d s1 -> s0 # label "q"\n',
+                 False),
+    "labels": ('initial s0\nedge a s0 -> s1 label "do \\"x\\" now"\n'
+               'edge b s0 -> s1 label "back\\\\slash" virtual\n'
+               'edge c s1 -> s0 label ""\nedge d s1 -> label "mid" s0\n', False),
+    "virtual-among-tails": ("initial s0\nedge a s0 -> s1 virtual s2\n"
+                            "edge b s1 -> virtual s0\nedge c s2 -> s0 virtual virtual\n",
+                            False),
+    "interior": ("initial s0\nedge a s0 -> s1 interior i1 i2\n"
+                 "edge b s1 -> s0 virtual interior i3\nedge c s1 -> s2 interior\n"
+                 "edge d s2 -> s0 interior x virtual\nedge e s2 -> s1 interior interior\n",
+                 False),
+    "implicit": ("initial s0\nvertex s9\nedge b s2 -> s3\nedge a s0 -> s2 s1\n"
+                 "edge e-1.x s_1 -> S.2 s-3\n", False),
+    "strict": ("model m\ninitial s0\nvertex s1\nvertex s2 virtual\n"
+               "edge a s0 -> s2 s1\nedge b s1 -> s0\n", True),
+}
+
+PARSED = {
+    "whitespace":
+        "5c0ded62292c0d28cec7d32dafccb0ee98b54826cfb7eea7b2f80bc9a5501b69",
+    "comments":
+        "9a53e849c8940511814a62c4c40d20fa64d4a274ab26c91c053a089bbb5e1cf8",
+    "labels":
+        "656f6f3cd9f31faf2a7edbab15bd6eae77944ce85de3fbe0fbdefdad86219246",
+    "virtual-among-tails":
+        "b8fa0fa8e4d1cc2f336d6dcbc17315421654b7535ed750a0876372c9be75cb7f",
+    "interior":
+        "d646e4d7c927489f6eb50e69dc45026f3de7654e7ba88b38c496a323fc60f2d9",
+    "implicit":
+        "15ea651ca3632897cc203f9dfc23d617b79220c99e52c93cf61d2dd67dd06d97",
+    "strict":
+        "e5a086c5a55c58bac2c5bb77bc293f03ba637302518ca41b64e38f19e293133b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_TEXTS))
+def test_parsed_model_is_pinned(case):
+    text, strict = PARSE_TEXTS[case]
+    out = serialize_model(parse_model(text, strict_vertices=strict))
+    assert hashlib.sha256(out.encode()).hexdigest() == PARSED[case]

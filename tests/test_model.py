@@ -50,6 +50,14 @@ class TestParse:
         assert decl.edge_map()["a"].label == 'do "x"'
         assert parse_model(serialize_model(decl)) == decl
 
+    def test_hash_inside_label_is_text(self):
+        decl = parse_model('initial s0\nedge a s0 -> s1 label "x#y"\n'
+                           'edge b s1 -> s0 label "#1" virtual # label "z"\n'
+                           'edge c s1 -> s0 # label "z#"\n')
+        assert [(e.label, e.kind) for e in decl.edges] == \
+            [("x#y", "real"), ("#1", "virtual"), ("", "real")]
+        assert parse_model(serialize_model(decl)) == decl
+
     def test_implicit_vertices_default(self):
         decl = parse_model("initial s0\nedge a s0 -> s1 s2\n")
         assert decl.vertices == ("s0", "s1", "s2")
@@ -96,6 +104,17 @@ class TestValidate:
             ModelDecl(initial="s0", vertices=("s0", "s1"),
                       edges=(Edge("a", "s0", ("s1",)), Edge("a", "s0", ("s0",))))
 
+    def test_duplicate_vertex_reported(self):
+        with pytest.raises(ModelError, match=r"^DuplicateVertex\(s1\)$"):
+            ModelDecl(initial="s0", vertices=("s1", "s0", "s1"),
+                      edges=(Edge("a", "s0", ("s1",)),))
+        with pytest.raises(ModelError) as exc:
+            ModelDecl(initial="s9", vertices=("s1", "s0", "s1", "s1"),
+                      edges=(Edge("a", "s0", ("zz",)),))
+        assert str(exc.value) == (
+            "UnknownVertex(s9): initial vertex not declared; "
+            "DuplicateVertex(s1); DuplicateVertex(s1); UnknownVertex(zz): tail of edge a")
+
     def test_unknown_head(self):
         with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): head of edge a$"):
             ModelDecl(initial="s0", vertices=("s0",), edges=(Edge("a", "zz", ("s0",)),))
@@ -140,7 +159,7 @@ def decls(draw):
         head = draw(st.sampled_from(vs))
         size = draw(st.integers(min_value=1, max_value=n))
         tail = tuple(sorted(draw(st.permutations(vs))[:size]))
-        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b"]))
+        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"']))
         edges.append(Edge(f"e{j}", head, tail, label=label))
     name = draw(st.sampled_from(["", "m1"]))
     return ModelDecl(initial=vs[0], vertices=vs, edges=tuple(edges), name=name)

@@ -114,6 +114,18 @@ class TestMarkingErrors:
         t.apply_marking("s1", by_head["s1"])
         assert t.ensure_settled("s1") == UNREACHABLE
 
+    def test_eager_table_only_looks_up_tails(self, g1, backend):
+        # An eager table knows every vertex: a tail outside them is an
+        # error, not a new vertex, and the rejected call changes nothing.
+        from hypergame.model import Edge
+        t, by_head = make_table(g1, backend)
+        before = (t.vertex_names[:], t.eng.unmarked, t.eng.live_size)
+        with pytest.raises(KeyError, match="n1"):
+            t.apply_marking("s1", [Edge("a1", "s1", ("n1",))])
+        assert (t.vertex_names, t.eng.unmarked, t.eng.live_size) == before
+        t.apply_marking("s1", by_head["s1"])
+        assert t.ensure_settled("s1") == UNREACHABLE
+
     def test_pure_rank_decrease_is_checked(self):
         # A stored rank above its recomputed value breaks the engine's
         # invariant; the pure core raises as the compiled core does, also
