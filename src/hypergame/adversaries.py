@@ -106,16 +106,20 @@ class Scripted:
 
 
 def parse_allowed_file(text: str) -> dict[str, list[str]]:
-    """Lines of `edge <id>: <v1> <v2> ...`; `#` comments allowed."""
+    """Lines of `edge <id>: <v1> <v2> ...`, one per edge; `#` comments
+    allowed."""
     out: dict[str, list[str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.startswith("edge ") or ":" not in line:
-            raise AdversaryConfigError(f"line {lineno}: expected `edge <id>: <v...>`")
         head, _, rest = line.partition(":")
-        eid = head.split()[1]
+        words = head.split()
+        if not line.startswith("edge ") or ":" not in line or len(words) != 2:
+            raise AdversaryConfigError(f"line {lineno}: expected `edge <id>: <v...>`")
+        eid = words[1]
+        if eid in out:
+            raise AdversaryConfigError(f"line {lineno}: second allowed set for edge {eid}")
         vs = rest.split()
         if not vs:
             raise AdversaryConfigError(f"line {lineno}: empty allowed set")

@@ -22,7 +22,7 @@ from .minimax import TooLargeError, minimax_moves_to_mark, strategy_moves_to_mar
 from .model import ModelError, parse_model, serialize_model
 from .providers import (DeclProvider, check_random_params, gen_chain,
                         gen_random_bounded_degree)
-from .ranks import UNREACHABLE, oracle_ranks
+from .ranks import UNREACHABLE, get_engine_class, oracle_ranks
 from .transforms import apply_transforms
 
 EXIT_CONFIG = 2
@@ -113,6 +113,10 @@ def cmd_run(args):
         raise CliError("--repeat must be >= 1")
     if args.repeat > 1 and args.trace:
         raise CliError("--trace is only supported for single runs")
+    try:
+        get_engine_class(args.backend)
+    except RuntimeError as exc:  # the compiled core was asked for but not built
+        raise CliError(str(exc)) from None
 
     source = DeclProvider(decl, lazy=args.lazy)  # shared by every session
     inputs = _adversary_inputs(args)

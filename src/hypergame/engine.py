@@ -1,6 +1,11 @@
 """The testing game: session state, the min-rank tester strategy, system
 responses, termination detection, and transcript/stats emission.
 
+A session plays one `ModelDecl`, eagerly or, through a `DeclProvider`,
+lazily. It looks edges up in the declaration's `by_id` index; its
+`RankTable` holds ranks, dense ids and each marked vertex's edges, and
+copies nothing else of the declaration.
+
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
 coverage), or the move budget ran out.
@@ -92,17 +97,18 @@ class GameState:
 
     def __init__(self, source, backend=None):
         """The starting position: the initial vertex marked and current, its
-        edges live, its rank settled. source: a provider (see `providers`),
-        or a declaration, which is played eagerly."""
+        edges live, its rank settled. source: a declaration, which is played
+        eagerly, or a `DeclProvider`, which chooses lazy or eager play."""
         if isinstance(source, ModelDecl):
             source = DeclProvider(source, lazy=False)
         self.source = source
+        self.decl = decl = source.decl
+        self.by_id = decl.by_id  # read per move; cheaper than the cached property
         self.lazy = source.lazy
-        known = () if self.lazy else source.decl.vertices
-        initial = source.initial
-        self.table = RankTable(initial, source.expand(initial),
+        known = () if self.lazy else decl.vertices
+        self.table = RankTable(decl.initial, source.expand(decl.initial),
                                known_vertices=known, backend=backend)
-        self.current = initial
+        self.current = decl.initial
         self.moves = 0
         self.transcript: list[MoveRecord] = []
         self.interior_covered: set[str] = set()
@@ -126,7 +132,12 @@ class GameState:
         return len(self.marked) == self.table.vertex_count()
 
     def edge(self, eid: str):
-        return self.table.edges[eid]
+        """The live edge `eid`: one whose head is marked. KeyError if there
+        is none."""
+        e = self.by_id[eid]
+        if e.head not in self.table.marked:
+            raise KeyError(eid)
+        return e
 
     def is_terminal(self) -> bool:
         return self.rank == UNREACHABLE
@@ -149,7 +160,7 @@ class GameState:
         """Advance: the system answered `v` to stimulus `eid`. Marks v if
         unmarked (promoting its edges) and credits compressed interiors.
         Raises AdversaryProtocolError if v is not in the tail of `eid`."""
-        e = self.table.edges.get(eid)
+        e = self.by_id.get(eid)
         if e is None or e.head != self.current:
             raise SessionError(f"edge {eid} is not incident on {self.current}")
         if v not in e.tail:
@@ -173,7 +184,7 @@ class GameState:
 
     def interior_total(self) -> int:
         # An eager session's live edges are a subset of its declaration's.
-        edges = self.table.live_edge_objects() if self.lazy else self.source.decl.edges
+        edges = self.table.live_edge_objects() if self.lazy else self.decl.edges
         return len({i for e in edges for i in e.interior})
 
     def stats(self, seed=None) -> SessionStats:
@@ -181,7 +192,7 @@ class GameState:
         return SessionStats(
             states_total=self.states_total(),
             states_marked=len(self.marked),
-            virtual_marked=len(self.marked & self.source.virtual_vertices),
+            virtual_marked=len(self.marked & self.decl.virtual_vertices),
             interior_total=self.interior_total(),
             interior_covered=len(self.interior_covered),
             moves=self.moves,

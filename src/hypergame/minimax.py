@@ -60,11 +60,10 @@ def minimax_moves_to_mark(decl: ModelDecl, marked, current) -> float:
 def strategy_moves_to_mark(decl: ModelDecl, marked, current, choose) -> float:
     """Worst case over system strategies when the tester is pinned to
     `choose(position) -> edge`; same horizon logic as the minimax value."""
-    by_id = decl.edge_map()
 
     def chosen(u):
         eid = choose(u)
-        return () if eid is None else (by_id[eid],)  # None: the tester is stuck
+        return () if eid is None else (decl.by_id[eid],)  # None: the tester is stuck
 
     return _moves_to_mark(decl, frozenset(marked), current, len(decl.vertices) + 1,
                           chosen)

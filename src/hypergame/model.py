@@ -100,9 +100,6 @@ class ModelDecl:
     def vertex_set(self):
         return frozenset(self.vertices)
 
-    def edge_map(self):
-        return {e.id: e for e in self.edges}
-
     @cached_property
     def by_head(self) -> dict[str, tuple[Edge, ...]]:
         """Each head's edges in id order; built on first use."""
@@ -111,15 +108,22 @@ class ModelDecl:
             out.setdefault(e.head, []).append(e)
         return {h: tuple(es) for h, es in out.items()}
 
-    def with_edges(self, edges, extra_vertices=(), extra_virtual=(), drop_vertices=()):
+    @cached_property
+    def by_id(self) -> dict[str, Edge]:
+        """Each edge by its id; built on first use."""
+        return {e.id: e for e in self.edges}
+
+    def with_edges(self, edges, added_virtual=(), drop_vertices=()):
+        """This model with `edges` as its edges, `added_virtual` as new
+        virtual vertices and `drop_vertices` removed."""
         drop = set(drop_vertices)
         verts = {v for v in self.vertices if v not in drop}
-        verts.update(extra_vertices)  # kept even when also listed in drop
+        verts.update(added_virtual)  # kept even when also listed in drop
         return replace(
             self,
             vertices=tuple(verts),
             edges=tuple(edges),
-            virtual_vertices=self.virtual_vertices | frozenset(extra_virtual),
+            virtual_vertices=self.virtual_vertices | frozenset(added_virtual),
         )
 
 

@@ -33,7 +33,7 @@ def available_backends():
     return out
 
 
-from .oracle import UNREACHABLE, oracle_ranks, oracle_for_decl  # noqa: E402
+from .oracle import UNREACHABLE, oracle_ranks  # noqa: E402
 from .table import RankTable, WorkStats  # noqa: E402
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "WorkStats",
     "available_backends",
     "get_engine_class",
-    "oracle_for_decl",
     "oracle_ranks",
 ]

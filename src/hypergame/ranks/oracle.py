@@ -67,9 +67,3 @@ def oracle_ranks(vertices, edges, marked, include_dead=True):
             return vrank, erank
     raise AssertionError("rank fixpoint did not converge")
 
-
-def oracle_for_decl(decl, marked=None, include_dead=True):
-    """Convenience wrapper over a ModelDecl; marked defaults to {initial}."""
-    if marked is None:
-        marked = {decl.initial}
-    return oracle_ranks(decl.vertices, decl.edges, marked, include_dead)

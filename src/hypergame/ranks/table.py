@@ -1,11 +1,13 @@
 """Session-facing rank table: string ids, work accounting, lazy settlement.
 
 Wraps a dense-index engine backend (pure Python or the compiled core) and
-owns the id interning. The table numbers edges itself, 0, 1, 2, ... in the
-order it hands them to the engine, which numbers them the same way. A
-vertex's out-edges go to the engine in one call when it is marked, sorted
-by name, so they are one range of dense ids. One table is bound to one
-session and is mutated single-threaded.
+owns the vertex ids. Edges are numbered 0, 1, 2, ... in the order they go to
+the engine, which numbers them the same way. A vertex's out-edges go to the
+engine in one call when it is marked, in id order as `ModelDecl.by_head`
+holds them, so they are one range of dense ids. The table keeps, per marked
+vertex, that range and the edges themselves; it copies nothing else of the
+declaration. One table is bound to one session and is
+mutated single-threaded.
 """
 
 from __future__ import annotations
@@ -48,14 +50,12 @@ class RankTable:
         """
         engine_cls = get_engine_class(backend)
         self.eng = engine_cls()
-        self.vid: dict[str, int] = {}
-        self.vertex_names: list[str] = []
-        self.edge_names: list[str] = []  # by dense edge id
-        self.edges: dict[str, Edge] = {}
-        # Each marked vertex's out-edges, as a range of dense edge ids; its
-        # keys, a live view, are the marked vertices.
-        self.out_ids: dict[str, range] = {}
-        self.marked: Set[str] = self.out_ids.keys()
+        self.vid: dict[str, int] = {}  # in id order
+        # Each marked vertex's range of dense edge ids and its out-edges, in
+        # the same order; its keys, a live view, are the marked vertices.
+        self.out: dict[str, tuple[range, tuple[Edge, ...]]] = {}
+        self.marked: Set[str] = self.out.keys()
+        self._edge_count = 0
 
         self._lazy = not known_vertices
         self._intern_vertex(initial)
@@ -70,27 +70,26 @@ class RankTable:
         if v is None:
             v = self.eng.add_vertex()
             self.vid[name] = v
-            self.vertex_names.append(name)
         return v
 
     def vertex_count(self) -> int:
-        return len(self.vertex_names)
+        return len(self.vid)
 
     def live_edge_objects(self) -> list[Edge]:
-        return [self.edges[name] for name in self.edge_names]
+        """Every live edge, in dense id order."""
+        return [e for _, edges in self.out.values() for e in edges]
 
     # -- mutations ------------------------------------------------------------
 
-    def _register_edges(self, head: str, new_edges, engine_mark):
+    def _register_edges(self, head: str, edges, engine_mark):
         """Mark head through `engine_mark` (the engine's `mark`, or
-        `set_initial` for the initial vertex), handing it head's edges in
-        name order; they take the next dense edge ids."""
-        edges = sorted(new_edges, key=lambda e: e.id)
+        `set_initial` for the initial vertex), handing it head's edges in id
+        order, as `ModelDecl.by_head` holds them; they take the next dense
+        edge ids."""
+        edges = tuple(edges)
         for e in edges:  # before interning, so that a rejected call adds nothing
             if e.head != head:
                 raise ValueError(f"edge {e.id} has head {e.head}, expected {head}")
-            if e.id in self.edges:
-                raise ValueError(f"edge {e.id} already live")
         if self._lazy:
             intern = self._intern_vertex
             tails = [[intern(t) for t in e.tail] for e in edges]
@@ -98,11 +97,9 @@ class RankTable:
             vid = self.vid
             tails = [[vid[t] for t in e.tail] for e in edges]
         engine_mark(self.vid[head], tails)
-        first = len(self.edge_names)
-        self.out_ids[head] = range(first, first + len(edges))
-        for e in edges:
-            self.edge_names.append(e.id)
-            self.edges[e.id] = e
+        first = self._edge_count
+        self._edge_count += len(edges)
+        self.out[head] = (range(first, self._edge_count), edges)
 
     def apply_marking(self, v: str, new_edges) -> None:
         """Mark v, promoting its edges to live. Lazy sessions meet new
@@ -120,11 +117,12 @@ class RankTable:
     def min_rank_edge(self, v: str) -> tuple[str | None, float]:
         """The lowest-id live edge of least stored rank at the marked vertex
         v, and that rank; (None, UNREACHABLE) when v has no edge."""
-        ids = self.out_ids[v]
-        if not ids:
+        ids, edges = self.out[v]
+        if not edges:
             return None, UNREACHABLE
-        e = min(ids, key=self.eng.edge_value)
-        return self.edge_names[e], _out(self.eng.edge_value(e))
+        value = self.eng.edge_value
+        e = min(ids, key=value)
+        return edges[e - ids.start].id, _out(value(e))
 
     def snapshot_work(self) -> WorkStats:
         e = self.eng

@@ -69,13 +69,11 @@ def break_self_loops(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
     report = TransformReport()
     fresh = _Fresh(decl)
     edges = []
-    added_vertices = []
     for e in decl.edges:
         if e.head not in e.tail:
             edges.append(e)
             continue
         v_e = fresh.take(f"{e.head}.L.{e.id}")
-        added_vertices.append(v_e)
         report.added_vertices.append(v_e)
         report.rewritten_edges.append(e.id)
         rest = tuple(t for t in e.tail if t != e.head)
@@ -90,8 +88,7 @@ def break_self_loops(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
         report.added_edges.append(ret_id)
     if not report.rewritten_edges:
         return decl, report
-    return decl.with_edges(edges, extra_vertices=added_vertices,
-                           extra_virtual=added_vertices), report
+    return decl.with_edges(edges, added_virtual=report.added_vertices), report
 
 
 def edge_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -100,11 +97,9 @@ def edge_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport
     report = TransformReport()
     fresh = _Fresh(decl)
     edges = []
-    added_vertices = []
     for e in decl.edges:
         w = fresh.take(f"{e.id}.E")
         out_id = fresh.take(f"{e.id}.E2")
-        added_vertices.append(w)
         report.added_vertices.append(w)
         report.rewritten_edges.append(e.id)
         report.added_edges.append(out_id)
@@ -113,8 +108,7 @@ def edge_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport
         edges.append(Edge(out_id, w, e.tail, kind=VIRTUAL))
     if not report.rewritten_edges:
         return decl, report
-    return decl.with_edges(edges, extra_vertices=added_vertices,
-                           extra_virtual=added_vertices), report
+    return decl.with_edges(edges, added_virtual=report.added_vertices), report
 
 
 def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -124,7 +118,6 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
     report = TransformReport()
     fresh = _Fresh(decl)
     edges = []
-    added_vertices = []
     for e in decl.edges:
         ws = []
         outs = []
@@ -132,7 +125,6 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
             w = fresh.take(f"{e.id}.B.{t}")
             ws.append(w)
             outs.append(Edge(fresh.take(f"{e.id}.B2.{t}"), w, (t,), VIRTUAL))
-        added_vertices.extend(ws)
         report.added_vertices.extend(ws)
         report.rewritten_edges.append(e.id)
         report.added_edges.extend(o.id for o in outs)
@@ -140,8 +132,7 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
         edges.extend(outs)
     if not report.rewritten_edges:
         return decl, report
-    return decl.with_edges(edges, extra_vertices=added_vertices,
-                           extra_virtual=added_vertices), report
+    return decl.with_edges(edges, added_virtual=report.added_vertices), report
 
 
 def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -206,8 +197,7 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
     return decl.with_edges(edges, drop_vertices=removed_vertices), report
 
 
-_ORDER = ("break-self-loops", "edge-coverage", "branch-coverage", "compress-chains")
-_FUNCS = {
+_TRANSFORMS = {  # in composition order
     "break-self-loops": break_self_loops,
     "edge-coverage": edge_coverage_transform,
     "branch-coverage": branch_coverage_transform,
@@ -218,14 +208,14 @@ _FUNCS = {
 def apply_transforms(decl: ModelDecl, names) -> tuple[ModelDecl, TransformReport]:
     """Apply the named rewrites in the fixed composition order."""
     names = list(names)
-    unknown = [n for n in names if n not in _FUNCS]
+    unknown = [n for n in names if n not in _TRANSFORMS]
     if unknown:
         raise ValueError(f"unknown transform(s): {', '.join(unknown)}")
     if "edge-coverage" in names and "branch-coverage" in names:
         raise ValueError("edge-coverage and branch-coverage are mutually exclusive")
     report = TransformReport()
-    for name in _ORDER:
+    for name, transform in _TRANSFORMS.items():
         if name in names:
-            decl, r = _FUNCS[name](decl)
+            decl, r = transform(decl)
             report.merge(r)
     return decl, report

@@ -13,7 +13,7 @@ import pytest
 
 import hypergame.ranks
 from hypergame.model import Edge, ModelDecl, parse_model
-from hypergame.ranks import UNREACHABLE
+from hypergame.ranks import UNREACHABLE, oracle_ranks
 from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,7 +126,7 @@ def snapshot_ranks(table):
     snap = eng.snapshot()
     if eng.unmarked == 0:
         return ({v: (UNREACHABLE, True) for v in table.vid},
-                {e: (UNREACHABLE, True) for e in table.edge_names})
+                {e.id: (UNREACHABLE, True) for e in table.live_edge_objects()})
     dirty = [s for s, d in zip(snap["vstored"], snap["vdirty"]) if d]
     qmin = min(dirty, default=UNREACH_INT)
     if isinstance(eng, PureRankEngine):
@@ -143,15 +143,15 @@ def snapshot_ranks(table):
         exact = not snap["vdirty"][v] and (s == UNREACH_INT or s <= qmin)
         vertices[name] = (rank(s), exact)
     edges = {}
-    for e, name in enumerate(table.edge_names):
+    for e, edge in enumerate(table.live_edge_objects()):
         s = snap["estored"][e]
-        edges[name] = (rank(s), s == UNREACH_INT or s < qmin)
+        edges[edge.id] = (rank(s), s == UNREACH_INT or s < qmin)
     return vertices, edges
 
 
 def incident_ids(table, v):
     """The live edges with head v, in id order: v's range of dense ids."""
-    return [table.edge_names[e] for e in table.out_ids.get(v, ())]
+    return [e.id for e in table.live_edge_objects() if e.head == v]
 
 
 def random_decl(rng: random.Random, max_vertices=12, max_edges=20,
@@ -206,3 +206,33 @@ def lost_base_decl(rng: random.Random, cycles=12):
     decl = ModelDecl(initial="s0", vertices=tuple(["s0", "c", "z"] + ring_states),
                      edges=tuple(edges))
     return decl, order
+
+
+def oracle_for_decl(decl, marked=None, include_dead=True):
+    """`oracle_ranks` over a ModelDecl; marked defaults to {initial}."""
+    if marked is None:
+        marked = {decl.initial}
+    return oracle_ranks(decl.vertices, decl.edges, marked, include_dead)
+
+
+def gen_strongly_connected(n: int, extra_degree: int, fanout: int, seed: int) -> ModelDecl:
+    """A ring of singleton edges (so every state stays forceably reachable)
+    plus `extra_degree` random fanout edges per state. Used by fairness and
+    completeness tests, which need models that cannot dead-end."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if fanout > n - 1:
+        raise ValueError("fanout too large")
+    rng = random.Random(seed)
+    width = len(str(n - 1))
+    vertices = [f"s{i:0{width}d}" for i in range(n)]
+    edges = [
+        Edge(f"ring{i:0{width}d}", vertices[i], (vertices[(i + 1) % n],))
+        for i in range(n)
+    ]
+    for i, head in enumerate(vertices):
+        others = vertices[:i] + vertices[i + 1 :]
+        for j in range(extra_degree):
+            tail = tuple(sorted(rng.sample(others, fanout)))
+            edges.append(Edge(f"x{i:0{width}d}.{j}", head, tail))
+    return ModelDecl(initial=vertices[0], vertices=tuple(vertices), edges=tuple(edges))

@@ -8,12 +8,11 @@ from hypergame.adversaries import (AdversaryConfigError, Avoider, RandomFair,
                                    make_adversary, parse_allowed_file)
 from hypergame.engine import GameState, format_stats, format_trace, run_session
 from hypergame.model import parse_model
-from hypergame.providers import (DeclProvider, gen_random_bounded_degree,
-                                 gen_strongly_connected)
+from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import UNREACHABLE
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import incident_ids, random_decl
+from conftest import gen_strongly_connected, incident_ids, random_decl
 
 
 class TestRandomFair:
@@ -45,7 +44,7 @@ class ReferenceAvoider:
 
     def respond(self, gs, eid):
         tail = sorted(gs.edge(eid).tail)
-        vrank, _ = oracle_ranks(gs.table.vertex_names,
+        vrank, _ = oracle_ranks(gs.table.vid,
                                 gs.table.live_edge_objects(), gs.marked,
                                 include_dead=False)
         unreachable = [t for t in tail if vrank[t] == UNREACHABLE]
@@ -99,7 +98,7 @@ class TestAvoiderMatchesReference:
                 eid = rng.choice(choices)
                 gs.apply_response(eid, rng.choice(gs.edge(eid).tail))
             ref = ReferenceAvoider()
-            for eid in gs.table.edge_names:
+            for eid in [e.id for e in gs.table.live_edge_objects()]:
                 want = ref.respond(gs, eid)
                 before = gs.table.snapshot_work().work
                 assert Avoider().respond(gs, eid) == want

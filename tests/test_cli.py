@@ -4,6 +4,7 @@ import json
 import pytest
 
 import hypergame.cli
+import hypergame.ranks
 from hypergame.cli import main
 from hypergame.model import ModelDecl
 
@@ -198,6 +199,24 @@ class TestConfigErrorsExit2:
         assert main(["run", g1_path, "--adversary", "script",
                      "--script", str(missing)]) == 2
         self._one_line_error(capsys, missing)
+
+    @pytest.mark.parametrize("text,needle", [
+        ("edge a: s1\nedge : s1\n", "line 2: expected `edge <id>: <v...>`"),
+        ("edge a b: s1\n", "line 1: expected `edge <id>: <v...>`"),
+        ("edge a: s1\n# again\nedge a: s2\n", "line 3: second allowed set for edge a"),
+    ], ids=["no-id", "two-ids", "repeated-edge"])
+    def test_bad_allowed_file(self, text, needle, g1_path, tmp_path, capsys):
+        allowed = tmp_path / "allowed.txt"
+        allowed.write_text(text)
+        assert main(["run", g1_path, "--adversary", "subset",
+                     "--allowed", str(allowed)]) == 2
+        assert self._one_line_error(capsys, needle) == ""
+
+    def test_compiled_backend_not_built(self, g1_path, monkeypatch, capsys):
+        monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)
+        assert main(["run", g1_path, "--backend", "compiled"]) == 2
+        assert self._one_line_error(capsys, "compiled rank engine requested "
+                                            "but not built") == ""
 
     @pytest.mark.parametrize("flag", ["--stats", "--trace"])
     def test_unwritable_run_output(self, flag, g1_path, tmp_path, capsys):

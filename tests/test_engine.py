@@ -37,7 +37,7 @@ class TestStart:
         # Only the initial vertex's edge is live; b and c stay dead until
         # their heads are marked, and s1, s2 hold rank 1 by their markers.
         assert incident_ids(gs.table, "s0") == ["a"]
-        assert sorted(gs.table.edges) == ["a"]
+        assert [e.id for e in gs.table.live_edge_objects()] == ["a"]
         assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == 1
 
     def test_single_vertex_model(self):
@@ -126,6 +126,22 @@ class TestApplyResponse:
         gs.apply_response("a", "s1")
         with pytest.raises(SessionError, match="not incident"):
             gs.apply_response("a", "s2")
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_declared_edges_off_the_current_vertex(self, lazy, g1):
+        # At s1, edge a is live at the marked s0 and edge c is declared but
+        # not yet live (s2 is unmarked): neither is incident, and only the
+        # live one is an edge of the session.
+        gs = GameState(DeclProvider(g1, lazy=lazy))
+        gs.apply_response("a", "s1")
+        for eid, v in (("a", "s2"), ("c", "s0"), ("zz", "s0")):
+            with pytest.raises(SessionError, match=f"^edge {eid} is not incident on s1$"):
+                gs.apply_response(eid, v)
+        assert gs.edge("a").tail == ("s1", "s2")
+        for eid in ("c", "zz"):
+            with pytest.raises(KeyError, match=eid):
+                gs.edge(eid)
+        assert (gs.current, gs.moves) == ("s1", 1)
 
 
 class TestRunSession:

@@ -90,7 +90,7 @@ def reachable_positions(decl, start_marked, current, limit=4000):
         if vr[cur] == UNREACHABLE:
             continue
         eid = choose(cur)
-        e = decl.edge_map()[eid]
+        e = decl.by_id[eid]
         for t in e.tail:
             work.append((t, marked | {t}))
     return seen

@@ -12,7 +12,7 @@ class TestParse:
         assert g1.initial == "s0"
         assert g1.vertices == ("s0", "s1", "s2")
         assert [e.id for e in g1.edges] == ["a", "b", "c"]
-        assert g1.edge_map()["a"].tail == ("s1", "s2")
+        assert g1.by_id["a"].tail == ("s1", "s2")
 
     def test_empty_tail_rejected(self):
         with pytest.raises(ModelError, match="^line 2: edge e: empty tail on real edge$"):
@@ -47,7 +47,7 @@ class TestParse:
 
     def test_label_round_trip(self):
         decl = parse_model('initial s0\nedge a s0 -> s1 label "do \\"x\\""\n')
-        assert decl.edge_map()["a"].label == 'do "x"'
+        assert decl.by_id["a"].label == 'do "x"'
         assert parse_model(serialize_model(decl)) == decl
 
     def test_hash_inside_label_is_text(self):
@@ -79,7 +79,7 @@ class TestValidate:
                                 Edge("b", "s0", ("s1",))))
         assert decl.vertices == ("s0", "s1", "s2")
         assert [e.id for e in decl.edges] == ["a", "b", "c"]
-        assert decl.edge_map()["a"].tail == ("s2", "s1")  # tails keep their order
+        assert decl.by_id["a"].tail == ("s2", "s1")  # tails keep their order
         assert decl == ModelDecl(initial="s0", vertices=("s0", "s1", "s2"),
                                  edges=tuple(sorted(decl.edges, key=lambda e: e.id)))
 
@@ -134,9 +134,10 @@ class TestValidate:
 class TestGameGraph:
     def test_with_edges_vertex_set(self, g1):
         # Only edge b (s1 -> s0) is kept, so s2 may go; s1 stays.
-        out = g1.with_edges([g1.edge_map()["b"]], extra_vertices=["x", "s1", "x"],
+        out = g1.with_edges([g1.by_id["b"]], added_virtual=["x", "s1", "x"],
                             drop_vertices=["s1", "s2"])
-        assert out.vertices == ("s0", "s1", "x")  # extra wins over drop
+        assert out.vertices == ("s0", "s1", "x")  # added wins over drop
+        assert out.virtual_vertices == {"s1", "x"}
 
     def test_with_edges_validates(self, g1):
         with pytest.raises(ModelError, match=r"^UnknownVertex\(s2\): tail of edge a; "
@@ -186,7 +187,7 @@ def test_round_trip_keeps_virtual_and_interior():
     )
     back = parse_model(serialize_model(decl))
     assert back == decl
-    assert back.edge_map()["c"].interior == ("s1a", "s1b")
+    assert back.by_id["c"].interior == ("s1a", "s1b")
 
 
 def test_g1_round_trip_exact():

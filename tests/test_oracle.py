@@ -1,9 +1,9 @@
 import random
 
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_for_decl, oracle_ranks
+from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import random_decl
+from conftest import oracle_for_decl, random_decl
 
 
 def test_g1_start(g1):

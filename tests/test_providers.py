@@ -5,12 +5,10 @@ import pytest
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import GameState, format_trace, run_session
 from hypergame.model import ModelError, parse_model
-from hypergame.providers import (CounterMachineProvider, DeclProvider,
-                                 gen_chain, gen_random_bounded_degree,
-                                 gen_strongly_connected)
+from hypergame.providers import DeclProvider, gen_chain, gen_random_bounded_degree
 from hypergame.transforms import branch_coverage_transform
 
-from conftest import random_decl
+from conftest import gen_strongly_connected, random_decl
 
 
 class TestDeclProvider:
@@ -21,8 +19,7 @@ class TestDeclProvider:
     def test_one_provider_serves_many_sessions(self, g1):
         # Providers keep no per-session state: a reused one plays every
         # session as a fresh one does.
-        for make in (lambda: DeclProvider(g1), lambda: DeclProvider(g1, lazy=False),
-                     lambda: CounterMachineProvider(6)):
+        for make in (lambda: DeclProvider(g1), lambda: DeclProvider(g1, lazy=False)):
             shared = make()
             for seed in range(3):
                 again = run_session(shared, RandomFair(seed), seed=seed)
@@ -43,20 +40,6 @@ class TestDeclProvider:
         # meet an invalid one.
         with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): tail of edge a$"):
             parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
-
-
-class TestCounterMachine:
-    def test_expand(self):
-        p = CounterMachineProvider(10)
-        e, = p.expand("3")
-        assert (e.id, e.head, e.tail) == ("inc3", "3", ("4",))
-
-    def test_session_walks_to_the_end(self):
-        _, stats = run_session(CounterMachineProvider(5), RandomFair(0))
-        assert stats.terminated == "all_marked"
-        assert stats.states_marked == 6
-        assert stats.moves == 5
-        assert stats.lazy is True
 
 
 class TestGenerators:

@@ -107,10 +107,10 @@ class TestMarkingErrors:
         # head: the lazy table learns nothing from the rejected call.
         from hypergame.model import Edge
         t, by_head = make_table(g1, backend, lazy=True)
-        before = (t.vertex_names[:], t.eng.unmarked, t.eng.live_size)
+        before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
         with pytest.raises(ValueError, match="head"):
             t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
-        assert (t.vertex_names, t.eng.unmarked, t.eng.live_size) == before
+        assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
         t.apply_marking("s1", by_head["s1"])
         assert t.ensure_settled("s1") == UNREACHABLE
 
@@ -119,10 +119,10 @@ class TestMarkingErrors:
         # error, not a new vertex, and the rejected call changes nothing.
         from hypergame.model import Edge
         t, by_head = make_table(g1, backend)
-        before = (t.vertex_names[:], t.eng.unmarked, t.eng.live_size)
+        before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
         with pytest.raises(KeyError, match="n1"):
             t.apply_marking("s1", [Edge("a1", "s1", ("n1",))])
-        assert (t.vertex_names, t.eng.unmarked, t.eng.live_size) == before
+        assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
         t.apply_marking("s1", by_head["s1"])
         assert t.ensure_settled("s1") == UNREACHABLE
 

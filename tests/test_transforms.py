@@ -6,12 +6,11 @@ from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import GameState, run_session
 from hypergame.model import Edge, ModelDecl, parse_model
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_for_decl
 from hypergame.transforms import (apply_transforms, branch_coverage_transform,
                                   break_self_loops, compress_chains,
                                   edge_coverage_transform)
 
-from conftest import random_decl
+from conftest import oracle_for_decl, random_decl
 
 
 class TestBreakSelfLoops:
@@ -49,10 +48,10 @@ class TestBreakSelfLoops:
     def test_pure_self_loop_tail_becomes_virtual_vertex(self):
         decl = parse_model("initial s0\nedge e s0 -> s0\n")
         out, _ = break_self_loops(decl)
-        e = out.edge_map()["e"]
+        e = out.by_id["e"]
         assert e.tail == ("s0.L.e",)
-        assert out.edge_map()["e.L.ret"].tail == ("s0",)
-        assert "e.L.ok" not in out.edge_map()
+        assert out.by_id["e.L.ret"].tail == ("s0",)
+        assert "e.L.ok" not in out.by_id
 
     def test_idempotent(self):
         rng = random.Random(8)
@@ -74,7 +73,7 @@ class TestBreakSelfLoops:
                 continue
             vr, er = oracle_for_decl(out)
             for eid in report.rewritten_edges:
-                ok = out.edge_map().get(f"{eid}.L.ok")
+                ok = out.by_id.get(f"{eid}.L.ok")
                 if ok is not None and all(vr[t] != UNREACHABLE for t in ok.tail):
                     assert er[ok.id] != UNREACHABLE
 
@@ -118,7 +117,7 @@ class TestEdgeCoverage:
             for mv in transcript:
                 gs.apply_response(mv.edge, mv.response)
             fired_original_edges = {mv.edge for mv in transcript
-                                    if mv.edge in decl.edge_map()}
+                                    if mv.edge in decl.by_id}
             marked_waypoints = {v for v in gs.marked if v.endswith(".E")}
             assert marked_waypoints == {f"{e}.E" for e in fired_original_edges}
 
@@ -126,15 +125,15 @@ class TestEdgeCoverage:
 class TestBranchCoverage:
     def test_g1_edge_a_outcomes(self, g1):
         out, report = branch_coverage_transform(g1)
-        a = out.edge_map()["a"]
+        a = out.by_id["a"]
         assert a.tail == ("a.B.s1", "a.B.s2")
-        assert out.edge_map()["a.B2.s1"].tail == ("s1",)
+        assert out.by_id["a.B2.s1"].tail == ("s1",)
 
     def test_singleton_tail_matches_edge_transform_semantics(self, g2):
         out, _ = branch_coverage_transform(g2)
-        e1 = out.edge_map()["e1"]
+        e1 = out.by_id["e1"]
         assert e1.tail == ("e1.B.s1",)
-        assert out.edge_map()["e1.B2.s1"].tail == ("s1",)
+        assert out.by_id["e1.B2.s1"].tail == ("s1",)
 
     def test_avoider_leaves_one_outcome_unmarked(self, g1):
         out, _ = branch_coverage_transform(g1)
