@@ -56,8 +56,10 @@ class Avoider:
             return tail[0]
         # UNREACHABLE ranks above every finite rank, and max keeps the first
         # of equal keys: the first unreachable vertex, else the smallest id
-        # of highest rank.
-        return max(marked, key=gs.table.ensure_settled)
+        # of highest rank. The key is the rank alone, so that a tie never
+        # compares the edges.
+        ensure = gs.table.ensure_settled
+        return max(marked, key=lambda t: ensure(t)[0])
 
 
 class SubsetSystem:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .adversaries import RandomFair
 from .engine import run_session
 from .providers import gen_random_bounded_degree
-from .ranks import available_backends
 
 
 @dataclass
@@ -54,13 +53,16 @@ def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backend=None):
 
 
 def _lstsq(xs, ys):
-    """Least-squares fit y = a*x + b plus the coefficient of determination."""
+    """Least-squares fit y = a*x + b plus the coefficient of determination;
+    None when the x values do not vary, which leaves no line to fit."""
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
     sxx = sum((x - mx) ** 2 for x in xs)
+    if not sxx:
+        return None
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    a = sxy / sxx if sxx else 0.0
+    a = sxy / sxx
     b = my - a * mx
     ss_res = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - my) ** 2 for y in ys)
@@ -70,22 +72,22 @@ def _lstsq(xs, ys):
 
 def work_fit(rows):
     """Fitted constant c with work <= c * (E + R*H') on every row, plus the
-    log-log slope of work against the budget (a slope around or below 1
+    `_lstsq` fit of log work against log budget (a slope around or below 1
     means the bound scales)."""
     c = max(r.ratio for r in rows)
-    slope, _, r2 = _lstsq([math.log(r.budget) for r in rows],
-                          [math.log(max(1, r.work)) for r in rows])
-    return c, slope, r2
+    return c, _lstsq([math.log(r.budget) for r in rows],
+                     [math.log(max(1, r.work)) for r in rows])
 
 
 def rank_growth_fit(rows):
-    """Least-squares fit of R against log2(E); returns (slope, intercept, R^2)."""
+    """Least-squares fit of R against log2(E); returns (slope, intercept,
+    R^2), or None when E does not vary."""
     return _lstsq([math.log2(max(2, r.marked_E)) for r in rows],
                   [r.max_rank_R for r in rows])
 
 
 def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
-    backends = available_backends() if compare else [None]
+    backends = ["pure", "compiled"] if compare else [None]
     all_rows = {}
     for backend in backends:
         label = backend or "default"
@@ -97,16 +99,23 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
             print(f"{r.n:>8} {r.marked_E:>8} {r.max_rank_R:>4} {r.live_size_H:>10} "
                   f"{r.work:>12} {r.ratio:>13.4f} {r.seconds:>8.3f}")
         all_rows[label] = rows
-        c, slope, r2 = work_fit(rows)
-        print(f"work bound fit: work <= {c:.3f} * (E + R*H'), "
-              f"log-log slope {slope:.3f} (R^2 {r2:.3f})")
-        slope, intercept, r2 = rank_growth_fit(rows)
-        print(f"rank growth fit: R ~ {slope:.3f} * log2(E) + {intercept:.3f} "
-              f"(R^2 {r2:.3f})")
+        c, fit = work_fit(rows)
+        line = f"work bound fit: work <= {c:.3f} * (E + R*H')"
+        if fit:
+            slope, _, r2 = fit
+            line += f", log-log slope {slope:.3f} (R^2 {r2:.3f})"
+        print(line)
+        fit = rank_growth_fit(rows)
+        if fit:
+            slope, intercept, r2 = fit
+            print(f"rank growth fit: R ~ {slope:.3f} * log2(E) + {intercept:.3f} "
+                  f"(R^2 {r2:.3f})")
+        else:
+            print("rank growth fit: none, E does not vary")
         ratios = [r.max_rank_R / r.marked_E for r in rows]
         print("R/E trend: " + " ".join(f"{x:.5f}" for x in ratios))
         print()
-    if compare and len(all_rows) == 2:
+    if compare:
         pure = all_rows["pure"]
         comp = all_rows["compiled"]
         print("backend speedup (pure seconds / compiled seconds):")

@@ -67,6 +67,13 @@ def _transform(decl, spec):
         raise CliError(str(exc)) from None
 
 
+def _check_backend(backend):
+    try:
+        get_engine_class(backend)
+    except RuntimeError as exc:  # the compiled core was asked for but not built
+        raise CliError(str(exc)) from None
+
+
 def _rank_value(r):
     return "unreachable" if r == UNREACHABLE else str(int(r))
 
@@ -113,10 +120,7 @@ def cmd_run(args):
         raise CliError("--repeat must be >= 1")
     if args.repeat > 1 and args.trace:
         raise CliError("--trace is only supported for single runs")
-    try:
-        get_engine_class(args.backend)
-    except RuntimeError as exc:  # the compiled core was asked for but not built
-        raise CliError(str(exc)) from None
+    _check_backend(args.backend)
 
     source = DeclProvider(decl, lazy=args.lazy)  # shared by every session
     inputs = _adversary_inputs(args)
@@ -220,6 +224,8 @@ def cmd_bench(args):
             check_random_params(n, args.out_degree, args.fanout)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if args.compare_backends:
+        _check_backend("compiled")
     run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
                   seed=args.seed, compare=args.compare_backends)
     return 0

@@ -4,7 +4,8 @@ responses, termination detection, and transcript/stats emission.
 A session plays one `ModelDecl`, eagerly or, through a `DeclProvider`,
 lazily. It looks edges up in the declaration's `by_id` index; its
 `RankTable` holds ranks, dense ids and each marked vertex's edges, and
-copies nothing else of the declaration.
+copies nothing else of the declaration. One `ensure_settled` call per move
+gives the new state's rank and the edge the tester will stimulate there.
 
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
@@ -113,7 +114,8 @@ class GameState:
         self.transcript: list[MoveRecord] = []
         self.interior_covered: set[str] = set()
         self.terminated: str | None = None
-        self.rank = self.table.ensure_settled(self.current)  # of current; set per move
+        # The current state's rank and least-rank edge; set per move.
+        self.rank, self.least = self.table.ensure_settled(self.current)
 
     # -- accessors -----------------------------------------------------------
 
@@ -121,15 +123,12 @@ class GameState:
     def marked(self) -> Set[str]:
         return self.table.marked
 
-    @property
-    def coverage(self) -> int:
-        return len(self.marked) + len(self.interior_covered)
-
     def states_total(self) -> int:
         return self.table.vertex_count()
 
     def all_marked(self) -> bool:
-        return len(self.marked) == self.table.vertex_count()
+        # The table interns every vertex it knows into the engine.
+        return self.table.eng.unmarked == 0
 
     def edge(self, eid: str):
         """The live edge `eid`: one whose head is marked. KeyError if there
@@ -146,15 +145,11 @@ class GameState:
 
     def tester_choose(self) -> str:
         """The strategy: a minimal-rank live edge at the current state, ties
-        broken by edge id. Its rank is rank(current) - 1 by definition."""
-        r = self.rank
-        if r == UNREACHABLE:
+        broken by edge id. Its rank is rank(current) - 1 by definition; the
+        rank engine checks that it is."""
+        if self.rank == UNREACHABLE:
             raise SessionError("tester_choose on a terminal state")
-        eid, er = self.table.min_rank_edge(self.current)
-        if er != r - 1:
-            raise SessionError(f"min edge rank at {self.current} is {er}, "
-                               f"expected rank(current) - 1 = {r - 1}")
-        return eid
+        return self.least.id
 
     def apply_response(self, eid: str, v: str) -> None:
         """Advance: the system answered `v` to stimulus `eid`. Marks v if
@@ -178,7 +173,7 @@ class GameState:
         for i in e.interior:
             self.interior_covered.add(i)
         self.current = v
-        self.rank = self.table.ensure_settled(v)
+        self.rank, self.least = self.table.ensure_settled(v)
 
     # -- reporting -------------------------------------------------------------
 

@@ -64,8 +64,8 @@ class ModelDecl:
 
     Building one stores `vertices` sorted and `edges` sorted by id (each
     edge's tail keeps its given order), then raises ModelError, naming every
-    violation, unless the initial vertex and every head and tail are
-    declared and no vertex or edge id repeats.
+    violation, unless the initial vertex, every virtual vertex and every
+    head and tail are declared and no vertex or edge id repeats.
     """
 
     initial: str
@@ -81,6 +81,8 @@ class ModelDecl:
         problems = []
         if self.initial not in vset:
             problems.append(f"UnknownVertex({self.initial}): initial vertex not declared")
+        problems.extend(f"UnknownVertex({v}): virtual vertex not declared"
+                        for v in sorted(self.virtual_vertices - vset))
         if len(vset) != len(self.vertices):  # sorted, so a repeat follows its first use
             problems.extend(f"DuplicateVertex({v})"
                             for prev, v in zip(self.vertices, self.vertices[1:]) if v == prev)
@@ -123,7 +125,7 @@ class ModelDecl:
             self,
             vertices=tuple(verts),
             edges=tuple(edges),
-            virtual_vertices=self.virtual_vertices | frozenset(added_virtual),
+            virtual_vertices=(self.virtual_vertices - drop) | frozenset(added_virtual),
         )
 
 

@@ -26,13 +26,6 @@ def get_engine_class(backend=None):
     return PureRankEngine
 
 
-def available_backends():
-    out = ["pure"]
-    if CompiledRankEngine is not None:
-        out.append("compiled")
-    return out
-
-
 from .oracle import UNREACHABLE, oracle_ranks  # noqa: E402
 from .table import RankTable, WorkStats  # noqa: E402
 
@@ -40,7 +33,6 @@ __all__ = [
     "RankTable",
     "UNREACHABLE",
     "WorkStats",
-    "available_backends",
     "get_engine_class",
     "oracle_ranks",
 ]

@@ -1,15 +1,17 @@
 // Compiled rank engine: the algorithm, data layout and work accounting of
 // ranks.pure.PureRankEngine, written against the CPython C API. It
-// implements the engine protocol documented on that class (six methods
+// implements the engine protocol documented on that class (four methods
 // and the read-only counters); see the pure module docstring for the
 // algorithm. As there, a marked vertex's out-edges are one id range,
-// efirst[v] .. efirst[v] + ecount[v] - 1, and set_initial counts no work.
+// efirst[v] .. efirst[v] + ecount[v] - 1, the first mark on an engine marks
+// the initial vertex and counts no work, and ensure returns the rank with
+// the position in that range of the first edge of rank - 1.
 // The two backends must agree exactly on every returned value and every
 // counter; tests/test_rank_engine.py checks that they do.
 //
-// As in the pure engine, every method checks each vertex and edge index it
-// is given (IndexError) and reads a marking's tail lists in full before it
-// changes anything.
+// As in the pure engine, every method checks each vertex index it is given
+// (IndexError) and reads a marking's tail lists in full before it changes
+// anything.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -108,10 +110,6 @@ int read_index(PyObject *obj, size_t count, const char *what, int *out) {
 
 int vertex_index(Engine *self, PyObject *obj, int *out) {
     return read_index(obj, self->st->vstored.size(), "vertex", out);
-}
-
-int edge_index(Engine *self, PyObject *obj, int *out) {
-    return read_index(obj, self->st->estored.size(), "edge", out);
 }
 
 // -- internals ---------------------------------------------------------------
@@ -305,15 +303,17 @@ int put(PyObject *dict, const char *key, PyObject *value) {
     return v.p ? PyDict_SetItemString(dict, key, v.p) : -1;
 }
 
-// Marks v and registers its out-edges: set_initial for the initial vertex,
-// which is set-up (its marker edge leaves the live size, and it counts no
-// work), and mark, which counts a marking and its queue push.
-PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initial) {
+// -- methods -------------------------------------------------------------------
+
+// Marks v and registers its out-edges. The first call on an engine marks
+// the initial vertex, which is set-up: its marker edge leaves the live size,
+// and it counts no marking and no queue op.
+PyObject *Engine_mark(Engine *self, PyObject *args) {
     return guarded(self, [&]() -> PyObject * {
         State &s = *self->st;
         PyObject *vertex, *tail_lists;
         int v;
-        if (!PyArg_UnpackTuple(args, name, 2, 2, &vertex, &tail_lists) ||
+        if (!PyArg_UnpackTuple(args, "mark", 2, 2, &vertex, &tail_lists) ||
             vertex_index(self, vertex, &v) < 0)
             return NULL;
         if (s.vmarked[v]) {
@@ -324,6 +324,7 @@ PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initi
         std::vector<size_t> offsets;
         if (read_tails(self, tail_lists, flat, offsets) < 0)
             return NULL;
+        bool initial = self->unmarked == (i64)s.vstored.size();
         s.vmarked[v] = 1;
         self->unmarked--;
         if (initial)
@@ -342,8 +343,6 @@ PyObject *mark_vertex(Engine *self, PyObject *args, const char *name, bool initi
         Py_RETURN_NONE;
     });
 }
-
-// -- methods -------------------------------------------------------------------
 
 PyObject *Engine_add_vertex(Engine *self, PyObject *) {
     return guarded(self, [&]() -> PyObject * {
@@ -365,14 +364,6 @@ PyObject *Engine_add_vertex(Engine *self, PyObject *) {
     });
 }
 
-PyObject *Engine_set_initial(Engine *self, PyObject *args) {
-    return mark_vertex(self, args, "set_initial", true);
-}
-
-PyObject *Engine_mark(Engine *self, PyObject *args) {
-    return mark_vertex(self, args, "mark", false);
-}
-
 PyObject *Engine_ensure(Engine *self, PyObject *arg) {
     return guarded(self, [&]() -> PyObject * {
         State &s = *self->st;
@@ -380,7 +371,7 @@ PyObject *Engine_ensure(Engine *self, PyObject *arg) {
         if (vertex_index(self, arg, &v) < 0)
             return NULL;
         if (self->unmarked == 0)
-            return PyLong_FromLongLong(UNREACH);
+            return Py_BuildValue("(Li)", UNREACH, -1);
         // Pops until v is certified, flushing whenever this call's pops
         // reach the live-size budget.
         i64 pops = 0;
@@ -402,18 +393,17 @@ PyObject *Engine_ensure(Engine *self, PyObject *arg) {
             }
         }
         i64 r = s.vstored[v];
-        if (r != UNREACH && r > self->max_rank)
+        if (r == UNREACH)
+            return Py_BuildValue("(Li)", r, -1);
+        if (r > self->max_rank)
             self->max_rank = r;
-        return PyLong_FromLongLong(r);
-    });
-}
-
-PyObject *Engine_edge_value(Engine *self, PyObject *arg) {
-    return guarded(self, [&]() -> PyObject * {
-        int e;
-        if (edge_index(self, arg, &e) < 0)
-            return NULL;
-        return PyLong_FromLongLong(self->unmarked == 0 ? UNREACH : self->st->estored[e]);
+        if (!s.vmarked[v])
+            return Py_BuildValue("(Li)", r, -1);
+        for (int k = 0; k < s.ecount[v]; k++)
+            if (s.estored[s.efirst[v] + k] == r - 1)
+                return Py_BuildValue("(Li)", r, k);
+        PyErr_Format(PyExc_AssertionError, "no out-edge of vertex %d has rank %lld", v, r - 1);
+        return NULL;
     });
 }
 
@@ -463,11 +453,12 @@ void Engine_dealloc(Engine *self) {
 
 PyMethodDef Engine_methods[] = {
     METHOD(add_vertex, METH_NOARGS, "add_vertex() -> int: a new unmarked vertex."),
-    METHOD(set_initial, METH_VARARGS,
-           "set_initial(v, tail_lists): mark the initial vertex, add its edges; counts no work."),
-    METHOD(mark, METH_VARARGS, "mark(v, tail_lists): mark v and promote its edges to live."),
-    METHOD(ensure, METH_O, "ensure(v) -> int: drain until v's rank is exact; returns it."),
-    METHOD(edge_value, METH_O, "edge_value(e) -> int: stored rank of edge e."),
+    METHOD(mark, METH_VARARGS,
+           "mark(v, tail_lists): mark v and promote its edges to live; the first call "
+           "marks the initial vertex and counts no work."),
+    METHOD(ensure, METH_O,
+           "ensure(v) -> (rank, k): drain until v's rank is exact; k is the position of "
+           "v's first out-edge of rank - 1, or -1."),
     METHOD(snapshot, METH_NOARGS,
            "snapshot() -> dict: copies of vstored, vdirty, vmarked and estored."),
     {NULL, NULL, 0, NULL},

@@ -39,15 +39,18 @@ class PureRankEngine:
     """Dense-index rank engine; the RankTable wrapper owns string ids.
 
     The engine protocol, which the compiled core (`_core.cpp`) implements
-    with the same results and counters, has six methods:
+    with the same results and counters, has four methods:
 
     - `add_vertex() -> int`: a new unmarked vertex, ids 0, 1, 2, ...;
-    - `set_initial(v, tail_lists)`: mark the initial vertex and register
-      its out-edges; this is set-up, so it counts no marking and no work,
-      and its marker edge leaves the live size;
-    - `mark(v, tail_lists)`: mark v and register its out-edges;
-    - `ensure(v) -> int`: drain until v's rank is exact and return it;
-    - `edge_value(e) -> int`: the stored rank of edge e;
+    - `mark(v, tail_lists)`: mark v and register its out-edges. The first
+      call on an engine (no vertex marked yet) marks the initial vertex:
+      that is set-up, so it counts no marking and no work, and its marker
+      edge leaves the live size;
+    - `ensure(v) -> (rank, k)`: drain until v's rank is exact, and return
+      it with the tester's edge: the position k, within v's out-edges, of
+      the first one of rank `rank - 1` (-1 when v is unmarked or its rank
+      is unreachable). A finite rank with no such edge breaks the engine's
+      invariant and raises AssertionError;
     - `snapshot() -> dict`: plain copies of `vstored`, `vdirty`, `vmarked`
       (by vertex id) and `estored` (by edge id), for tests; it changes no
       counter.
@@ -57,16 +60,11 @@ class PureRankEngine:
 
     `tail_lists` holds one sequence of tail-vertex ids per edge. Edge ids
     are handed out 0, 1, 2, ... in call order. A vertex's out-edges all
-    arrive in one `set_initial` or `mark` call, which rejects an
-    already-marked vertex (ValueError), so they are one id range,
-    `efirst[v]` up to `efirst[v] + ecount[v]`; a caller that counts the
-    edges it hands over knows every range. Every method checks each index
-    it is given (IndexError) before it changes anything. Ranks are ints,
-    and UNREACH_INT stands for "unreachable".
-
-    `RankTable` relies on this: `ensure(v)` returns v's exact rank, and when
-    that rank r is finite, the smallest `edge_value` over v's out-edges is
-    then exact and equals r - 1.
+    arrive in one `mark` call, which rejects an already-marked vertex
+    (ValueError), so they are one id range, `efirst[v]` up to
+    `efirst[v] + ecount[v]`, and k counts from its start. Every method
+    checks each index it is given (IndexError) before it changes anything.
+    Ranks are ints, and UNREACH_INT stands for "unreachable".
 
     Tests derive exactness from a snapshot. Every dirty vertex has a live
     queue entry at its stored value, so the queue minimum is the smallest
@@ -112,19 +110,11 @@ class PureRankEngine:
         self.live_size += 1  # the marker edge itself
         return v
 
-    def set_initial(self, v: int, tail_lists) -> None:
-        """Mark the initial vertex v and register its edges. Set-up: its
-        marker edge leaves the live size, and neither a marking nor work is
-        counted."""
-        self._mark(v, tail_lists, initial=True)
-
     # -- mutations ---------------------------------------------------------
 
     def mark(self, v: int, tail_lists) -> None:
-        """Mark v: drop its marker edge and promote its own edges to live."""
-        self._mark(v, tail_lists, initial=False)
-
-    def _mark(self, v, tail_lists, initial):
+        """Mark v: drop its marker edge and promote its own edges to live.
+        On an engine with no vertex marked yet, v is the initial vertex."""
         self._vertex(v)
         if self.vmarked[v]:
             raise ValueError("vertex already marked")
@@ -132,6 +122,7 @@ class PureRankEngine:
         for tails in tail_lists:
             for t in tails:
                 self._vertex(t)
+        initial = self.unmarked == len(self.vstored)
         self.vmarked[v] = True
         self.unmarked -= 1
         if initial:
@@ -162,16 +153,18 @@ class PureRankEngine:
 
     # -- queries -----------------------------------------------------------
 
-    def ensure(self, v: int) -> int:
+    def ensure(self, v: int) -> tuple[int, int]:
         """Drain until v's rank is certified exact; returns it (UNREACH_INT
-        when unreachable). Repeat calls without mutations do no relaxation.
+        when unreachable) and the position among v's out-edges of the first
+        one of rank `rank - 1`, or -1. Repeat calls without mutations do no
+        relaxation.
         """
         self._vertex(v)
         # No unmarked vertex means no empty-tail base: nothing is reachable.
         # Lazy growth adds unmarked vertices only inside a marking call, so
         # once this holds at a query it holds forever.
         if self.unmarked == 0:
-            return UNREACH_INT
+            return UNREACH_INT, -1
         pops = 0
         budget = self.live_size + len(self.vstored) + 64
         while True:
@@ -188,15 +181,19 @@ class PureRankEngine:
                 self._flush_unreachable()
                 pops = 0
         r = self.vstored[v]
-        if r != UNREACH_INT and r > self.max_rank:
+        if r == UNREACH_INT:
+            return r, -1
+        if r > self.max_rank:
             self.max_rank = r
-        return r
-
-    def edge_value(self, e: int) -> int:
-        self._edge(e)
-        if self.unmarked == 0:
-            return UNREACH_INT
-        return self.estored[e]
+        if not self.vmarked[v]:
+            return r, -1
+        # An exact finite rank r is 1 + the least out-edge value, and those
+        # values lie below the frontier, so they are exact too.
+        first = self.efirst[v]
+        for k, value in enumerate(self.estored[first:first + self.ecount[v]]):
+            if value == r - 1:
+                return r, k
+        raise AssertionError(f"no out-edge of vertex {v} has rank {r - 1}")
 
     def snapshot(self) -> dict:
         """Plain copies of the stored vertex values, dirty and marked flags
@@ -211,10 +208,6 @@ class PureRankEngine:
     def _vertex(self, v):
         if not 0 <= v < len(self.vstored):
             raise IndexError(f"vertex index {v} out of range")
-
-    def _edge(self, e):
-        if not 0 <= e < len(self.estored):
-            raise IndexError(f"edge index {e} out of range")
 
     def _push(self, key, v):
         self.queue_ops += 1

@@ -1,12 +1,11 @@
 """Session-facing rank table: string ids, work accounting, lazy settlement.
 
 Wraps a dense-index engine backend (pure Python or the compiled core) and
-owns the vertex ids. Edges are numbered 0, 1, 2, ... in the order they go to
-the engine, which numbers them the same way. A vertex's out-edges go to the
-engine in one call when it is marked, in id order as `ModelDecl.by_head`
-holds them, so they are one range of dense ids. The table keeps, per marked
-vertex, that range and the edges themselves; it copies nothing else of the
-declaration. One table is bound to one session and is
+owns the vertex ids. A vertex's out-edges go to the engine in one `mark`
+call when it is marked, in id order as `ModelDecl.by_head` holds them. The
+table keeps, per marked vertex, those edges in that order, so the position
+the engine's `ensure` returns for the tester's edge indexes them; it copies
+nothing else of the declaration. One table is bound to one session and is
 mutated single-threaded.
 """
 
@@ -51,17 +50,16 @@ class RankTable:
         engine_cls = get_engine_class(backend)
         self.eng = engine_cls()
         self.vid: dict[str, int] = {}  # in id order
-        # Each marked vertex's range of dense edge ids and its out-edges, in
-        # the same order; its keys, a live view, are the marked vertices.
-        self.out: dict[str, tuple[range, tuple[Edge, ...]]] = {}
+        # Each marked vertex's out-edges, in the order the engine has them;
+        # its keys, a live view, are the marked vertices.
+        self.out: dict[str, tuple[Edge, ...]] = {}
         self.marked: Set[str] = self.out.keys()
-        self._edge_count = 0
 
         self._lazy = not known_vertices
         self._intern_vertex(initial)
         for v in known_vertices:
             self._intern_vertex(v)
-        self._register_edges(initial, initial_edges, self.eng.set_initial)
+        self.apply_marking(initial, initial_edges)  # the engine's first mark: set-up
 
     # -- ids ----------------------------------------------------------------
 
@@ -77,52 +75,38 @@ class RankTable:
 
     def live_edge_objects(self) -> list[Edge]:
         """Every live edge, in dense id order."""
-        return [e for _, edges in self.out.values() for e in edges]
+        return [e for edges in self.out.values() for e in edges]
 
     # -- mutations ------------------------------------------------------------
 
-    def _register_edges(self, head: str, edges, engine_mark):
-        """Mark head through `engine_mark` (the engine's `mark`, or
-        `set_initial` for the initial vertex), handing it head's edges in id
-        order, as `ModelDecl.by_head` holds them; they take the next dense
-        edge ids."""
-        edges = tuple(edges)
+    def apply_marking(self, v: str, new_edges) -> None:
+        """Mark v, promoting its edges, given in id order as
+        `ModelDecl.by_head` holds them, to live. Lazy sessions meet new
+        vertices here, in the new tails."""
+        if v in self.marked:
+            raise ValueError(f"vertex {v} already marked")
+        head = self._intern_vertex(v)
+        edges = tuple(new_edges)
         for e in edges:  # before interning, so that a rejected call adds nothing
-            if e.head != head:
-                raise ValueError(f"edge {e.id} has head {e.head}, expected {head}")
+            if e.head != v:
+                raise ValueError(f"edge {e.id} has head {e.head}, expected {v}")
         if self._lazy:
             intern = self._intern_vertex
             tails = [[intern(t) for t in e.tail] for e in edges]
         else:
             vid = self.vid
             tails = [[vid[t] for t in e.tail] for e in edges]
-        engine_mark(self.vid[head], tails)
-        first = self._edge_count
-        self._edge_count += len(edges)
-        self.out[head] = (range(first, self._edge_count), edges)
-
-    def apply_marking(self, v: str, new_edges) -> None:
-        """Mark v, promoting its edges to live. Lazy sessions meet new
-        vertices here, in the new tails."""
-        if v in self.marked:
-            raise ValueError(f"vertex {v} already marked")
-        self._intern_vertex(v)
-        self._register_edges(v, new_edges, self.eng.mark)
+        self.eng.mark(head, tails)
+        self.out[v] = edges
 
     # -- queries --------------------------------------------------------------
 
-    def ensure_settled(self, v: str) -> float:
-        return _out(self.eng.ensure(self.vid[v]))
-
-    def min_rank_edge(self, v: str) -> tuple[str | None, float]:
-        """The lowest-id live edge of least stored rank at the marked vertex
-        v, and that rank; (None, UNREACHABLE) when v has no edge."""
-        ids, edges = self.out[v]
-        if not edges:
-            return None, UNREACHABLE
-        value = self.eng.edge_value
-        e = min(ids, key=value)
-        return edges[e - ids.start].id, _out(value(e))
+    def ensure_settled(self, v: str) -> tuple[float, Edge | None]:
+        """v's exact rank and the tester's edge there: the lowest-id live
+        edge of least rank, which is rank - 1. The edge is None when v is
+        unmarked or unreachable."""
+        r, k = self.eng.ensure(self.vid[v])
+        return _out(r), (self.out[v][k] if k >= 0 else None)
 
     def snapshot_work(self) -> WorkStats:
         e = self.eng

@@ -104,7 +104,7 @@ class TestAvoiderMatchesReference:
                 assert Avoider().respond(gs, eid) == want
                 drained += gs.table.snapshot_work().work > before
                 answers += 1
-                unreachable += gs.table.ensure_settled(want) == UNREACHABLE
+                unreachable += gs.table.ensure_settled(want)[0] == UNREACHABLE
         assert answers > 300 and unreachable > 30 and drained > 10
 
     def test_reused_instance_plays_like_fresh(self):

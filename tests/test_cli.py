@@ -218,6 +218,14 @@ class TestConfigErrorsExit2:
         assert self._one_line_error(capsys, "compiled rank engine requested "
                                             "but not built") == ""
 
+    def test_compare_backends_needs_the_compiled_core(self, monkeypatch, capsys):
+        # Rejected before any session runs: nothing reaches stdout.
+        monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)
+        assert main(["bench", "--min-pow", "3", "--max-pow", "3",
+                     "--compare-backends"]) == 2
+        assert self._one_line_error(capsys, "compiled rank engine requested "
+                                            "but not built") == ""
+
     @pytest.mark.parametrize("flag", ["--stats", "--trace"])
     def test_unwritable_run_output(self, flag, g1_path, tmp_path, capsys):
         bad = tmp_path / "no-such-dir" / "out"
@@ -346,6 +354,22 @@ class TestGen:
     def test_gen_bad_fanout_exit_2(self, tmp_path):
         assert main(["gen", "random", "--states", "3", "--out-degree", "1",
                      "--fanout", "5", "-o", str(tmp_path / "x.hg")]) == 2
+
+
+class TestBench:
+    def test_one_size_fits_no_line(self, capsys):
+        # One size is one point: no slope, intercept or R^2 to report.
+        assert main(["bench", "--min-pow", "3", "--max-pow", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.pop(2).split()[:-1] == ["8", "3", "2", "34", "95", "1.3380"]
+        assert lines == [  # less the row, whose last column is the seconds
+            "backend: default",
+            "       n        E    R    H_prime         work  work/(E+R*H)  seconds",
+            "work bound fit: work <= 1.338 * (E + R*H')",
+            "rank growth fit: none, E does not vary",
+            "R/E trend: 0.66667",
+            "",
+        ]
 
 
 def test_version(capsys):

@@ -31,24 +31,24 @@ class TestStart:
     def test_g1(self, g1):
         gs = GameState(g1)
         assert gs.current == "s0"
-        assert gs.coverage == 1
+        assert gs.stats().coverage == 1
         assert gs.rank == 2
         assert not gs.is_terminal()
         # Only the initial vertex's edge is live; b and c stay dead until
         # their heads are marked, and s1, s2 hold rank 1 by their markers.
         assert incident_ids(gs.table, "s0") == ["a"]
         assert [e.id for e in gs.table.live_edge_objects()] == ["a"]
-        assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == 1
+        assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == (1, None)
 
     def test_single_vertex_model(self):
         gs = GameState(parse_model("initial s0\n"))
         assert gs.is_terminal()
-        assert gs.coverage == 1
+        assert gs.stats().coverage == 1
 
     def test_g3_terminal_at_start(self, g3):
         gs = GameState(g3)
         assert gs.is_terminal()
-        assert gs.coverage == 1
+        assert gs.stats().coverage == 1
 
 
 class TestTesterChoose:
@@ -80,18 +80,21 @@ class TestTesterChoose:
             gs.tester_choose()
 
     def test_rank_invariant_is_checked(self, g1):
-        # An explicit raise, which `python -O` keeps.
-        gs = GameState(g1)
-        gs.rank = 5  # no edge at s0 has rank 4
-        with pytest.raises(SessionError, match="expected rank"):
-            gs.tester_choose()
+        # The engine finds the tester's edge where it settles the rank, and
+        # raises explicitly, which `python -O` keeps, when no edge at the
+        # state has rank(state) - 1.
+        gs = GameState(g1, backend="pure")
+        assert (gs.rank, gs.least.id) == (2, "a")
+        gs.table.eng.estored[0] = 5  # edge a, rank 1, now reads 5
+        with pytest.raises(AssertionError, match="no out-edge of vertex 0 has rank 1"):
+            gs.table.ensure_settled("s0")
 
 
 class TestApplyResponse:
     def test_g1_marks_and_blocks(self, g1):
         gs = GameState(g1)
         gs.apply_response("a", "s1")
-        assert gs.coverage == 2
+        assert gs.stats().coverage == 2
         assert gs.current == "s1"
         assert gs.is_terminal()
 
@@ -99,7 +102,7 @@ class TestApplyResponse:
         gs = GameState(g2)
         gs.apply_response("e1", "s1")
         gs.apply_response("e2", "s2")
-        assert gs.coverage == 3
+        assert gs.stats().coverage == 3
         assert gs.all_marked()
         assert gs.is_terminal()
 
@@ -108,11 +111,11 @@ class TestApplyResponse:
         for eid, v in [("p", "m"), ("pm", "m2"), ("z", "s0"), ("p", "m")]:
             gs.apply_response(eid, v)
         # current m has rank 3; the strategy edge leads to marked m2 (rank 2)
-        cov = gs.coverage
+        cov = gs.stats().coverage
         assert gs.rank == 3
         assert gs.tester_choose() == "pm"
         gs.apply_response("pm", "m2")
-        assert gs.coverage == cov
+        assert gs.stats().coverage == cov
         assert gs.rank == 2
 
     def test_illegal_response_rejected(self, g1):

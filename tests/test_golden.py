@@ -140,7 +140,7 @@ def flush_digest(backend):
     lines = []
     for v in order:
         table.apply_marking(v, by_head.get(v, []))
-        lines.append(repr([table.ensure_settled(u) for u in probe]))
+        lines.append(repr([table.ensure_settled(u)[0] for u in probe]))
     work = table.snapshot_work()
     assert work.flushes >= 1
     text = "\n".join(lines) + repr(work)

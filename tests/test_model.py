@@ -115,6 +115,15 @@ class TestValidate:
             "UnknownVertex(s9): initial vertex not declared; "
             "DuplicateVertex(s1); DuplicateVertex(s1); UnknownVertex(zz): tail of edge a")
 
+    def test_unknown_virtual_vertex(self):
+        with pytest.raises(ModelError) as exc:
+            ModelDecl(initial="s0", vertices=("s0",), edges=(Edge("a", "s0", ("zz",)),),
+                      virtual_vertices=frozenset({"zz", "s0", "yy"}))
+        assert str(exc.value) == (
+            "UnknownVertex(yy): virtual vertex not declared; "
+            "UnknownVertex(zz): virtual vertex not declared; "
+            "UnknownVertex(zz): tail of edge a")
+
     def test_unknown_head(self):
         with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): head of edge a$"):
             ModelDecl(initial="s0", vertices=("s0",), edges=(Edge("a", "zz", ("s0",)),))
@@ -138,6 +147,13 @@ class TestGameGraph:
                             drop_vertices=["s1", "s2"])
         assert out.vertices == ("s0", "s1", "x")  # added wins over drop
         assert out.virtual_vertices == {"s1", "x"}
+
+    def test_with_edges_drops_virtual_vertices(self, g1):
+        # A dropped virtual vertex leaves the virtual set with the vertex set.
+        virt = g1.with_edges(g1.edges, added_virtual=["x", "y"])
+        out = virt.with_edges(virt.edges, drop_vertices=["x"])
+        assert out.vertices == ("s0", "s1", "s2", "y")
+        assert out.virtual_vertices == {"y"}
 
     def test_with_edges_validates(self, g1):
         with pytest.raises(ModelError, match=r"^UnknownVertex\(s2\): tail of edge a; "

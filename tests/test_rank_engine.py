@@ -8,7 +8,7 @@ from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import format_stats, format_trace, run_session
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import RankTable, UNREACHABLE, get_engine_class
-from hypergame.ranks.pure import PureRankEngine
+from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
 from hypergame.ranks.oracle import oracle_ranks
 
 from conftest import (edges_by_head, lost_base_decl, random_decl, require_compiled,
@@ -27,7 +27,7 @@ class TestBatch:
         t, _ = make_table(g1, backend)
         vr, er = oracle_ranks(g1.vertices, g1.edges, {"s0"}, include_dead=False)
         for v in g1.vertices:
-            assert t.ensure_settled(v) == vr[v]
+            assert t.ensure_settled(v)[0] == vr[v]
         _, edges = snapshot_ranks(t)
         assert edges["a"] == (er["a"], True)
 
@@ -39,7 +39,7 @@ class TestBatch:
         assert vertices["s1"] == vertices["s2"] == (1, True)
         rank, exact = vertices["s0"]
         assert not exact and rank <= 2  # a lower bound of its true rank 2
-        assert t.ensure_settled("s0") == 2
+        assert t.ensure_settled("s0")[0] == 2
         vertices, edges = snapshot_ranks(t)
         assert all(exact for _, exact in vertices.values())
         assert edges["a"] == (1, True)
@@ -52,37 +52,37 @@ class TestBatch:
         t.apply_marking("s1", by_head["s1"])
         # every vertex marked: nothing reachable
         for v in decl.vertices:
-            assert t.ensure_settled(v) == UNREACHABLE
+            assert t.ensure_settled(v)[0] == UNREACHABLE
 
 
 class TestEnsureSettled:
     def test_g1_initial(self, g1, backend):
         t, _ = make_table(g1, backend)
-        assert t.ensure_settled("s0") == 2
+        assert t.ensure_settled("s0")[0] == 2
 
     def test_g1_after_marking_s1(self, g1, backend):
         t, by_head = make_table(g1, backend)
         t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1") == UNREACHABLE
-        assert t.ensure_settled("s2") == 1
+        assert t.ensure_settled("s1")[0] == UNREACHABLE
+        assert t.ensure_settled("s2")[0] == 1
 
     def test_g2_marking_promotes_dead_edges(self, g2, backend):
         t, by_head = make_table(g2, backend)
         t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1") == 2  # via e2 whose tail s2 has rank 1
+        assert t.ensure_settled("s1")[0] == 2  # via e2 whose tail s2 has rank 1
 
     def test_repeat_call_is_free(self, g1, backend):
         t, _ = make_table(g1, backend)
-        assert t.ensure_settled("s0") == 2
+        assert t.ensure_settled("s0")[0] == 2
         before = t.snapshot_work().relaxations
-        assert t.ensure_settled("s0") == 2
+        assert t.ensure_settled("s0")[0] == 2
         assert t.snapshot_work().relaxations == before
 
     def test_marking_sink_gives_unreachable(self, g2, backend):
         t, by_head = make_table(g2, backend)
         t.apply_marking("s1", by_head["s1"])
         t.apply_marking("s2", [])  # sink: no edges of its own
-        assert t.ensure_settled("s2") == UNREACHABLE
+        assert t.ensure_settled("s2")[0] == UNREACHABLE
 
 
 class TestMarkingErrors:
@@ -112,7 +112,7 @@ class TestMarkingErrors:
             t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
         assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
         t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1") == UNREACHABLE
+        assert t.ensure_settled("s1")[0] == UNREACHABLE
 
     def test_eager_table_only_looks_up_tails(self, g1, backend):
         # An eager table knows every vertex: a tail outside them is an
@@ -124,7 +124,7 @@ class TestMarkingErrors:
             t.apply_marking("s1", [Edge("a1", "s1", ("n1",))])
         assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
         t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1") == UNREACHABLE
+        assert t.ensure_settled("s1")[0] == UNREACHABLE
 
     def test_pure_rank_decrease_is_checked(self):
         # A stored rank above its recomputed value breaks the engine's
@@ -132,8 +132,8 @@ class TestMarkingErrors:
         # under `python -O`.
         eng = PureRankEngine()
         h, t = eng.add_vertex(), eng.add_vertex()
-        eng.set_initial(h, [(t,)])
-        assert eng.ensure(h) == 2
+        eng.mark(h, [(t,)])
+        assert eng.ensure(h) == (2, 0)
         eng.vstored[h] = 5
         eng.vdirty[h] = True
         eng.heap.append((5, h))
@@ -195,7 +195,7 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
             assert rank == er[e] if exact else rank <= er[e], (e, rank, er[e])
         if ensure_each_step:
             for v in decl.vertices:
-                got = t.ensure_settled(v)
+                got, _ = t.ensure_settled(v)
                 assert got == vr[v], (v, got, vr[v], marked)
                 prev = last_exact.get(v)
                 if prev is not None:
@@ -205,11 +205,15 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
             for e in decl.edges:
                 if e.head in marked:
                     assert edges[e.id] == (er[e.id], True)
-            # The tester's query: the lowest-id edge of least rank at v.
+            # The tester's query: the lowest-id edge of least rank at v, none
+            # when v is unreachable.
             for v in marked:
                 least = min(((er[e.id], e.id) for e in by_head.get(v, [])),
                             default=(UNREACHABLE, None))
-                assert t.min_rank_edge(v) == least[::-1], (v, least)
+                rank, edge = t.ensure_settled(v)
+                assert rank - 1 == least[0], (v, rank, least)
+                want = None if rank == UNREACHABLE else least[1]
+                assert (edge.id if edge else None) == want, (v, edge, least)
         if not order:
             return t
         v = order.pop()
@@ -271,9 +275,9 @@ def test_backends_agree_exactly(request):
 
 
 def test_index_out_of_range(backend):
-    # Every method that takes a vertex or edge index rejects one past the
-    # end, and a negative one, with IndexError on both backends, tail
-    # indices included.
+    # Every method that takes a vertex index rejects one past the end, and
+    # a negative one, with IndexError on both backends, tail indices
+    # included.
     cls = get_engine_class(backend)
 
     def blank():
@@ -284,33 +288,35 @@ def test_index_out_of_range(backend):
 
     def fresh():
         eng = blank()
-        eng.set_initial(0, [(1,)])
-        return eng  # 2 vertices, 1 edge
+        eng.mark(0, [(1,)])
+        return eng  # 2 vertices, 1 edge, the initial vertex 0 marked
 
-    for bad_v, bad_e in ((2, 1), (-1, -1)):
+    for bad_v in (2, -1):
         calls = [
             lambda e: e.ensure(bad_v),
             lambda e: e.mark(bad_v, [()]), lambda e: e.mark(1, [(0, bad_v)]),
-            lambda e: e.edge_value(bad_e),
         ]
         for call in calls:
             with pytest.raises(IndexError):
                 call(fresh())
-        for call in (lambda e: e.set_initial(bad_v, []),
-                     lambda e: e.set_initial(0, [(1,), (bad_v,)])):
+        for call in (lambda e: e.mark(bad_v, []),
+                     lambda e: e.mark(0, [(1,), (bad_v,)])):
             with pytest.raises(IndexError):
                 call(blank())
 
     def state(e):
-        return (e.ensure(0), e.ensure(1), e.edge_value(0), e.markings,
+        return (e.ensure(0), e.ensure(1), e.markings,
                 e.live_size, e.queue_ops, e.relaxations, e.snapshot())
 
     # A call rejected for a bad tail index changes nothing: the engine then
-    # takes the same call as one that never saw the bad one.
+    # takes the same call as one that never saw the bad one. After a
+    # rejected first mark, the next mark is still the set-up one, which
+    # counts no marking and no queue op.
     eng = blank()
     with pytest.raises(IndexError):
-        eng.set_initial(0, [(1,), (2,)])
-    assert eng.set_initial(0, [(1,)]) is None
+        eng.mark(0, [(1,), (2,)])
+    assert eng.mark(0, [(1,)]) is None
+    assert (eng.markings, eng.queue_ops) == (0, 0)
     assert state(eng) == state(fresh())
     eng, ref = fresh(), fresh()
     with pytest.raises(IndexError):
@@ -322,11 +328,27 @@ def test_index_out_of_range(backend):
     for marked in (0, 1):
         with pytest.raises(ValueError, match="already marked"):
             eng.mark(marked, [])
-        with pytest.raises(ValueError, match="already marked"):
-            eng.set_initial(marked, [])
 
 
-ENGINE_API = {"add_vertex", "set_initial", "mark", "ensure", "edge_value", "snapshot"}
+def test_ensure_returns_the_least_edge_position(backend):
+    # ensure(v) returns v's rank and the position, among v's out-edges, of
+    # the first one of rank - 1; -1 for an unmarked vertex, a marked sink
+    # and every vertex once all are marked.
+    eng = get_engine_class(backend)()
+    s0, s1, s2 = (eng.add_vertex() for _ in range(3))
+    eng.mark(s0, [(s1, s0), (s1,), (s2,)])  # edge ranks 2, 1, 1
+    assert eng.ensure(s0) == (2, 1)
+    assert eng.ensure(s1) == (1, -1)  # unmarked
+    eng.mark(s2, [])
+    assert eng.ensure(s2) == (UNREACH_INT, -1)  # a marked sink
+    assert eng.ensure(s0) == (2, 1)
+    eng.mark(s1, [(s0,)])
+    assert eng.unmarked == 0
+    assert [eng.ensure(v) for v in (s0, s1, s2)] == [(UNREACH_INT, -1)] * 3
+    assert (eng.markings, eng.max_rank) == (2, 2)
+
+
+ENGINE_API = {"add_vertex", "mark", "ensure", "snapshot"}
 ENGINE_COUNTERS = {"unmarked", "relaxations", "queue_ops", "live_size",
                    "markings", "max_rank", "flushes"}
 
@@ -346,7 +368,7 @@ def test_snapshot_copies_and_counts_nothing(backend):
     cls = get_engine_class(backend)
     eng = cls()
     h, t = eng.add_vertex(), eng.add_vertex()
-    eng.set_initial(h, [(t,), (h, t)])
+    eng.mark(h, [(t,), (h, t)])
     # Set-up counts no work and no marking.
     assert (eng.relaxations, eng.queue_ops, eng.flushes, eng.markings) == (0, 0, 0, 0)
     counters = [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)]
@@ -356,4 +378,4 @@ def test_snapshot_copies_and_counts_nothing(backend):
     snap["vstored"][0] = 9  # a copy: the engine does not see it
     assert eng.snapshot()["vstored"] == [1, 1]
     assert [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)] == counters
-    assert eng.ensure(h) == 2
+    assert eng.ensure(h) == (2, 0)

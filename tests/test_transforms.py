@@ -224,3 +224,14 @@ class TestComposition:
         from hypergame.model import parse_model as pm, serialize_model as sm
         out, _ = apply_transforms(g3, ["break-self-loops", "edge-coverage"])
         assert pm(sm(out)) == out
+
+    def test_compressed_away_virtual_vertices_leave_the_model(self):
+        # compress-chains folds the waypoints a.E, b.E and d.E that
+        # edge-coverage added; they leave the virtual set too.
+        from hypergame.model import parse_model as pm, serialize_model as sm
+        decl = pm("initial s0\nedge a s0 -> s1\nedge b s1 -> s2\n"
+                  "edge c s2 -> s0 s3\nedge d s3 -> s0\n")
+        out, _ = apply_transforms(decl, ["edge-coverage", "compress-chains"])
+        assert out.vertices == ("c.E", "s0", "s3")
+        assert out.virtual_vertices == {"c.E"}
+        assert pm(sm(out)) == out
