@@ -1,22 +1,27 @@
 """Scaling measurements: instrumented work against the E + R*H' budget, the
 growth of R in E on random bounded-degree models, and a wall-clock comparison
-of the pure and compiled engine backends.
+of the pure and compiled engine backends, printed and, on request, written
+as JSON.
 """
 
 from __future__ import annotations
 
 import math
+import platform
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 
 from .adversaries import RandomFair
 from .engine import run_session
 from .providers import gen_random_bounded_degree
+from .ranks import get_engine_class
 
 
 @dataclass
 class ScalingRow:
     n: int
+    seed: int
     marked_E: int
     max_rank_R: int
     live_size_H: int
@@ -42,9 +47,9 @@ def measure_session(n, out_degree=3, fanout=2, seed=1, backend=None) -> ScalingR
                            backend=backend)
     dt = time.perf_counter() - t0
     w = stats.work
-    return ScalingRow(n=n, marked_E=stats.states_marked, max_rank_R=stats.max_rank_R,
-                      live_size_H=w.live_size_H_prime, work=w.work,
-                      moves=stats.moves, seconds=dt, terminated=stats.terminated)
+    return ScalingRow(n=n, seed=seed, marked_E=stats.states_marked,
+                      max_rank_R=stats.max_rank_R, live_size_H=w.live_size_H_prime,
+                      work=w.work, moves=stats.moves, seconds=dt, terminated=stats.terminated)
 
 
 def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backend=None):
@@ -87,18 +92,19 @@ def rank_growth_fit(rows):
 
 
 def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
+    """Print the scaling table and both fits per backend (the default one,
+    or pure and compiled with `compare`). Returns {backend name: rows}."""
     backends = ["pure", "compiled"] if compare else [None]
     all_rows = {}
     for backend in backends:
-        label = backend or "default"
-        print(f"backend: {label}")
+        print(f"backend: {backend or 'default'}")
         print(f"{'n':>8} {'E':>8} {'R':>4} {'H_prime':>10} {'work':>12} "
               f"{'work/(E+R*H)':>13} {'seconds':>8}")
         rows = scaling_rows(sizes, out_degree, fanout, seed, backend=backend)
         for r in rows:
             print(f"{r.n:>8} {r.marked_E:>8} {r.max_rank_R:>4} {r.live_size_H:>10} "
                   f"{r.work:>12} {r.ratio:>13.4f} {r.seconds:>8.3f}")
-        all_rows[label] = rows
+        all_rows[get_engine_class(backend)().backend] = rows
         c, fit = work_fit(rows)
         line = f"work bound fit: work <= {c:.3f} * (E + R*H')"
         if fit:
@@ -123,3 +129,44 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
             ratio = p.seconds / c.seconds if c.seconds > 0 else float("inf")
             print(f"{p.n:>8} {ratio:>8.2f}x")
     return all_rows
+
+
+def _cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _fit_json(fit):
+    if fit is None:
+        return None
+    slope, intercept, r2 = fit
+    return {"slope": slope, "intercept": intercept, "r2": r2}
+
+
+def benchmark_json(all_rows, out_degree, fanout, seed) -> dict:
+    """`run_benchmark`'s rows and fits with the host and settings, as one
+    JSON-ready dict."""
+    backends = {}
+    for name, rows in all_rows.items():
+        c, fit = work_fit(rows)
+        backends[name] = {
+            "rows": [{"n": r.n, "seed": r.seed, "E": r.marked_E, "R": r.max_rank_R,
+                      "H_prime": r.live_size_H, "work": r.work, "ratio": r.ratio,
+                      "seconds": r.seconds, "moves": r.moves,
+                      "terminated": r.terminated} for r in rows],
+            "work_fit": {"c": c, "log_log": _fit_json(fit)},
+            "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
+        }
+    return {
+        "host": {"python": platform.python_version(), "cpu": _cpu_name(),
+                 "date": datetime.now(timezone.utc).isoformat(timespec="seconds")},
+        "settings": {"sizes": [r.n for r in next(iter(all_rows.values()))],
+                     "out_degree": out_degree, "fanout": fanout, "seed": seed},
+        "backends": backends,
+    }

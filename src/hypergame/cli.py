@@ -214,7 +214,7 @@ def cmd_gen(args):
 
 
 def cmd_bench(args):
-    from .bench import run_benchmark
+    from .bench import benchmark_json, run_benchmark
 
     if not 0 <= args.min_pow <= args.max_pow:
         raise CliError("need 0 <= --min-pow <= --max-pow")
@@ -226,8 +226,11 @@ def cmd_bench(args):
         raise CliError(str(exc)) from None
     if args.compare_backends:
         _check_backend("compiled")
-    run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
-                  seed=args.seed, compare=args.compare_backends)
+    rows = run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
+                         seed=args.seed, compare=args.compare_backends)
+    if args.json:
+        doc = benchmark_json(rows, args.out_degree, args.fanout, args.seed)
+        _write_text(args.json, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -297,6 +300,8 @@ def _parser():
     pb.add_argument("--fanout", type=int, default=2)
     pb.add_argument("--seed", type=int, default=1)
     pb.add_argument("--compare-backends", action="store_true")
+    pb.add_argument("--json", metavar="PATH",
+                    help="also write the rows, fits and host as JSON here")
     pb.set_defaults(func=cmd_bench)
     return p
 

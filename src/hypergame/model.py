@@ -17,6 +17,7 @@ from operator import attrgetter
 
 REAL = "real"
 VIRTUAL = "virtual"
+INTERIOR = "interior"
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _IDS_RE = re.compile(r"[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*\Z")  # space-joined ids
@@ -52,9 +53,12 @@ class Edge:
         if self.kind not in (REAL, VIRTUAL):
             raise ModelError(f"edge {self.id}: kind {self.kind!r} is neither "
                              f"{REAL!r} nor {VIRTUAL!r}")
-        if not self.tail:
+        tail = self.tail
+        n = len(tail)
+        if not n:
             raise ModelError(f"edge {self.id}: empty tail on {self.kind} edge")
-        if len(set(self.tail)) != len(self.tail):
+        # Most tails hold one or two vertices; only longer ones need a set.
+        if n == 2 and tail[0] == tail[1] or n > 2 and len(set(tail)) != n:
             raise ModelError(f"edge {self.id}: duplicate tail vertex")
 
 
@@ -65,7 +69,12 @@ class ModelDecl:
     Building one stores `vertices` sorted and `edges` sorted by id (each
     edge's tail keeps its given order), then raises ModelError, naming every
     violation, unless the initial vertex, every virtual vertex and every
-    head and tail are declared and no vertex or edge id repeats.
+    head and tail are declared, no vertex or edge id repeats, and
+    `serialize_model` can write every name where `parse_model` reads it
+    back. The format's tail keywords make that false for a vertex named
+    `interior`, and for a tail or interior vertex named `virtual` except as
+    the last tail vertex of a virtual edge, which the parser reads after
+    the keyword.
     """
 
     initial: str
@@ -86,6 +95,9 @@ class ModelDecl:
         if len(vset) != len(self.vertices):  # sorted, so a repeat follows its first use
             problems.extend(f"DuplicateVertex({v})"
                             for prev, v in zip(self.vertices, self.vertices[1:]) if v == prev)
+        if INTERIOR in vset:
+            problems.append(f"ReservedVertex({INTERIOR})")
+        virtual_named = VIRTUAL in vset
         prev = None
         for e in self.edges:
             if e.id == prev:  # sorted, so a repeated id follows its first use
@@ -96,6 +108,11 @@ class ModelDecl:
             if not vset.issuperset(e.tail):
                 problems.extend(f"UnknownVertex({t}): tail of edge {e.id}"
                                 for t in e.tail if t not in vset)
+            if virtual_named and VIRTUAL in e.tail and (e.kind != VIRTUAL
+                                                        or e.tail[-1] != VIRTUAL):
+                problems.append(f"ReservedVertex({VIRTUAL}): tail of edge {e.id}")
+            if e.interior and e.kind == REAL and VIRTUAL in e.interior:
+                problems.append(f"ReservedVertex({VIRTUAL}): interior of edge {e.id}")
         if problems:
             raise ModelError("; ".join(problems))
 
@@ -228,11 +245,11 @@ def _parse_edge_line(line, fields, lineno, edge_ids):
     tail = fields[4:]
     kind = REAL
     interior = []
-    if "virtual" in tail:
-        tail.remove("virtual")
+    if VIRTUAL in tail:
+        tail.remove(VIRTUAL)
         kind = VIRTUAL
-    if "interior" in tail:
-        i = tail.index("interior")
+    if INTERIOR in tail:
+        i = tail.index(INTERIOR)
         interior = tail[i + 1 :]
         del tail[i:]
     # One match checks every token. Only when it fails are they checked one
@@ -273,9 +290,9 @@ def serialize_model(decl: ModelDecl) -> str:
             escaped = e.label.replace("\\", "\\\\").replace('"', '\\"')
             parts.append(f'label "{escaped}"')
         if e.kind == VIRTUAL:
-            parts.append("virtual")
+            parts.append(VIRTUAL)
         if e.interior:
-            parts.append("interior")
+            parts.append(INTERIOR)
             parts.extend(e.interior)
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"

@@ -12,17 +12,21 @@
 // As in the pure engine, every method checks each vertex index it is given
 // (IndexError) and reads a marking's tail lists in full before it changes
 // anything.
+//
+// Both queues pop (key, vertex) entries in increasing order, keeping stale
+// and repeated ones, so they count the same queue ops. Keys are finite
+// stored ranks, 1 .. vertex count: this one is a bucket queue indexed by
+// key (R. Dial, CACM 12(11), 1969).
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 
+#include <algorithm>
 #include <climits>
 #include <exception>
 #include <functional>
 #include <new>
-#include <queue>
-#include <utility>
 #include <vector>
 
 namespace {
@@ -31,9 +35,34 @@ typedef long long i64;
 
 const i64 UNREACH = (i64)1 << 62;  // ranks.pure.UNREACH_INT
 
-// A queue entry (key, vertex); the heap pops the smallest pair first, as
-// heapq does on the pure engine's tuples.
-typedef std::pair<i64, int> Item;
+// One min-heap of vertex ids per key; the cursor is at or below the least
+// key with an entry.
+struct Queue {
+    std::vector<std::vector<int>> buckets;
+    size_t cursor = 0, count = 0;
+    void push(i64 key, int v) {
+        size_t k = (size_t)key;
+        if (k >= buckets.size())
+            buckets.resize(k + 1);
+        buckets[k].push_back(v);
+        std::push_heap(buckets[k].begin(), buckets[k].end(), std::greater<int>());
+        cursor = std::min(cursor, k);
+        count++;
+    }
+    // The least entry's key, with its vertex in v; the queue is not empty.
+    i64 top(int &v) {
+        while (buckets[cursor].empty())
+            cursor++;
+        v = buckets[cursor].front();
+        return (i64)cursor;
+    }
+    void pop() {  // the entry top() gave
+        std::vector<int> &b = buckets[cursor];
+        std::pop_heap(b.begin(), b.end(), std::greater<int>());
+        b.pop_back();
+        count--;
+    }
+};
 
 struct State {
     std::vector<i64> vstored;
@@ -45,7 +74,7 @@ struct State {
     std::vector<i64> estored;
     std::vector<int> ehead;
     std::vector<int> etail_count;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+    Queue queue;
 };
 
 struct Engine {
@@ -116,17 +145,18 @@ int vertex_index(Engine *self, PyObject *obj, int *out) {
 
 void push(Engine *self, i64 key, int v) {
     self->queue_ops++;
-    self->st->heap.push(Item(key, v));
+    self->st->queue.push(key, v);
 }
 
 // Smallest live key, popping stale entries; -1 when the queue is empty.
 i64 peek(Engine *self) {
     State &s = *self->st;
-    while (!s.heap.empty()) {
-        const Item &top = s.heap.top();
-        if (s.vdirty[top.second] && top.first == s.vstored[top.second])
-            return top.first;
-        s.heap.pop();
+    while (s.queue.count) {
+        int v;
+        i64 key = s.queue.top(v);
+        if (s.vdirty[v] && key == s.vstored[v])
+            return key;
+        s.queue.pop();
         self->queue_ops++;
     }
     return -1;
@@ -134,15 +164,14 @@ i64 peek(Engine *self) {
 
 int step(Engine *self) {
     State &s = *self->st;
-    if (s.heap.empty()) {
+    if (!s.queue.count) {
         PyErr_SetString(PyExc_AssertionError, "dirty vertex missing from the queue");
         return -1;
     }
-    Item top = s.heap.top();
-    s.heap.pop();
+    int y;
+    i64 key = s.queue.top(y);
+    s.queue.pop();
     self->queue_ops++;
-    i64 key = top.first;
-    int y = top.second;
     if (!s.vdirty[y] || key != s.vstored[y])
         return 0;
     self->relaxations++;
@@ -335,7 +364,7 @@ PyObject *Engine_mark(Engine *self, PyObject *args) {
         // lower bound and the queue drains it on demand.
         if (!s.vdirty[v]) {
             s.vdirty[v] = 1;
-            s.heap.push(Item(s.vstored[v], v));
+            s.queue.push(s.vstored[v], v);
             if (!initial)
                 self->queue_ops++;
         }

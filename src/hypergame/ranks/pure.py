@@ -66,6 +66,12 @@ class PureRankEngine:
     checks each index it is given (IndexError) before it changes anything.
     Ranks are ints, and UNREACH_INT stands for "unreachable".
 
+    The queue pops its entries (key, vertex) in increasing pair order, as
+    heapq orders the tuples here. Stale entries (the vertex is clean, or
+    its stored value moved) and repeated ones stay in it until popped, and
+    every push and pop counts one queue op. The compiled core's bucket
+    queue keeps that order and those entries, so the counters agree.
+
     Tests derive exactness from a snapshot. Every dirty vertex has a live
     queue entry at its stored value, so the queue minimum is the smallest
     stored value of a dirty vertex (none: no bound). A clean vertex is exact

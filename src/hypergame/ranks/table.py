@@ -34,10 +34,6 @@ class WorkStats:
         return self.relaxations + self.queue_ops
 
 
-def _out(value: int) -> float:
-    return UNREACHABLE if value >= UNREACH_INT else value
-
-
 class RankTable:
     """Vertex/edge ranks for one session, maintained decrementally."""
 
@@ -82,19 +78,32 @@ class RankTable:
     def apply_marking(self, v: str, new_edges) -> None:
         """Mark v, promoting its edges, given in id order as
         `ModelDecl.by_head` holds them, to live. Lazy sessions meet new
-        vertices here, in the new tails."""
-        if v in self.marked:
+        vertices here, as v and in the new tails; an eager table rejects a
+        vertex it was not given. A rejected call changes nothing."""
+        if v in self.out:
             raise ValueError(f"vertex {v} already marked")
-        head = self._intern_vertex(v)
         edges = tuple(new_edges)
-        for e in edges:  # before interning, so that a rejected call adds nothing
+        for e in edges:
             if e.head != v:
                 raise ValueError(f"edge {e.id} has head {e.head}, expected {v}")
+        vid = self.vid
         if self._lazy:
-            intern = self._intern_vertex
-            tails = [[intern(t) for t in e.tail] for e in edges]
+            head = self._intern_vertex(v)
+            get = vid.get
+            add = self.eng.add_vertex
+            tails = []
+            for e in edges:
+                ids = []
+                for t in e.tail:
+                    i = get(t)
+                    if i is None:
+                        i = vid[t] = add()
+                    ids.append(i)
+                tails.append(ids)
         else:
-            vid = self.vid
+            head = vid.get(v)
+            if head is None:
+                raise ValueError(f"vertex {v} is not in the table")
             tails = [[vid[t] for t in e.tail] for e in edges]
         self.eng.mark(head, tails)
         self.out[v] = edges
@@ -106,7 +115,9 @@ class RankTable:
         edge of least rank, which is rank - 1. The edge is None when v is
         unmarked or unreachable."""
         r, k = self.eng.ensure(self.vid[v])
-        return _out(r), (self.out[v][k] if k >= 0 else None)
+        if k >= 0:
+            return r, self.out[v][k]
+        return (UNREACHABLE if r >= UNREACH_INT else r), None
 
     def snapshot_work(self) -> WorkStats:
         e = self.eng

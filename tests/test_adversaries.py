@@ -206,7 +206,7 @@ class TestAvoider:
 def _mark_via(gs, decl):
     """Drive gs with a fair adversary until b is marked or the session ends."""
     adv = RandomFair(0)
-    while not gs.is_terminal() and not gs.all_marked() and "b" not in gs.marked:
+    while not gs.is_terminal() and gs.table.eng.unmarked and "b" not in gs.marked:
         eid = gs.tester_choose()
         gs.apply_response(eid, adv.respond(gs, eid))
     return gs

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 
 import pytest
 
@@ -8,7 +9,7 @@ import hypergame.ranks
 from hypergame.cli import main
 from hypergame.model import ModelDecl
 
-from conftest import G1_TEXT, G2_TEXT, G3_TEXT
+from conftest import G1_TEXT, G2_TEXT, G3_TEXT, require_compiled
 
 
 @pytest.fixture
@@ -370,6 +371,43 @@ class TestBench:
             "R/E trend: 0.66667",
             "",
         ]
+
+    def test_json_file(self, tmp_path, request, capsys):
+        # Per backend, the rows bench prints and both fits, plus the host.
+        require_compiled(request.config)
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--min-pow", "3", "--max-pow", "4", "--compare-backends",
+                     "--json", str(out)]) == 0
+        printed = capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"host", "settings", "backends"}
+        assert set(doc["host"]) == {"python", "cpu", "date"}
+        assert doc["host"]["python"] == platform.python_version()
+        assert doc["settings"] == {"sizes": [8, 16], "out_degree": 3, "fanout": 2,
+                                   "seed": 1}
+        assert set(doc["backends"]) == {"pure", "compiled"}
+        for result in doc["backends"].values():
+            assert set(result) == {"rows", "work_fit", "rank_growth_fit"}
+            assert [(r["n"], r["seed"]) for r in result["rows"]] == [(8, 1), (16, 2)]
+            row = result["rows"][0]
+            assert set(row) == {"n", "seed", "E", "R", "H_prime", "work", "ratio",
+                                "seconds", "moves", "terminated"}
+            assert f"{row['n']:>8} {row['E']:>8} {row['R']:>4} {row['H_prime']:>10} " \
+                   f"{row['work']:>12} {row['ratio']:>13.4f}" in printed
+            assert row["ratio"] == row["work"] / (row["E"] + max(1, row["R"]) * row["H_prime"])
+            assert row["terminated"] in ("all_marked", "unreachable", "move_cap")
+            assert set(result["work_fit"]) == {"c", "log_log"}
+            assert set(result["work_fit"]["log_log"]) == {"slope", "intercept", "r2"}
+            assert result["work_fit"]["c"] == max(r["ratio"] for r in result["rows"])
+        # Seeded rows agree across backends but for the seconds.
+        strip = [[{k: v for k, v in r.items() if k != "seconds"} for r in b["rows"]]
+                 for b in doc["backends"].values()]
+        assert strip[0] == strip[1]
+
+    def test_json_unwritable(self, tmp_path, capsys):
+        bad = tmp_path / "no-such-dir" / "bench.json"
+        assert main(["bench", "--min-pow", "3", "--max-pow", "3", "--json", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
 
 
 def test_version(capsys):

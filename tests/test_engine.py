@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
 from hypergame.adversaries import Avoider, RandomFair, Scripted
 from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
-                              AdversaryProtocolError, GameState, SessionError,
-                              format_trace, run_session)
+                              AdversaryProtocolError, GameState, MoveRecord,
+                              SessionError, format_trace, run_session)
 from hypergame.model import parse_model
 from hypergame.providers import DeclProvider
 from hypergame.ranks import UNREACHABLE
@@ -103,7 +104,7 @@ class TestApplyResponse:
         gs.apply_response("e1", "s1")
         gs.apply_response("e2", "s2")
         assert gs.stats().coverage == 3
-        assert gs.all_marked()
+        assert gs.table.eng.unmarked == 0
         assert gs.is_terminal()
 
     def test_revisit_decreases_rank_without_marking(self):
@@ -200,6 +201,26 @@ class TestRunSession:
         _, stats = run_session(parse_model("initial s0\n"), RandomFair(0))
         assert stats.terminated == ALL_MARKED
         assert stats.states_marked == 1
+
+
+class TestMoveRecord:
+    def test_slotted(self):
+        rec = MoveRecord(3, "s0", "a", "s1", True, 2)
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.note = "x"
+
+    def test_replace_makes_a_changed_copy(self):
+        rec = MoveRecord(3, "s0", "a", "s1", True, 2)
+        other = dataclasses.replace(rec, response="s2", newly_marked=False)
+        assert other == MoveRecord(3, "s0", "a", "s2", False, 2)
+        assert rec == MoveRecord(3, "s0", "a", "s1", True, 2)
+
+    def test_line(self, g1):
+        assert MoveRecord(3, "s0", "a", "s1", True, 2).line() == "3\ts0\ta\ts1\t1\t2"
+        assert MoveRecord(1, "s1", "b", "s0", False, -1).line() == "1\ts1\tb\ts0\t0\t-1"
+        transcript, _ = run_session(g1, Scripted(["s1"]))
+        assert format_trace(transcript) == "1\ts0\ta\ts1\t1\t2\n"
 
 
 class TestDeterminism:

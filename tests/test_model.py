@@ -99,6 +99,44 @@ class TestValidate:
                 Edge("x", "s0", ("s1",), kind=kind)
         assert Edge("x", "s0", ("s1",), kind="virtual").kind == "virtual"
 
+    def test_duplicate_tail_vertex(self):
+        # Tails of one or two vertices are checked without a set; every
+        # length gives the same message.
+        for tail in (("s1", "s1"), ("s1", "s2", "s1"), ("s2", "s1", "s3", "s3")):
+            with pytest.raises(ModelError, match="^edge x: duplicate tail vertex$"):
+                Edge("x", "s0", tail)
+        for tail in (("s1",), ("s1", "s2"), ("s2", "s1", "s3")):
+            assert Edge("x", "s0", tail).tail == tail
+
+    def test_reserved_vertex_names(self):
+        # A name that the format reads as a keyword is rejected wherever
+        # serialize_model would write it where parse_model reads the
+        # keyword: a vertex `interior`, and `virtual` in a tail or interior
+        # other than as a virtual edge's last tail vertex.
+        with pytest.raises(ModelError, match=r"^ReservedVertex\(interior\)$"):
+            ModelDecl(initial="s0", vertices=("s0", "interior"),
+                      edges=(Edge("a", "s0", ("interior",)),))
+        with pytest.raises(ModelError) as exc:
+            ModelDecl(initial="s0", vertices=("s0", "virtual", "w"),
+                      edges=(Edge("a", "s0", ("virtual",)),
+                             Edge("b", "s0", ("virtual", "w"), kind="virtual"),
+                             Edge("c", "s0", ("s0",), interior=("virtual",))))
+        assert str(exc.value) == ("ReservedVertex(virtual): tail of edge a; "
+                                  "ReservedVertex(virtual): tail of edge b; "
+                                  "ReservedVertex(virtual): interior of edge c")
+        with pytest.raises(ModelError, match=r"^line 2: edge a: empty tail on virtual edge$"):
+            parse_model("initial s0\nedge a s0 -> virtual\n")
+        with pytest.raises(ModelError, match=r"^ReservedVertex\(interior\)$"):
+            parse_model("initial s0\nvertex interior\n")
+        # These round-trip, so they stay valid.
+        decl = ModelDecl(initial="virtual", vertices=("s0", "virtual", "w"),
+                         edges=(Edge("a", "virtual", ("w", "virtual"), kind="virtual",
+                                     interior=("virtual", "interior")),
+                                Edge("b", "s0", ("s0",), interior=("interior",))))
+        assert serialize_model(decl).splitlines()[-2] == (
+            "edge a virtual -> virtual w virtual interior virtual interior")
+        assert parse_model(serialize_model(decl)) == decl
+
     def test_duplicate_edge_ids_reported(self):
         with pytest.raises(ModelError, match=r"^DuplicateEdgeId\(a\)$"):
             ModelDecl(initial="s0", vertices=("s0", "s1"),
@@ -166,25 +204,53 @@ class TestGameGraph:
 
 
 
+# Every valid identifier can name a vertex or an interior, the format's
+# keywords included.
+IDS = st.one_of(st.sampled_from(["virtual", "interior", "label", "edge", "vertex",
+                                 "initial", "model"]),
+                st.from_regex(r"[A-Za-z0-9_.-]{1,3}", fullmatch=True))
+
+
 @st.composite
-def decls(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    vs = tuple(f"v{i}" for i in range(n))
+def decl_parts(draw):
+    vs = tuple(draw(st.lists(IDS, min_size=1, max_size=6, unique=True)))
     m = draw(st.integers(min_value=0, max_value=8))
     edges = []
     for j in range(m):
         head = draw(st.sampled_from(vs))
-        size = draw(st.integers(min_value=1, max_value=n))
+        size = draw(st.integers(min_value=1, max_value=len(vs)))
         tail = tuple(sorted(draw(st.permutations(vs))[:size]))
         label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"']))
-        edges.append(Edge(f"e{j}", head, tail, label=label))
-    name = draw(st.sampled_from(["", "m1"]))
-    return ModelDecl(initial=vs[0], vertices=vs, edges=tuple(edges), name=name)
+        kind = draw(st.sampled_from(["real", "virtual"]))
+        interior = tuple(draw(st.lists(IDS, max_size=2)))
+        edges.append(Edge(f"e{j}", head, tail, kind, label, interior))
+    return {"initial": vs[0], "vertices": vs, "edges": tuple(edges),
+            "name": draw(st.sampled_from(["", "m1"])),
+            "virtual_vertices": frozenset(draw(st.lists(st.sampled_from(vs))))}
 
 
-@settings(max_examples=150, deadline=None)
-@given(decls())
-def test_serialize_parse_round_trip(decl):
+def _build(parts):
+    try:
+        return ModelDecl(**parts)
+    except ModelError:
+        return None
+
+
+def decls():
+    return decl_parts().map(_build).filter(lambda d: d is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decl_parts())
+def test_serialize_parse_round_trip(parts):
+    # Every declaration that can be built comes back from its text; a draw
+    # is invalid only for a keyword name.
+    decl = _build(parts)
+    if decl is None:
+        with pytest.raises(ModelError) as exc:
+            ModelDecl(**parts)
+        assert all(p.startswith("ReservedVertex(") for p in str(exc.value).split("; "))
+        return
     assert parse_model(serialize_model(decl)) == decl
 
 

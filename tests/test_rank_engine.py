@@ -104,15 +104,25 @@ class TestMarkingErrors:
 
     def test_rejected_marking_adds_no_vertex(self, g1, backend):
         # Edge a1 is valid and names a new vertex, edge c has the wrong
-        # head: the lazy table learns nothing from the rejected call.
+        # head; then a vertex the table has not seen is marked with an edge
+        # of another head. Neither rejected call adds a vertex, eager or
+        # lazy, and an eager table also rejects a vertex it was not given.
         from hypergame.model import Edge
-        t, by_head = make_table(g1, backend, lazy=True)
-        before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
-        with pytest.raises(ValueError, match="head"):
-            t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
-        assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
-        t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1")[0] == UNREACHABLE
+        for lazy in (False, True):
+            t, by_head = make_table(g1, backend, lazy=lazy)
+            before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
+            with pytest.raises(ValueError, match="head"):
+                t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
+            assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
+            with pytest.raises(ValueError, match="^edge b has head s1, expected zz$"):
+                t.apply_marking("zz", [Edge("b", "s1", ("s0",))])
+            assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
+            if not lazy:
+                with pytest.raises(ValueError, match="^vertex zz is not in the table$"):
+                    t.apply_marking("zz", [])
+                assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
+            t.apply_marking("s1", by_head["s1"])
+            assert t.ensure_settled("s1")[0] == UNREACHABLE
 
     def test_eager_table_only_looks_up_tails(self, g1, backend):
         # An eager table knows every vertex: a tail outside them is an
@@ -379,3 +389,74 @@ def test_snapshot_copies_and_counts_nothing(backend):
     assert eng.snapshot()["vstored"] == [1, 1]
     assert [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)] == counters
     assert eng.ensure(h) == (2, 0)
+
+
+def on_both(engines, call):
+    """call(engine) on the pure and the compiled engine: equal results and
+    equal counters. Returns the result."""
+    out = [call(eng) for eng in engines]
+    assert out[0] == out[1]
+    assert ([getattr(engines[0], c) for c in sorted(ENGINE_COUNTERS)]
+            == [getattr(engines[1], c) for c in sorted(ENGINE_COUNTERS)])
+    return out[0]
+
+
+def test_bucket_queue_keeps_the_heap_order(request):
+    # The compiled core's bucket queue pops (key, vertex) entries in the
+    # order of the pure engine's heap, keeps stale entries, and counts the
+    # same queue ops. Each case below is confirmed on the pure heap; after
+    # every step both backends return the same (rank, k) pairs and
+    # counters. A repeated (key, vertex) entry cannot be made through the
+    # protocol: a vertex is pushed only while it has no entry.
+    require_compiled(request.config)
+    engines = (PureRankEngine(), get_engine_class("compiled")())
+    heap = engines[0].heap
+
+    # A chain 0 -> 1 -> 2 -> 3; three entries share key 1 and pop in vertex
+    # order. The drain for vertex 2 leaves the least key at 3.
+    for _ in range(5):
+        on_both(engines, lambda e: e.add_vertex())
+    for v in range(3):
+        on_both(engines, lambda e: e.mark(v, [(v + 1,)]))
+    assert sorted(heap) == [(1, 0), (1, 1), (1, 2)]
+    assert on_both(engines, lambda e: e.ensure(2)) == (2, 0)
+    assert sorted(heap) == [(3, 0), (3, 1)]
+    # A mark pushes key 1, below the least key in the queue.
+    on_both(engines, lambda e: e.mark(3, [(4,)]))
+    assert min(heap) == (1, 3)
+    assert [on_both(engines, lambda e: e.ensure(v)) for v in range(5)] == [
+        (5, 0), (4, 0), (3, 0), (2, 0), (1, -1)]
+
+    # A lost base beside a chain of 40 states: draining to the chain's top
+    # overruns the work budget while the lost region creeps, so that
+    # ensure call flushes, which leaves stale entries, and then drains on.
+    from hypergame.model import Edge, ModelDecl
+    decl, order = lost_base_decl(random.Random(31))
+    chain = [f"p{i:02d}" for i in range(40)] + ["z"]
+    decl = ModelDecl(decl.initial, decl.vertices + tuple(chain[:-1]),
+                     decl.edges + tuple(Edge(v, v, (w,)) for v, w in zip(chain, chain[1:])))
+    order = chain[:-1] + order
+    tables = [make_table(decl, backend)[0] for backend in ("pure", "compiled")]
+    engines = tuple(t.eng for t in tables)
+    pure = engines[0]
+    flushes = []  # (queue ops, stale entries) after each flush
+    real_flush = pure._flush_unreachable
+
+    def flush():
+        real_flush()
+        stale = sum(1 for k, v in pure.heap if not pure.vdirty[v] or k != pure.vstored[v])
+        flushes.append((pure.queue_ops, stale))
+
+    pure._flush_unreachable = flush
+    vid = tables[0].vid
+    by_head = edges_by_head(decl)
+    mid_drain = False
+    for v in order:
+        tails = [[vid[t] for t in e.tail] for e in by_head.get(v, [])]
+        on_both(engines, lambda e: e.mark(vid[v], tails))
+        for u in decl.vertices:
+            seen = len(flushes)
+            on_both(engines, lambda e: e.ensure(vid[u]))
+            mid_drain |= len(flushes) > seen and pure.queue_ops > flushes[-1][0]
+    assert mid_drain
+    assert any(stale for _, stale in flushes)
