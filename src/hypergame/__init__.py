@@ -9,7 +9,9 @@ strategy to avoid all further coverage.
 A session runs as `hypergame run` runs it: `parse_model`, then
 `apply_transforms`, then `run_session` on the declaration (eager) or on a
 `DeclProvider` (lazy) against an adversary from `make_adversary`;
-`format_trace` and `format_stats` render the result. Every `ModelDecl`,
+`format_trace` and `format_stats` render the result. The session's
+`RankTable(source)` is the one reader of the declaration's edges: each
+`apply_marking(v)` takes v's edges from the provider. Every `ModelDecl`,
 parsed, generated or transformed, is sorted and validated when it is built,
 so no later step checks it again.
 """

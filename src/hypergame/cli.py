@@ -61,8 +61,11 @@ def _load_decl(path, strict=False):
 
 def _transform(decl, spec):
     """Apply the comma-separated rewrites in `spec` (None: none)."""
+    names = spec.split(",") if spec else []
+    if "" in names:
+        raise CliError(f"empty transform name in {spec!r}")
     try:
-        return apply_transforms(decl, spec.split(",") if spec else [])
+        return apply_transforms(decl, names)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 

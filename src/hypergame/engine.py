@@ -2,10 +2,11 @@
 responses, termination detection, and transcript/stats emission.
 
 A session plays one `ModelDecl`, eagerly or, through a `DeclProvider`,
-lazily. It looks edges up in the declaration's `by_id` index; its
-`RankTable` holds ranks, dense ids and each marked vertex's edges, and
-copies nothing else of the declaration. One `ensure_settled` call per move
-gives the new state's rank and the edge the tester will stimulate there.
+lazily. It looks a stimulated edge up in the declaration's `by_id` index;
+its `RankTable` plays the provider, holding ranks, dense ids and each marked
+vertex's edges, which it alone takes from `expand`. One `ensure_settled`
+call per move gives the new state's rank and the edge the tester will
+stimulate there.
 
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
@@ -108,13 +109,10 @@ class GameState:
         eagerly, or a `DeclProvider`, which chooses lazy or eager play."""
         if isinstance(source, ModelDecl):
             source = DeclProvider(source, lazy=False)
-        self.source = source
         self.decl = decl = source.decl
         self.by_id = decl.by_id  # read per move; cheaper than the cached property
         self.lazy = source.lazy
-        known = () if self.lazy else decl.vertices
-        self.table = RankTable(decl.initial, source.expand(decl.initial),
-                               known_vertices=known, backend=backend)
+        self.table = RankTable(source, backend=backend)
         self.current = decl.initial
         self.moves = 0
         self.transcript: list[MoveRecord] = []
@@ -172,7 +170,7 @@ class GameState:
                        rank_before if rank_before != UNREACHABLE else -1)
         )
         if newly:
-            table.apply_marking(v, self.source.expand(v))
+            table.apply_marking(v)
         if e.interior:
             self.interior_covered.update(e.interior)
         self.current = v

@@ -1,12 +1,14 @@
 """Session-facing rank table: string ids, work accounting, lazy settlement.
 
 Wraps a dense-index engine backend (pure Python or the compiled core) and
-owns the vertex ids. A vertex's out-edges go to the engine in one `mark`
-call when it is marked, in id order as `ModelDecl.by_head` holds them. The
-table keeps, per marked vertex, those edges in that order, so the position
-the engine's `ensure` returns for the tester's edge indexes them; it copies
-nothing else of the declaration. One table is bound to one session and is
-mutated single-threaded.
+owns the vertex ids. The table plays one `DeclProvider`: it is the only
+reader of the declaration's edges in a session. Marking a vertex makes
+exactly that vertex's declared edges live, so the table takes them from
+`source.expand(v)` and hands them to the engine in one `mark` call, in id
+order as `ModelDecl.by_head` holds them. It keeps, per marked vertex, those
+edges in that order, so the position the engine's `ensure` returns for the
+tester's edge indexes them; it copies nothing else of the declaration. One
+table is bound to one session and is mutated single-threaded.
 """
 
 from __future__ import annotations
@@ -35,36 +37,28 @@ class WorkStats:
 
 
 class RankTable:
-    """Vertex/edge ranks for one session, maintained decrementally."""
+    """Vertex/edge ranks for one session's provider, maintained
+    decrementally over the edges its markings have promoted."""
 
-    def __init__(self, initial: str, initial_edges, known_vertices=(), backend=None):
-        """initial_edges: the edges incident on the initial vertex (live from
-        the start). known_vertices pre-interns the full vertex set for eager
-        sessions, whose tails are then only looked up; lazy sessions leave it
-        empty and grow on demand.
+    def __init__(self, source, backend=None):
+        """Intern the initial vertex, then, unless `source.lazy`, every
+        declared vertex in sorted order; mark the initial vertex. A lazy
+        table meets the other vertices as tails of the edges it promotes.
         """
         engine_cls = get_engine_class(backend)
         self.eng = engine_cls()
-        self.vid: dict[str, int] = {}  # in id order
+        self.source = source
+        decl = source.decl
+        known = (decl.initial,) if source.lazy else (decl.initial, *decl.vertices)
+        # Dense ids, in id order.
+        self.vid: dict[str, int] = {v: self.eng.add_vertex() for v in dict.fromkeys(known)}
         # Each marked vertex's out-edges, in the order the engine has them;
         # its keys, a live view, are the marked vertices.
         self.out: dict[str, tuple[Edge, ...]] = {}
         self.marked: Set[str] = self.out.keys()
-
-        self._lazy = not known_vertices
-        self._intern_vertex(initial)
-        for v in known_vertices:
-            self._intern_vertex(v)
-        self.apply_marking(initial, initial_edges)  # the engine's first mark: set-up
+        self.apply_marking(decl.initial)  # the engine's first mark: set-up
 
     # -- ids ----------------------------------------------------------------
-
-    def _intern_vertex(self, name: str) -> int:
-        v = self.vid.get(name)
-        if v is None:
-            v = self.eng.add_vertex()
-            self.vid[name] = v
-        return v
 
     def vertex_count(self) -> int:
         return len(self.vid)
@@ -75,36 +69,29 @@ class RankTable:
 
     # -- mutations ------------------------------------------------------------
 
-    def apply_marking(self, v: str, new_edges) -> None:
-        """Mark v, promoting its edges, given in id order as
-        `ModelDecl.by_head` holds them, to live. Lazy sessions meet new
-        vertices here, as v and in the new tails; an eager table rejects a
-        vertex it was not given. A rejected call changes nothing."""
+    def apply_marking(self, v: str) -> None:
+        """Mark v, promoting its declared edges to live and interning the
+        tail vertices the table has not met. ValueError, and no change, if v
+        is already marked or not met yet: a session marks only the current
+        state's answer, a tail of a live edge."""
         if v in self.out:
             raise ValueError(f"vertex {v} already marked")
-        edges = tuple(new_edges)
-        for e in edges:
-            if e.head != v:
-                raise ValueError(f"edge {e.id} has head {e.head}, expected {v}")
         vid = self.vid
-        if self._lazy:
-            head = self._intern_vertex(v)
-            get = vid.get
-            add = self.eng.add_vertex
-            tails = []
-            for e in edges:
-                ids = []
-                for t in e.tail:
-                    i = get(t)
-                    if i is None:
-                        i = vid[t] = add()
-                    ids.append(i)
-                tails.append(ids)
-        else:
-            head = vid.get(v)
-            if head is None:
-                raise ValueError(f"vertex {v} is not in the table")
-            tails = [[vid[t] for t in e.tail] for e in edges]
+        get = vid.get
+        head = get(v)
+        if head is None:
+            raise ValueError(f"vertex {v} is not in the table")
+        edges = self.source.expand(v)
+        add = self.eng.add_vertex
+        tails = []
+        for e in edges:
+            ids = []
+            for t in e.tail:
+                i = get(t)
+                if i is None:
+                    i = vid[t] = add()
+                ids.append(i)
+            tails.append(ids)
         self.eng.mark(head, tails)
         self.out[v] = edges
 

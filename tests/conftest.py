@@ -172,13 +172,6 @@ def random_decl(rng: random.Random, max_vertices=12, max_edges=20,
     return ModelDecl(initial=vs[0], vertices=tuple(vs), edges=tuple(edges))
 
 
-def edges_by_head(decl):
-    out = {}
-    for e in decl.edges:
-        out.setdefault(e.head, []).append(e)
-    return {h: sorted(es, key=lambda e: e.id) for h, es in out.items()}
-
-
 def lost_base_decl(rng: random.Random, cycles=12):
     """A cyclic region that loses its last unmarked base, with the marking
     order that makes it do so.

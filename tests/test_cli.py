@@ -259,6 +259,7 @@ class TestConfigErrorsExit2:
     @pytest.mark.parametrize("spec,needle", [
         ("nope", "unknown transform(s): nope"),
         ("edge-coverage,branch-coverage", "mutually exclusive"),
+        ("branch-coverage,", "empty transform name in 'branch-coverage,'"),
     ])
     def test_bad_run_transform(self, spec, needle, g1_path, capsys):
         assert main(["run", g1_path, "--transform", spec]) == 2
@@ -384,7 +385,7 @@ class TestBench:
         assert set(doc["host"]) == {"python", "cpu", "date"}
         assert doc["host"]["python"] == platform.python_version()
         assert doc["settings"] == {"sizes": [8, 16], "out_degree": 3, "fanout": 2,
-                                   "seed": 1}
+                                   "seed": 1, "repeats": 3}
         assert set(doc["backends"]) == {"pure", "compiled"}
         for result in doc["backends"].values():
             assert set(result) == {"rows", "work_fit", "rank_growth_fit"}
@@ -403,6 +404,25 @@ class TestBench:
         strip = [[{k: v for k, v in r.items() if k != "seconds"} for r in b["rows"]]
                  for b in doc["backends"].values()]
         assert strip[0] == strip[1]
+
+    def test_row_seconds_are_the_median_of_fresh_sessions(self, monkeypatch):
+        # A row plays its session three times, each with a fresh adversary,
+        # and reports the median of the three times.
+        import types
+        import hypergame.bench as bench
+        adversaries = []
+        real_run_session = bench.run_session
+
+        def run_session(decl, adversary, **kwargs):
+            adversaries.append(adversary)
+            return real_run_session(decl, adversary, **kwargs)
+
+        ticks = iter([0.0, 5.0, 10.0, 11.0, 20.0, 23.0])  # 5 s, 1 s, 3 s
+        monkeypatch.setattr(bench, "run_session", run_session)
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        row = bench.measure_session(8, seed=1, backend="pure")
+        assert row.seconds == 3.0
+        assert len(adversaries) == len({id(a) for a in adversaries}) == bench.REPEATS == 3
 
     def test_json_unwritable(self, tmp_path, capsys):
         bad = tmp_path / "no-such-dir" / "bench.json"

@@ -29,7 +29,7 @@ from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import RankTable
 from hypergame.transforms import apply_transforms
 
-from conftest import G1_TEXT, G2_TEXT, G3_TEXT, edges_by_head, lost_base_decl
+from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl
 
 MODELS = ["random1", "random2", "random3", "lostbase"]
 TRANSFORMS = ["none", "branch-coverage"]
@@ -131,15 +131,13 @@ def session_digest(model, transform, mode, adversary, backend):
 
 def flush_digest(backend):
     decl, order = _model("lostbase")
-    by_head = edges_by_head(decl)
-    table = RankTable(decl.initial, by_head.get(decl.initial, []),
-                      known_vertices=sorted(decl.vertices), backend=backend)
+    table = RankTable(DeclProvider(decl, lazy=False), backend=backend)
     # Ranks are read in the order lost_base_decl lists the vertices: s0, c,
     # z, then the ring states (which sort in the order they were made).
     probe = ["s0", "c", "z"] + [v for v in decl.vertices if v.startswith("r")]
     lines = []
     for v in order:
-        table.apply_marking(v, by_head.get(v, []))
+        table.apply_marking(v)
         lines.append(repr([table.ensure_settled(u)[0] for u in probe]))
     work = table.snapshot_work()
     assert work.flushes >= 1

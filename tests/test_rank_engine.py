@@ -11,20 +11,16 @@ from hypergame.ranks import RankTable, UNREACHABLE, get_engine_class
 from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
 from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import (edges_by_head, lost_base_decl, random_decl, require_compiled,
-                      snapshot_ranks)
+from conftest import lost_base_decl, random_decl, require_compiled, snapshot_ranks
 
 
 def make_table(decl, backend, lazy=False):
-    by_head = edges_by_head(decl)
-    known = () if lazy else sorted(decl.vertices)
-    return RankTable(decl.initial, by_head.get(decl.initial, []),
-                     known_vertices=known, backend=backend), by_head
+    return RankTable(DeclProvider(decl, lazy=lazy), backend=backend)
 
 
 class TestBatch:
     def test_g1_full_matches_oracle(self, g1, backend):
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         vr, er = oracle_ranks(g1.vertices, g1.edges, {"s0"}, include_dead=False)
         for v in g1.vertices:
             assert t.ensure_settled(v)[0] == vr[v]
@@ -34,7 +30,7 @@ class TestBatch:
     def test_g1_threshold_one(self, g1, backend):
         # A fresh table has drained nothing: s0 waits in the queue at its
         # stored value 1, so only values up to 1 are certified.
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         vertices, _ = snapshot_ranks(t)
         assert vertices["s1"] == vertices["s2"] == (1, True)
         rank, exact = vertices["s0"]
@@ -48,8 +44,8 @@ class TestBatch:
         from hypergame.model import Edge, ModelDecl
         decl = ModelDecl(initial="s0", vertices=("s0", "s1"),
                          edges=(Edge("a", "s0", ("s1",)), Edge("b", "s1", ("s0",))))
-        t, by_head = make_table(decl, backend)
-        t.apply_marking("s1", by_head["s1"])
+        t = make_table(decl, backend)
+        t.apply_marking("s1")
         # every vertex marked: nothing reachable
         for v in decl.vertices:
             assert t.ensure_settled(v)[0] == UNREACHABLE
@@ -57,84 +53,61 @@ class TestBatch:
 
 class TestEnsureSettled:
     def test_g1_initial(self, g1, backend):
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         assert t.ensure_settled("s0")[0] == 2
 
     def test_g1_after_marking_s1(self, g1, backend):
-        t, by_head = make_table(g1, backend)
-        t.apply_marking("s1", by_head["s1"])
+        t = make_table(g1, backend)
+        t.apply_marking("s1")
         assert t.ensure_settled("s1")[0] == UNREACHABLE
         assert t.ensure_settled("s2")[0] == 1
 
     def test_g2_marking_promotes_dead_edges(self, g2, backend):
-        t, by_head = make_table(g2, backend)
-        t.apply_marking("s1", by_head["s1"])
+        t = make_table(g2, backend)
+        t.apply_marking("s1")
         assert t.ensure_settled("s1")[0] == 2  # via e2 whose tail s2 has rank 1
 
     def test_repeat_call_is_free(self, g1, backend):
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         assert t.ensure_settled("s0")[0] == 2
         before = t.snapshot_work().relaxations
         assert t.ensure_settled("s0")[0] == 2
         assert t.snapshot_work().relaxations == before
 
     def test_marking_sink_gives_unreachable(self, g2, backend):
-        t, by_head = make_table(g2, backend)
-        t.apply_marking("s1", by_head["s1"])
-        t.apply_marking("s2", [])  # sink: no edges of its own
+        t = make_table(g2, backend)
+        t.apply_marking("s1")
+        t.apply_marking("s2")  # sink: no edges of its own
         assert t.ensure_settled("s2")[0] == UNREACHABLE
 
 
 class TestMarkingErrors:
     def test_already_marked(self, g1, backend):
-        t, by_head = make_table(g1, backend)
-        t.apply_marking("s1", by_head["s1"])
+        t = make_table(g1, backend)
+        t.apply_marking("s1")
         with pytest.raises(ValueError, match="already marked"):
-            t.apply_marking("s1", [])
+            t.apply_marking("s1")
 
     def test_initial_cannot_be_marked(self, g1, backend):
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         with pytest.raises(ValueError, match="already marked"):
-            t.apply_marking("s0", [])
+            t.apply_marking("s0")
 
-    def test_wrong_head_rejected(self, g1, backend):
-        t, by_head = make_table(g1, backend)
-        with pytest.raises(ValueError, match="head"):
-            t.apply_marking("s1", by_head["s2"])
-
-    def test_rejected_marking_adds_no_vertex(self, g1, backend):
-        # Edge a1 is valid and names a new vertex, edge c has the wrong
-        # head; then a vertex the table has not seen is marked with an edge
-        # of another head. Neither rejected call adds a vertex, eager or
-        # lazy, and an eager table also rejects a vertex it was not given.
-        from hypergame.model import Edge
+    def test_rejected_marking_adds_no_vertex(self, g1, g2, backend):
+        # An already-marked vertex and one the table has not met are both
+        # rejected, eager and lazy, and a rejected call changes nothing. A
+        # lazy table has not met s2 of G2 until s1's edge names it.
         for lazy in (False, True):
-            t, by_head = make_table(g1, backend, lazy=lazy)
-            before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
-            with pytest.raises(ValueError, match="head"):
-                t.apply_marking("s1", [Edge("a1", "s1", ("n1",))] + by_head["s2"])
-            assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
-            with pytest.raises(ValueError, match="^edge b has head s1, expected zz$"):
-                t.apply_marking("zz", [Edge("b", "s1", ("s0",))])
-            assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
-            if not lazy:
-                with pytest.raises(ValueError, match="^vertex zz is not in the table$"):
-                    t.apply_marking("zz", [])
-                assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
-            t.apply_marking("s1", by_head["s1"])
-            assert t.ensure_settled("s1")[0] == UNREACHABLE
-
-    def test_eager_table_only_looks_up_tails(self, g1, backend):
-        # An eager table knows every vertex: a tail outside them is an
-        # error, not a new vertex, and the rejected call changes nothing.
-        from hypergame.model import Edge
-        t, by_head = make_table(g1, backend)
-        before = (list(t.vid), t.eng.unmarked, t.eng.live_size)
-        with pytest.raises(KeyError, match="n1"):
-            t.apply_marking("s1", [Edge("a1", "s1", ("n1",))])
-        assert (list(t.vid), t.eng.unmarked, t.eng.live_size) == before
-        t.apply_marking("s1", by_head["s1"])
-        assert t.ensure_settled("s1")[0] == UNREACHABLE
+            cases = [(g1, "s0", "already marked"), (g1, "zz", "is not in the table")]
+            cases += [(g2, "s2", "is not in the table")] * lazy
+            for decl, v, why in cases:
+                t = make_table(decl, backend, lazy=lazy)
+                before = (dict(t.vid), t.eng.unmarked, t.eng.live_size)
+                with pytest.raises(ValueError, match=f"^vertex {v} {why}$"):
+                    t.apply_marking(v)
+                assert (dict(t.vid), t.eng.unmarked, t.eng.live_size) == before
+                t.apply_marking("s1")
+                assert t.ensure_settled("s1")[0] == (UNREACHABLE if decl is g1 else 2)
 
     def test_pure_rank_decrease_is_checked(self):
         # A stored rank above its recomputed value breaks the engine's
@@ -151,26 +124,60 @@ class TestMarkingErrors:
             eng.ensure(h)
 
 
+class CountingProvider(DeclProvider):
+    """A DeclProvider that records every vertex its `expand` is called on."""
+
+    def __init__(self, decl, lazy):
+        super().__init__(decl, lazy)
+        self.expanded = []
+
+    def expand(self, v):
+        self.expanded.append(v)
+        return super().expand(v)
+
+
+def test_expand_once_per_marking(backend):
+    # The table takes a vertex's edges from the provider once, when it
+    # marks the vertex: the initial vertex first, then each newly marked
+    # answer in move order. perfbench's providers.expand_calls reads this.
+    rng = random.Random(5)
+    models = [random_decl(rng) for _ in range(20)]
+    models.append(gen_random_bounded_degree(256, 3, 2, 1))
+    for decl in models:
+        for lazy in (False, True):
+            for adversary in (RandomFair(3), Avoider()):
+                source = CountingProvider(decl, lazy)
+                transcript, _ = run_session(source, adversary, backend=backend)
+                marked = [m.response for m in transcript if m.newly_marked]
+                assert source.expanded == [decl.initial] + marked
+    # A rejected marking calls nothing.
+    source = CountingProvider(models[-1], lazy=True)
+    t = RankTable(source, backend=backend)
+    with pytest.raises(ValueError):
+        t.apply_marking(models[-1].initial)
+    assert source.expanded == [models[-1].initial]
+
+
 class TestWorkStats:
     def test_fresh_table_counters(self, g1, backend):
-        t, _ = make_table(g1, backend)
+        t = make_table(g1, backend)
         w = t.snapshot_work()
         assert w.relaxations == 0 and w.queue_ops == 0 and w.markings_E == 0
         # marker edges (2 unmarked vertices) + edge a (head + 2 tails)
         assert w.live_size_H_prime == 2 + 3
 
     def test_g2_session_counts_two_markings(self, g2, backend):
-        t, by_head = make_table(g2, backend)
-        t.apply_marking("s1", by_head["s1"])
-        t.apply_marking("s2", [])
+        t = make_table(g2, backend)
+        t.apply_marking("s1")
+        t.apply_marking("s2")
         assert t.snapshot_work().markings_E == 2
 
     def test_counters_nondecreasing(self, g1, backend):
-        t, by_head = make_table(g1, backend)
+        t = make_table(g1, backend)
         seen = [t.snapshot_work()]
         t.ensure_settled("s0")
         seen.append(t.snapshot_work())
-        t.apply_marking("s2", by_head["s2"])
+        t.apply_marking("s2")
         t.ensure_settled("s2")
         seen.append(t.snapshot_work())
         for a, b in zip(seen, seen[1:]):
@@ -186,7 +193,7 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
     live edge, stored values must never exceed oracle values, values the
     snapshot shows as exact must equal them, and exact ranks must never
     decrease. Returns the table."""
-    t, by_head = make_table(decl, backend)
+    t = make_table(decl, backend)
     marked = {decl.initial}
     last_exact = {}
     if order is None:
@@ -218,7 +225,7 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
             # The tester's query: the lowest-id edge of least rank at v, none
             # when v is unreachable.
             for v in marked:
-                least = min(((er[e.id], e.id) for e in by_head.get(v, [])),
+                least = min(((er[e.id], e.id) for e in decl.by_head.get(v, ())),
                             default=(UNREACHABLE, None))
                 rank, edge = t.ensure_settled(v)
                 assert rank - 1 == least[0], (v, rank, least)
@@ -227,7 +234,7 @@ def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
         if not order:
             return t
         v = order.pop()
-        t.apply_marking(v, by_head.get(v, []))
+        t.apply_marking(v)
         marked.add(v)
 
 
@@ -260,10 +267,10 @@ def test_backends_agree_exactly(request):
             rng.shuffle(order)
         results = []
         for backend in ("pure", "compiled"):
-            t, by_head = make_table(decl, backend)
+            t = make_table(decl, backend)
             trace = []
             for v in order:
-                t.apply_marking(v, by_head.get(v, []))
+                t.apply_marking(v)
                 trace.append(tuple(t.ensure_settled(u) for u in decl.vertices))
             results.append((trace, t.snapshot_work()))
         assert results[0] == results[1]
@@ -436,7 +443,7 @@ def test_bucket_queue_keeps_the_heap_order(request):
     decl = ModelDecl(decl.initial, decl.vertices + tuple(chain[:-1]),
                      decl.edges + tuple(Edge(v, v, (w,)) for v, w in zip(chain, chain[1:])))
     order = chain[:-1] + order
-    tables = [make_table(decl, backend)[0] for backend in ("pure", "compiled")]
+    tables = [make_table(decl, backend) for backend in ("pure", "compiled")]
     engines = tuple(t.eng for t in tables)
     pure = engines[0]
     flushes = []  # (queue ops, stale entries) after each flush
@@ -449,10 +456,9 @@ def test_bucket_queue_keeps_the_heap_order(request):
 
     pure._flush_unreachable = flush
     vid = tables[0].vid
-    by_head = edges_by_head(decl)
     mid_drain = False
     for v in order:
-        tails = [[vid[t] for t in e.tail] for e in by_head.get(v, [])]
+        tails = [[vid[t] for t in e.tail] for e in decl.by_head.get(v, ())]
         on_both(engines, lambda e: e.mark(vid[v], tails))
         for u in decl.vertices:
             seen = len(flushes)
