@@ -11,11 +11,13 @@ import math
 import platform
 import statistics
 import time
+import timeit
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .adversaries import RandomFair
 from .engine import run_session
+from .model import parse_model, serialize_model
 from .providers import gen_random_bounded_degree
 from .ranks import get_engine_class
 
@@ -31,6 +33,7 @@ class ScalingRow:
     moves: int
     seconds: float
     terminated: str
+    parse_s: float
 
     @property
     def budget(self) -> int:
@@ -46,11 +49,21 @@ class ScalingRow:
 REPEATS = 3
 
 
+def parse_seconds(decl) -> float:
+    """Median seconds over REPEATS of `parse_model` on the text of `decl`,
+    with the garbage collector on, as in a `hypergame run`."""
+    text = serialize_model(decl)
+    return statistics.median(timeit.repeat(lambda: parse_model(text), "gc.enable()",
+                                           repeat=REPEATS, number=1))
+
+
 def measure_session(n, out_degree=3, fanout=2, seed=1, backend=None) -> ScalingRow:
     """Play the row's seeded session REPEATS times on one model, each with a
-    fresh adversary, and report the median time. The model and its indexes
-    are built outside the timer, so every repeat does the same work."""
+    fresh adversary, and report the median time, and the median time to
+    parse the model's text. The model and its indexes are built outside the
+    session timer, so every repeat does the same work."""
     decl = gen_random_bounded_degree(n, out_degree, fanout, seed)
+    parse_s = parse_seconds(decl)
     decl.by_head, decl.by_id  # index the model now, outside the timer
     times = []
     for _ in range(REPEATS):
@@ -64,7 +77,7 @@ def measure_session(n, out_degree=3, fanout=2, seed=1, backend=None) -> ScalingR
     return ScalingRow(n=n, seed=seed, marked_E=stats.states_marked,
                       max_rank_R=stats.max_rank_R, live_size_H=w.live_size_H_prime,
                       work=w.work, moves=stats.moves, seconds=statistics.median(times),
-                      terminated=stats.terminated)
+                      terminated=stats.terminated, parse_s=parse_s)
 
 
 def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backend=None):
@@ -174,7 +187,7 @@ def benchmark_json(all_rows, out_degree, fanout, seed) -> dict:
             "rows": [{"n": r.n, "seed": r.seed, "E": r.marked_E, "R": r.max_rank_R,
                       "H_prime": r.live_size_H, "work": r.work, "ratio": r.ratio,
                       "seconds": r.seconds, "moves": r.moves,
-                      "terminated": r.terminated} for r in rows],
+                      "terminated": r.terminated, "parse_s": r.parse_s} for r in rows],
             "work_fit": {"c": c, "log_log": _fit_json(fit)},
             "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
         }

@@ -85,7 +85,7 @@ def cmd_rank(args):
     decl = _load_decl(args.model, strict=args.strict_vertices)
     marked = {decl.initial}
     for v in args.after_mark or []:
-        if v not in decl.vertex_set():
+        if v not in decl.vertex_set:
             raise CliError(f"--after-mark: unknown vertex {v!r}")
         if v in marked:
             raise CliError(f"--after-mark: {v!r} already marked")

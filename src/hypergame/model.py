@@ -22,6 +22,12 @@ INTERIOR = "interior"
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _IDS_RE = re.compile(r"[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*\Z")  # space-joined ids
 _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
+# A plain edge or vertex line: single spaces and identifiers only, so no
+# comment, label, tab or keyword option. An edge whose tail names `virtual`
+# or `interior` still needs the per-line parser.
+_PLAIN_LINE_RE = re.compile(
+    r"edge ([A-Za-z0-9_.-]+) ([A-Za-z0-9_.-]+) -> ([A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*)"
+    r"|vertex ([A-Za-z0-9_.-]+)")
 
 
 class ModelError(Exception):
@@ -34,12 +40,19 @@ class ModelError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Edge:
     """One hyperedge: a stimulus deliverable at `head`, leading into `tail`.
 
     `interior` lists vertices folded away by chain compression; they are
     credited as covered whenever the edge fires in a session.
+
+    Edges are slotted, not frozen: a frozen dataclass's `__init__` sets each
+    field through `object.__setattr__`, 1.4-2.0 µs per edge against 0.6-0.7
+    µs (Python 3.11), and a slotted edge has no `__dict__`, which saves 48
+    bytes per edge (`tracemalloc`). `parse_model` builds one per edge line.
+    Neither an edge nor a `ModelDecl` is therefore hashable. Nothing assigns
+    to an edge or hashes one; `dataclasses.replace` makes a changed copy.
     """
 
     id: str
@@ -75,6 +88,9 @@ class ModelDecl:
     `interior`, and for a tail or interior vertex named `virtual` except as
     the last tail vertex of a virtual edge, which the parser reads after
     the keyword.
+
+    A declaration is frozen but not hashable, because its edges are not
+    (see `Edge`); nothing hashes one.
     """
 
     initial: str
@@ -86,7 +102,7 @@ class ModelDecl:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
-        vset = self.vertex_set()
+        vset = self.vertex_set
         problems = []
         if self.initial not in vset:
             problems.append(f"UnknownVertex({self.initial}): initial vertex not declared")
@@ -116,7 +132,9 @@ class ModelDecl:
         if problems:
             raise ModelError("; ".join(problems))
 
-    def vertex_set(self):
+    @cached_property
+    def vertex_set(self) -> frozenset[str]:
+        """The vertices as a set; built once, when the declaration is."""
         return frozenset(self.vertices)
 
     @cached_property
@@ -179,7 +197,20 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     edge_ids: set[str] = set()
     implicit: list[str] = []
 
+    plain_line = _PLAIN_LINE_RE.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
+        m = plain_line(line)
+        if m:
+            eid, head, tail, vertex = m.groups()
+            if vertex:
+                declared.append(vertex)
+                continue
+            if VIRTUAL not in tail and INTERIOR not in tail:
+                tail = tuple(tail.split(" "))
+                edges.append(_new_edge(lineno, edge_ids, eid, head, tail))
+                implicit.append(head)
+                implicit.extend(tail)
+                continue
         if "#" in line:
             line = _cut_comment(line)
         fields = line.split()
@@ -255,17 +286,26 @@ def _parse_edge_line(line, fields, lineno, edge_ids):
     # One match checks every token. Only when it fails are they checked one
     # by one, to name the first bad token: the id, then the head, interior
     # and tail, with the repeated-id check after the id.
-    ok = _IDS_RE.match(" ".join([eid, head, *interior, *tail]))
-    if not ok:
+    if _IDS_RE.match(" ".join([eid, head, *interior, *tail])):
+        unchecked = ()
+    else:
         _check_id(eid, lineno)
+        unchecked = (head, *interior, *tail)
+    return _new_edge(lineno, edge_ids, eid, head, tuple(tail), kind, label,
+                     tuple(interior), unchecked)
+
+
+def _new_edge(lineno, edge_ids, eid, head, tail, kind=REAL, label="", interior=(),
+              unchecked=()):
+    """The edge of line `lineno`, whose id is checked: raise on a repeated
+    id, then on the first bad token of `unchecked`, then on a bad edge."""
     if eid in edge_ids:
         raise ModelError(f"duplicate edge id {eid!r}", lineno)
     edge_ids.add(eid)
-    if not ok:
-        for token in (head, *interior, *tail):
-            _check_id(token, lineno)
+    for token in unchecked:
+        _check_id(token, lineno)
     try:
-        return Edge(eid, head, tuple(tail), kind, label, tuple(interior))
+        return Edge(eid, head, tail, kind, label, interior)
     except ModelError as exc:
         raise ModelError(str(exc), lineno) from None
 

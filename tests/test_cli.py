@@ -7,7 +7,8 @@ import pytest
 import hypergame.cli
 import hypergame.ranks
 from hypergame.cli import main
-from hypergame.model import ModelDecl
+from hypergame.model import ModelDecl, serialize_model
+from hypergame.providers import gen_random_bounded_degree
 
 from conftest import G1_TEXT, G2_TEXT, G3_TEXT, require_compiled
 
@@ -392,7 +393,8 @@ class TestBench:
             assert [(r["n"], r["seed"]) for r in result["rows"]] == [(8, 1), (16, 2)]
             row = result["rows"][0]
             assert set(row) == {"n", "seed", "E", "R", "H_prime", "work", "ratio",
-                                "seconds", "moves", "terminated"}
+                                "seconds", "moves", "terminated", "parse_s"}
+            assert row["parse_s"] > 0
             assert f"{row['n']:>8} {row['E']:>8} {row['R']:>4} {row['H_prime']:>10} " \
                    f"{row['work']:>12} {row['ratio']:>13.4f}" in printed
             assert row["ratio"] == row["work"] / (row["E"] + max(1, row["R"]) * row["H_prime"])
@@ -400,8 +402,9 @@ class TestBench:
             assert set(result["work_fit"]) == {"c", "log_log"}
             assert set(result["work_fit"]["log_log"]) == {"slope", "intercept", "r2"}
             assert result["work_fit"]["c"] == max(r["ratio"] for r in result["rows"])
-        # Seeded rows agree across backends but for the seconds.
-        strip = [[{k: v for k, v in r.items() if k != "seconds"} for r in b["rows"]]
+        # Seeded rows agree across backends but for the timings.
+        strip = [[{k: v for k, v in r.items() if k not in ("seconds", "parse_s")}
+                  for r in b["rows"]]
                  for b in doc["backends"].values()]
         assert strip[0] == strip[1]
 
@@ -423,6 +426,23 @@ class TestBench:
         row = bench.measure_session(8, seed=1, backend="pure")
         assert row.seconds == 3.0
         assert len(adversaries) == len({id(a) for a in adversaries}) == bench.REPEATS == 3
+
+    def test_row_parse_s_times_the_model_text(self, monkeypatch):
+        # A row's parse_s times parse_model on the text of the row's model,
+        # REPEATS times, outside the session timer.
+        import hypergame.bench as bench
+        texts = []
+        real_parse_model = bench.parse_model
+
+        def parse_model(text):
+            texts.append(text)
+            return real_parse_model(text)
+
+        monkeypatch.setattr(bench, "parse_model", parse_model)
+        row = bench.measure_session(8, seed=1, backend="pure")
+        decl = gen_random_bounded_degree(8, 3, 2, 1)
+        assert texts == [serialize_model(decl)] * bench.REPEATS
+        assert 0 < row.parse_s
 
     def test_json_unwritable(self, tmp_path, capsys):
         bad = tmp_path / "no-such-dir" / "bench.json"

@@ -1,10 +1,15 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypergame import model
 from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
                              parse_model, serialize_model)
+from hypergame.providers import gen_random_bounded_degree
 
-from conftest import G1_TEXT
+from conftest import G1_TEXT, random_decl
 
 
 class TestParse:
@@ -65,6 +70,106 @@ class TestParse:
     def test_strict_vertices_rejects_unknowns(self):
         with pytest.raises(ModelError, match=r"^UnknownVertex\(zz\): tail of edge a$"):
             parse_model("initial s0\nedge a s0 -> zz\n", strict_vertices=True)
+
+
+def _outcome(text, strict):
+    try:
+        return parse_model(text, strict_vertices=strict)
+    except ModelError as exc:
+        return str(exc)
+
+
+def _off_fast_path(line, rng):
+    """`line` in a form that reads the same but misses the plain-line
+    pattern: a doubled space, a tab or a trailing comment."""
+    i = rng.choice([i for i, c in enumerate(line) if c == " "])
+    return rng.choice([line[:i] + "  " + line[i + 1:], line[:i] + "\t" + line[i + 1:],
+                       line + " # c"])
+
+
+@pytest.fixture
+def edge_line_calls(monkeypatch):
+    """The lines that parse_model hands to its per-line edge parser."""
+    calls = []
+    real = model._parse_edge_line
+
+    def counting(line, *args):
+        calls.append(line)
+        return real(line, *args)
+
+    monkeypatch.setattr(model, "_parse_edge_line", counting)
+    return calls
+
+
+class TestPlainLines:
+    # parse_model reads a plain edge or vertex line with one pattern match;
+    # every other line goes through the per-line parser.
+    def test_other_forms_parse_the_same(self, edge_line_calls):
+        rng = random.Random(14)
+        for _ in range(150):
+            lines = serialize_model(random_decl(rng)).splitlines()
+            if rng.random() < 0.5:  # an undeclared vertex, which strict parsing rejects
+                vertex_lines = [i for i, line in enumerate(lines) if line.startswith("vertex ")]
+                del lines[rng.choice(vertex_lines)]
+            plain = "\n".join(lines) + "\n"
+            other = "\n".join(_off_fast_path(line, rng) if line.startswith(("edge ", "vertex "))
+                              else line for line in lines) + "\n"
+            for strict in (False, True):
+                del edge_line_calls[:]
+                expected = _outcome(plain, strict)
+                assert edge_line_calls == []
+                assert _outcome(other, strict) == expected
+                if not isinstance(expected, str):
+                    assert len(edge_line_calls) == len(expected.edges)
+
+    def test_plain_lines_raise_the_same_messages(self, edge_line_calls):
+        with pytest.raises(ModelError, match="^line 3: duplicate edge id 'a'$"):
+            parse_model("initial s0\nedge a s0 -> s1\nedge a s0 -> s2\n")
+        with pytest.raises(ModelError, match="^line 2: edge a: duplicate tail vertex$"):
+            parse_model("initial s0\nedge a s0 -> s1 s1\n")
+        assert edge_line_calls == []
+
+    def test_generated_models_take_the_pattern(self, edge_line_calls):
+        # Fails if an edit to the pattern sends plain lines to the slow path.
+        decl = gen_random_bounded_degree(256, 3, 2, 1)
+        assert parse_model(serialize_model(decl)) == decl
+        assert edge_line_calls == []
+
+    @pytest.mark.parametrize("line", ['edge a s0 -> s1 label "x"', "edge a s0 -> s1 virtual",
+                                      "edge a s0 -> s1 interior s2"])
+    def test_options_take_the_per_line_parser(self, edge_line_calls, line):
+        parse_model(f"initial s0\n{line}\n")
+        assert edge_line_calls == [line]
+
+
+class TestEdge:
+    def test_slotted_and_unhashable(self):
+        e = Edge("a", "s0", ("s1",))
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(AttributeError):
+            e.note = "x"
+        with pytest.raises(TypeError):
+            hash(e)
+        with pytest.raises(TypeError):
+            hash(parse_model("initial s0\nedge a s0 -> s1\n"))
+
+    def test_replace_makes_a_changed_copy(self):
+        e = Edge("a", "s0", ("s1",))
+        assert dataclasses.replace(e, kind="virtual") == Edge("a", "s0", ("s1",), "virtual")
+        assert e.kind == "real"
+
+    def test_messages(self):
+        with pytest.raises(ModelError, match="^edge a: kind 'marker' is neither 'real' nor 'virtual'$"):
+            Edge("a", "s0", ("s1",), kind="marker")
+        with pytest.raises(ModelError, match="^edge a: empty tail on virtual edge$"):
+            Edge("a", "s0", (), kind="virtual")
+        with pytest.raises(ModelError, match="^edge a: duplicate tail vertex$"):
+            Edge("a", "s0", ("s1", "s2", "s1"))
+
+    def test_repr(self):
+        assert repr(Edge("a", "s0", ("s1", "s2"), "virtual", "hit", ("s3",))) == \
+            "Edge(id='a', head='s0', tail=('s1', 's2'), kind='virtual', label='hit', " \
+            "interior=('s3',))"
 
 
 class TestValidate:
@@ -185,6 +290,9 @@ class TestGameGraph:
                             drop_vertices=["s1", "s2"])
         assert out.vertices == ("s0", "s1", "x")  # added wins over drop
         assert out.virtual_vertices == {"s1", "x"}
+        assert out.vertex_set == {"s0", "s1", "x"}
+        assert out.vertex_set is out.vertex_set  # built once
+        assert g1.vertex_set == {"s0", "s1", "s2"}
 
     def test_with_edges_drops_virtual_vertices(self, g1):
         # A dropped virtual vertex leaves the virtual set with the vertex set.
