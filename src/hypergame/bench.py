@@ -49,21 +49,28 @@ class ScalingRow:
 REPEATS = 3
 
 
-def parse_seconds(decl) -> float:
-    """Median seconds over REPEATS of `parse_model` on the text of `decl`,
-    with the garbage collector on, as in a `hypergame run`."""
-    text = serialize_model(decl)
-    return statistics.median(timeit.repeat(lambda: parse_model(text), "gc.enable()",
-                                           repeat=REPEATS, number=1))
+def timed_parse(text):
+    """`parse_model(text)` REPEATS times, each after `gc.collect()` and with
+    the collector on, as in a `hypergame run`, and with no other declaration
+    of the text alive. Returns the last declaration and the median seconds."""
+    times = []
+    for _ in range(REPEATS):
+        decl = None
+        gc.collect()
+        t0 = timeit.default_timer()
+        decl = parse_model(text)
+        times.append(timeit.default_timer() - t0)
+    return decl, statistics.median(times)
 
 
 def measure_session(n, out_degree=3, fanout=2, seed=1, backend=None) -> ScalingRow:
-    """Play the row's seeded session REPEATS times on one model, each with a
-    fresh adversary, and report the median time, and the median time to
-    parse the model's text. The model and its indexes are built outside the
-    session timer, so every repeat does the same work."""
-    decl = gen_random_bounded_degree(n, out_degree, fanout, seed)
-    parse_s = parse_seconds(decl)
+    """Parse the text of the row's seeded model REPEATS times, then play the
+    row's seeded session REPEATS times on the parsed model, each with a
+    fresh adversary, and report the median times. The parse equals the
+    generated model, whose tails are sorted. The model and its indexes are
+    built outside the session timer, so every repeat does the same work."""
+    text = serialize_model(gen_random_bounded_degree(n, out_degree, fanout, seed))
+    decl, parse_s = timed_parse(text)
     decl.by_head, decl.by_id  # index the model now, outside the timer
     times = []
     for _ in range(REPEATS):

@@ -6,6 +6,19 @@ in the rank engine and the rank oracle, never in a declaration.
 
 A `ModelDecl` is sorted and validated when it is built, so every
 declaration that exists can be played.
+
+`parse_model` reads a text in four steps:
+
+1. scan: one pass over the text, by the compiled scanner (`_scan.cpp`) when
+   it was built and the text is ASCII with lines broken by \n only, else by
+   the pure `scan_plain`;
+2. columns: the scan gives the vertex lines' names and the id, head and tail
+   of each plain edge line, from which the edges are built in one pass;
+3. other lines: every other non-blank line (the initial and model lines,
+   labels, comments, keyword options) goes through the per-line code;
+4. on error: on any ModelError or a repeated edge id, the whole text is
+   parsed again one line at a time, so the error names the first faulty
+   line, as it always has.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 
 REAL = "real"
@@ -28,6 +42,12 @@ _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 _PLAIN_LINE_RE = re.compile(
     r"edge ([A-Za-z0-9_.-]+) ([A-Za-z0-9_.-]+) -> ([A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*)"
     r"|vertex ([A-Za-z0-9_.-]+)")
+
+
+try:
+    from ._scan import scan_plain as compiled_scan_plain
+except ImportError:  # extension not built
+    compiled_scan_plain = None
 
 
 class ModelError(Exception):
@@ -73,6 +93,9 @@ class Edge:
         # Most tails hold one or two vertices; only longer ones need a set.
         if n == 2 and tail[0] == tail[1] or n > 2 and len(set(tail)) != n:
             raise ModelError(f"edge {self.id}: duplicate tail vertex")
+        # A line break would end the label's line in the model text.
+        if self.label and self.label.splitlines() != [self.label]:
+            raise ModelError(f"edge {self.id}: line break in label")
 
 
 @dataclass(frozen=True)
@@ -182,6 +205,38 @@ def _cut_comment(raw):
     return raw[:cut]
 
 
+def scan_plain(text: str):
+    """The lines of `text` as columns: `(vertices, ids, heads, tails, others)`.
+
+    `vertices` holds the name of each `vertex <id>` line. `ids`, `heads` and
+    `tails` hold the id, head and tail tuple of each plain
+    `edge <id> <head> -> <t1> ... <tk>` line whose tail holds no `virtual`
+    or `interior` token. Plain means single spaces and identifiers only, so
+    no comment, label, tab or keyword option. `others` holds
+    `(line number, line)` for every other non-blank line; lines are those of
+    `str.splitlines`. The compiled scanner in `_scan.cpp` keeps this
+    contract on the texts it takes.
+    """
+    vertices, ids, heads, tails, others = [], [], [], [], []
+    plain_line = _PLAIN_LINE_RE.fullmatch
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = plain_line(line)
+        if m:
+            eid, head, tail, vertex = m.groups()
+            if vertex:
+                vertices.append(vertex)
+                continue
+            tail = tuple(tail.split(" "))
+            if VIRTUAL not in tail and INTERIOR not in tail:
+                ids.append(eid)
+                heads.append(head)
+                tails.append(tail)
+                continue
+        if line and not line.isspace():
+            others.append((lineno, line))
+    return vertices, ids, heads, tails, others
+
+
 def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     """Parse the line-oriented model format.
 
@@ -189,76 +244,110 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     line; with `strict_vertices` only declared vertices enter the vertex set,
     and an undeclared reference is an error.
     """
-    name = ""
-    initial = None
-    declared: list[str] = []
-    virtual_vertices: set[str] = set()
-    edges: list[Edge] = []
-    edge_ids: set[str] = set()
-    implicit: list[str] = []
+    columns = compiled_scan_plain(text) if compiled_scan_plain else None
+    vertices, ids, heads, tails, others = columns or scan_plain(text)
+    try:
+        # A repeated id makes ModelDecl raise, if the other lines do not.
+        reader = _Reader(vertices, list(map(Edge, ids, heads, tails)), set(ids), heads)
+        for lineno, line in others:
+            reader.read(lineno, line)
+        return reader.decl(strict_vertices, tails)
+    except ModelError:
+        return _parse_lines(text, strict_vertices)
 
+
+def _parse_lines(text, strict_vertices):
+    """`parse_model` one line at a time, so the first fault raises with its
+    line number: a plain edge or vertex line takes one pattern match, every
+    other line `_Reader.read`."""
+    reader = _Reader([], [], set(), [])
     plain_line = _PLAIN_LINE_RE.fullmatch
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = plain_line(line)
         if m:
             eid, head, tail, vertex = m.groups()
             if vertex:
-                declared.append(vertex)
+                reader.declared.append(vertex)
                 continue
             if VIRTUAL not in tail and INTERIOR not in tail:
                 tail = tuple(tail.split(" "))
-                edges.append(_new_edge(lineno, edge_ids, eid, head, tail))
-                implicit.append(head)
-                implicit.extend(tail)
+                reader.edges.append(_new_edge(lineno, reader.edge_ids, eid, head, tail))
+                reader.implicit.append(head)
+                reader.implicit.extend(tail)
                 continue
+        reader.read(lineno, line)
+    return reader.decl(strict_vertices)
+
+
+class _Reader:
+    """What the lines read so far declare. `implicit` lists the vertices
+    named by edges and the initial line, not yet the vertex set."""
+
+    __slots__ = ("name", "initial", "declared", "virtual_vertices", "edges", "edge_ids",
+                 "implicit")
+
+    def __init__(self, declared, edges, edge_ids, implicit):
+        self.name = ""
+        self.initial = None
+        self.declared = declared
+        self.virtual_vertices = set()
+        self.edges = edges
+        self.edge_ids = edge_ids
+        self.implicit = implicit
+
+    def read(self, lineno, line):
+        """Read line `lineno`, which is not a plain edge or vertex line."""
         if "#" in line:
             line = _cut_comment(line)
         fields = line.split()
         if not fields:
-            continue
+            return
         kw = fields[0]
         if kw == "edge":
-            e = _parse_edge_line(line, fields, lineno, edge_ids)
-            edges.append(e)
-            implicit.append(e.head)
-            implicit.extend(e.tail)
+            e = _parse_edge_line(line, fields, lineno, self.edge_ids)
+            self.edges.append(e)
+            self.implicit.append(e.head)
+            self.implicit.extend(e.tail)
             # interiors are not graph vertices; they only enter coverage
         elif kw == "model":
             if len(fields) != 2:
                 raise ModelError("expected: model <name>", lineno)
-            if name:
+            if self.name:
                 raise ModelError("duplicate model line", lineno)
-            name = _check_id(fields[1], lineno)
+            self.name = _check_id(fields[1], lineno)
         elif kw == "initial":
             if len(fields) != 2:
                 raise ModelError("expected: initial <vertex>", lineno)
-            if initial is not None:
+            if self.initial is not None:
                 raise ModelError("duplicate initial line", lineno)
-            initial = _check_id(fields[1], lineno)
-            implicit.append(initial)
+            self.initial = _check_id(fields[1], lineno)
+            self.implicit.append(self.initial)
         elif kw == "vertex":
             if len(fields) == 3 and fields[2] == "virtual":
-                virtual_vertices.add(fields[1])
+                self.virtual_vertices.add(fields[1])
             elif len(fields) != 2:
                 raise ModelError("expected: vertex <id> [virtual]", lineno)
-            declared.append(_check_id(fields[1], lineno))
+            self.declared.append(_check_id(fields[1], lineno))
         else:
             raise ModelError(f"unknown keyword {kw!r}", lineno)
 
-    if initial is None:
-        raise ModelError("missing initial line")
-
-    vertices = set(declared)
-    vertices.add(initial)
-    if not strict_vertices:
-        vertices.update(implicit)
-    return ModelDecl(
-        initial=initial,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        name=name,
-        virtual_vertices=frozenset(virtual_vertices),
-    )
+    def decl(self, strict_vertices, tails=()):
+        """The declaration read; `tails` are more tails whose vertices are
+        implicit."""
+        if self.initial is None:
+            raise ModelError("missing initial line")
+        vertices = set(self.declared)
+        vertices.add(self.initial)
+        if not strict_vertices:
+            vertices.update(self.implicit)
+            vertices.update(chain.from_iterable(tails))
+        return ModelDecl(
+            initial=self.initial,
+            vertices=tuple(vertices),
+            edges=tuple(self.edges),
+            name=self.name,
+            virtual_vertices=frozenset(self.virtual_vertices),
+        )
 
 
 def _parse_edge_line(line, fields, lineno, edge_ids):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hypergame.model
 import hypergame.ranks
 from hypergame.model import Edge, ModelDecl, parse_model
 from hypergame.ranks import UNREACHABLE, oracle_ranks
@@ -32,25 +33,50 @@ def _have_compiler() -> bool:
 
 
 def _build_compiled(tmp: Path) -> str | None:
-    """Build the C++ rank core from this checkout's sources into `tmp` with
-    setup.py and register it as hypergame.ranks.CompiledRankEngine. Returns
-    None on success, else the reason the compiled backend is missing."""
+    """Build the C++ extensions from this checkout's sources into `tmp` with
+    setup.py, register the rank core as hypergame.ranks.CompiledRankEngine
+    and the line scanner, checked by `_scanners_agree`, as
+    hypergame.model.compiled_scan_plain. Returns None on success, else the
+    reason the compiled backend is missing."""
     if not _have_compiler():
         return NO_COMPILER
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"),
          "--build-temp", str(tmp / "obj")],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
-    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
-             for p in (tmp / "lib" / "hypergame" / "ranks").glob("_core" + suffix)]
-    if proc.returncode != 0 or not built:
-        return f"building the C++ rank core failed:\n{proc.stdout}{proc.stderr}"
-    spec = importlib.util.spec_from_file_location("hypergame.ranks._core", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[spec.name] = module
-    hypergame.ranks.CompiledRankEngine = module.CompiledRankEngine
+    modules = {}
+    for name in ("hypergame.ranks._core", "hypergame._scan"):
+        path = tmp / "lib" / Path(*name.split("."))
+        built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 for p in path.parent.glob(path.name + suffix)]
+        if proc.returncode != 0 or not built:
+            return f"building the C++ extensions failed:\n{proc.stdout}{proc.stderr}"
+        spec = importlib.util.spec_from_file_location(name, built[0])
+        modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[name])
+        sys.modules[name] = modules[name]
+    hypergame.ranks.CompiledRankEngine = modules["hypergame.ranks._core"].CompiledRankEngine
+    hypergame.model.compiled_scan_plain = _scanners_agree(modules["hypergame._scan"].scan_plain)
     return None
+
+
+# The line boundaries of str.splitlines other than \n.
+LINE_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def _scanners_agree(compiled):
+    """`compiled`, which also runs the pure scanner and asserts that both
+    give the same columns, or, where the compiled one gives None, that the
+    text is not ASCII or holds a line boundary other than \\n. So every
+    parse in a test that does not pin a scanner runs both."""
+    def scan_plain(text):
+        columns = compiled(text)
+        if columns is None:
+            assert not text.isascii() or any(b in text for b in LINE_BREAKS)
+        else:
+            assert columns == hypergame.model.scan_plain(text)
+        return columns
+    return scan_plain
 
 
 @pytest.hookimpl(trylast=True)  # after the tmpdir plugin set up its factory
@@ -110,6 +136,17 @@ def g3():
 def backend(request):
     if request.param == "compiled":
         require_compiled(request.config)
+    return request.param
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def scanner(request, monkeypatch):
+    """The line scanner `parse_model` uses in this test: the pure one, or
+    the compiled one, which skips without a C++ compiler."""
+    if request.param == "compiled":
+        require_compiled(request.config)
+    else:
+        monkeypatch.setattr(hypergame.model, "compiled_scan_plain", None)
     return request.param
 
 

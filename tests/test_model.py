@@ -9,7 +9,7 @@ from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
                              parse_model, serialize_model)
 from hypergame.providers import gen_random_bounded_degree
 
-from conftest import G1_TEXT, random_decl
+from conftest import G1_TEXT, LINE_BREAKS, random_decl
 
 
 class TestParse:
@@ -166,6 +166,13 @@ class TestEdge:
         with pytest.raises(ModelError, match="^edge a: duplicate tail vertex$"):
             Edge("a", "s0", ("s1", "s2", "s1"))
 
+    @pytest.mark.parametrize("brk", ["\n", *LINE_BREAKS], ids=ascii)
+    def test_line_break_in_label_rejected(self, brk):
+        # serialize_model writes a label raw, so a line break would end its line.
+        with pytest.raises(ModelError, match="^edge a: line break in label$"):
+            Edge("a", "s0", ("s1",), label=f"x{brk}y")
+        assert Edge("a", "s0", ("s1",), label="x\ty\x1fz \u00e9").label == "x\ty\x1fz \u00e9"
+
     def test_repr(self):
         assert repr(Edge("a", "s0", ("s1", "s2"), "virtual", "hit", ("s3",))) == \
             "Edge(id='a', head='s0', tail=('s1', 's2'), kind='virtual', label='hit', " \
@@ -319,6 +326,9 @@ IDS = st.one_of(st.sampled_from(["virtual", "interior", "label", "edge", "vertex
                 st.from_regex(r"[A-Za-z0-9_.-]{1,3}", fullmatch=True))
 
 
+LINE_BREAK_LABEL = "two\nlines"
+
+
 @st.composite
 def decl_parts(draw):
     vs = tuple(draw(st.lists(IDS, min_size=1, max_size=6, unique=True)))
@@ -328,18 +338,23 @@ def decl_parts(draw):
         head = draw(st.sampled_from(vs))
         size = draw(st.integers(min_value=1, max_value=len(vs)))
         tail = tuple(sorted(draw(st.permutations(vs))[:size]))
-        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"']))
+        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"',
+                                      LINE_BREAK_LABEL]))
         kind = draw(st.sampled_from(["real", "virtual"]))
         interior = tuple(draw(st.lists(IDS, max_size=2)))
-        edges.append(Edge(f"e{j}", head, tail, kind, label, interior))
+        edges.append((f"e{j}", head, tail, kind, label, interior))
     return {"initial": vs[0], "vertices": vs, "edges": tuple(edges),
             "name": draw(st.sampled_from(["", "m1"])),
             "virtual_vertices": frozenset(draw(st.lists(st.sampled_from(vs))))}
 
 
+def _make(parts):
+    return ModelDecl(**{**parts, "edges": tuple(Edge(*e) for e in parts["edges"])})
+
+
 def _build(parts):
     try:
-        return ModelDecl(**parts)
+        return _make(parts)
     except ModelError:
         return None
 
@@ -352,12 +367,16 @@ def decls():
 @given(decl_parts())
 def test_serialize_parse_round_trip(parts):
     # Every declaration that can be built comes back from its text; a draw
-    # is invalid only for a keyword name.
+    # is invalid only for a line break in a label or a keyword name.
     decl = _build(parts)
     if decl is None:
         with pytest.raises(ModelError) as exc:
-            ModelDecl(**parts)
-        assert all(p.startswith("ReservedVertex(") for p in str(exc.value).split("; "))
+            _make(parts)
+        broken = [e[0] for e in parts["edges"] if e[4] == LINE_BREAK_LABEL]
+        if broken:
+            assert str(exc.value) == f"edge {broken[0]}: line break in label"
+        else:
+            assert all(p.startswith("ReservedVertex(") for p in str(exc.value).split("; "))
         return
     assert parse_model(serialize_model(decl)) == decl
 
@@ -395,3 +414,140 @@ def test_round_trip_sorts_an_unsorted_tail():
     back = parse_model(serialize_model(decl))
     assert back != decl
     assert back.edges[0].tail == ("s1", "s2")
+
+
+# The per-line parser, which parse_model takes only for a text that does
+# not parse.
+_PARSE_LINES = model._parse_lines
+
+
+def _per_line(text, strict=False):
+    """The outcome of the per-line parser alone: the declaration's repr, or
+    the error."""
+    try:
+        return repr(_PARSE_LINES(text, strict))
+    except ModelError as exc:
+        return str(exc)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """`parse_model`'s outcome as `_per_line` gives it; checks that the
+    per-line parser ran exactly when the text does not parse."""
+    texts = []
+
+    def parse_lines(text, strict):
+        texts.append(text)
+        return _PARSE_LINES(text, strict)
+
+    monkeypatch.setattr(model, "_parse_lines", parse_lines)
+
+    def outcome(text, strict=False):
+        del texts[:]
+        try:
+            out = repr(parse_model(text, strict_vertices=strict))
+        except ModelError as exc:
+            out = str(exc)
+        assert texts == ([] if out.startswith("ModelDecl(") else [text])
+        return out
+    return outcome
+
+
+LINES = ["model m", "initial s0", "vertex s0", "edge a s0 -> s1 s2",
+         'edge b s1 -> s0 label "x"', "edge c s2 -> s0"]
+
+
+class TestLineBoundaries:
+    """Texts are split into lines as by str.splitlines, on both scanners."""
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+    def test_separator(self, scanner, parsed, sep):
+        text = sep.join(LINES) + sep
+        assert parsed(text) == parsed("\n".join(LINES) + "\n") == _per_line(text)
+        bad = sep.join(LINES[:2] + ["edge d s0 -> s~"] + LINES[2:])
+        assert parsed(bad) == "line 3: bad identifier 's~'" == _per_line(bad)
+        mixed = "initial s0\n" + sep + "edge d s0 -> s~\n"  # two breaks: a blank line
+        assert parsed(mixed) == "line 3: bad identifier 's~'" == _per_line(mixed)
+
+    def test_no_final_newline(self, scanner, parsed):
+        text = "\n".join(LINES)
+        assert parsed(text) == parsed(text + "\n") == _per_line(text)
+        assert parsed("initial s0\nedge a s0 -> s~") == "line 2: bad identifier 's~'"
+        assert parsed("") == parsed("\n\n") == "missing initial line"
+
+    @pytest.mark.parametrize("blanks", [["", " ", "\t", "\x1f", " \t\x1f "],
+                                        ["", "\u00a0", "\u3000 ", "\x1f"]], ids=["ascii", "unicode"])
+    def test_blank_and_whitespace_only_lines(self, scanner, parsed, blanks):
+        text = "\n".join(line for pair in zip(blanks * 2, LINES) for line in pair)
+        assert parsed(text) == parsed("\n".join(LINES)) == _per_line(text)
+        bad = "\n".join(blanks + ["initial s0", "edge a s0 -> s1 s1"])
+        message = f"line {len(blanks) + 2}: edge a: duplicate tail vertex"
+        assert parsed(bad) == message == _per_line(bad)
+
+    def test_non_ascii_label(self, scanner, parsed):
+        text = 'initial s0\nedge a s0 -> s1 label "caf\u00e9 \u2013 \u00fc"\nedge b s1 -> s0\n'
+        assert parse_model(text).by_id["a"].label == "caf\u00e9 \u2013 \u00fc"
+        assert parsed(text) == _per_line(text)
+        commented = "# caf\u00e9\n" + text
+        assert parsed(commented) == parsed(text) == _per_line(commented)
+
+    def test_non_ascii_identifier(self, scanner, parsed):
+        text = "initial s0\nedge a s0 -> s1\nedge b s1 -> s\u00e9\n"
+        assert parsed(text) == "line 3: bad identifier 's\u00e9'" == _per_line(text)
+        assert parsed("initial s\u00e90\n") == "line 1: bad identifier 's\u00e90'"
+
+
+# Random texts from the format's tokens: valid lines and lines that break
+# one rule, joined by every line boundary.
+_IDS = ["s0", "s1", "s2", "s3", "virtual", "interior", "a.b", "x-1"]
+_BAD = ["s~", "s\u00e9", "->", '"x"', '"x#y"', "label", "#", "#c", '"', "\u00a0"]
+_SPACES = [" "] * 3 + ["  ", "\t", "\x1f", "\u3000"]
+_NEWLINES = ["\n"] * 8 + ["\n\n", "\n \t\n"]
+
+
+def _random_line(rng):
+    ids = rng.sample(_IDS, rng.randint(1, 3))
+    form = rng.randrange(7)
+    if form == 0:
+        tokens = ["initial", rng.choice(_IDS[:4])]
+    elif form == 1:
+        tokens = ["model", "m"]
+    elif form == 2:
+        tokens = ["vertex", rng.choice(_IDS)] + ["virtual"] * (rng.random() < 0.3)
+    else:
+        tokens = ["edge", rng.choice("abcdefghijkl"), rng.choice(_IDS[:4]), "->", *ids]
+        if rng.random() < 0.2:
+            tokens += ["label", rng.choice(['"hit"', '"a b"', '"x#y"', '"\u00e9"'])]
+        if rng.random() < 0.15:
+            tokens.append("virtual")
+        if rng.random() < 0.15:
+            tokens += ["interior", *rng.sample(_IDS, rng.randint(0, 2))]
+    if rng.random() < 0.15:
+        tokens[rng.randrange(len(tokens))] = rng.choice(_BAD)
+    if rng.random() < 0.1:
+        tokens.append("# " + rng.choice(_IDS + _BAD))
+    line = tokens[0]
+    for token in tokens[1:]:
+        line += (rng.choice(_SPACES) if rng.random() < 0.2 else " ") + token
+    return line
+
+
+def _random_text(rng):
+    lines = [_random_line(rng) for _ in range(rng.randint(0, 8))]
+    if rng.random() < 0.8:
+        lines.insert(rng.randint(0, len(lines)), "initial s0")
+    breaks = _NEWLINES if rng.random() < 0.6 else _NEWLINES + list(LINE_BREAKS)
+    text = "".join(line + rng.choice(breaks) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def test_random_texts_match_the_per_line_parser(scanner, parsed):
+    rng = random.Random(15)
+    valid = 0
+    for _ in range(600):
+        text = _random_text(rng)
+        strict = rng.random() < 0.3
+        outcome = parsed(text, strict)
+        assert outcome == _per_line(text, strict), text
+        valid += outcome.startswith("ModelDecl(")
+    assert valid >= 100  # enough of the texts parse
