@@ -11,9 +11,10 @@ A session runs as `hypergame run` runs it: `parse_model`, then
 `DeclProvider` (lazy) against an adversary from `make_adversary`;
 `format_trace` and `format_stats` render the result. The session's
 `RankTable(source)` is the one reader of the declaration's edges: each
-`apply_marking(v)` takes v's edges from the provider. Every `ModelDecl`,
-parsed, generated or transformed, is sorted and validated when it is built,
-so no later step checks it again.
+`apply_marking(v)` takes v's edges from the provider. `hypergame rank`
+prints a position's ranks from the same table, so it runs the session's
+rank code. Every `ModelDecl`, parsed, generated or transformed, is sorted
+and validated when it is built, so no later step checks it again.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +25,7 @@ from .minimax import minimax_moves_to_mark, strategy_moves_to_mark
 from .model import (Edge, ModelDecl, ModelError, build_game_graph, parse_model,
                     serialize_model)
 from .providers import DeclProvider, gen_chain, gen_random_bounded_degree
-from .ranks import RankTable, UNREACHABLE, oracle_ranks
+from .ranks import RankTable, UNREACHABLE
 from .transforms import apply_transforms
 
 __all__ = [
@@ -32,6 +33,5 @@ __all__ = [
     "RandomFair", "RankTable", "UNREACHABLE", "apply_transforms",
     "build_game_graph", "format_stats", "format_trace", "gen_chain",
     "gen_random_bounded_degree", "make_adversary", "minimax_moves_to_mark",
-    "oracle_ranks", "parse_model", "run_session", "serialize_model",
-    "strategy_moves_to_mark",
+    "parse_model", "run_session", "serialize_model", "strategy_moves_to_mark",
 ]

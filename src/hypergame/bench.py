@@ -15,6 +15,7 @@ import timeit
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+from . import model
 from .adversaries import RandomFair
 from .engine import run_session
 from .model import parse_model, serialize_model
@@ -63,33 +64,41 @@ def timed_parse(text):
     return decl, statistics.median(times)
 
 
-def measure_session(n, out_degree=3, fanout=2, seed=1, backend=None) -> ScalingRow:
-    """Parse the text of the row's seeded model REPEATS times, then play the
-    row's seeded session REPEATS times on the parsed model, each with a
-    fresh adversary, and report the median times. The parse equals the
+def measure_session(n, out_degree=3, fanout=2, seed=1, backends=(None,)):
+    """Parse the text of the row's seeded model REPEATS times, then, for each
+    backend, play the row's seeded session REPEATS times on the parsed model,
+    each with a fresh adversary. Returns one row per backend, with the median
+    times; every row carries the one `parse_s`. The parse equals the
     generated model, whose tails are sorted. The model and its indexes are
     built outside the session timer, so every repeat does the same work."""
     text = serialize_model(gen_random_bounded_degree(n, out_degree, fanout, seed))
     decl, parse_s = timed_parse(text)
     decl.by_head, decl.by_id  # index the model now, outside the timer
-    times = []
-    for _ in range(REPEATS):
-        adversary = RandomFair(seed + 1)
-        gc.collect()
-        t0 = time.perf_counter()
-        _, stats = run_session(decl, adversary, max_moves=60 * n, seed=seed,
-                               backend=backend)
-        times.append(time.perf_counter() - t0)
-    w = stats.work
-    return ScalingRow(n=n, seed=seed, marked_E=stats.states_marked,
-                      max_rank_R=stats.max_rank_R, live_size_H=w.live_size_H_prime,
-                      work=w.work, moves=stats.moves, seconds=statistics.median(times),
-                      terminated=stats.terminated, parse_s=parse_s)
+    rows = []
+    for backend in backends:
+        times = []
+        for _ in range(REPEATS):
+            adversary = RandomFair(seed + 1)
+            gc.collect()
+            t0 = time.perf_counter()
+            _, stats = run_session(decl, adversary, max_moves=60 * n, seed=seed,
+                                   backend=backend)
+            times.append(time.perf_counter() - t0)
+        w = stats.work
+        rows.append(ScalingRow(n=n, seed=seed, marked_E=stats.states_marked,
+                               max_rank_R=stats.max_rank_R,
+                               live_size_H=w.live_size_H_prime, work=w.work,
+                               moves=stats.moves, seconds=statistics.median(times),
+                               terminated=stats.terminated, parse_s=parse_s))
+    return rows
 
 
-def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backend=None):
-    return [measure_session(n, out_degree, fanout, seed + i, backend=backend)
-            for i, n in enumerate(sizes)]
+def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backends=(None,)):
+    """Each backend's rows, one per size. Sizes run one after the other, so
+    no other row's declaration is alive while a row's text is parsed."""
+    per_size = [measure_session(n, out_degree, fanout, seed + i, backends)
+                for i, n in enumerate(sizes)]
+    return [list(rows) for rows in zip(*per_size)]
 
 
 def _lstsq(xs, ys):
@@ -128,14 +137,15 @@ def rank_growth_fit(rows):
 
 def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
     """Print the scaling table and both fits per backend (the default one,
-    or pure and compiled with `compare`). Returns {backend name: rows}."""
+    or pure and compiled with `compare`), once every row is measured.
+    Returns {backend name: rows}."""
     backends = ["pure", "compiled"] if compare else [None]
+    per_backend = scaling_rows(sizes, out_degree, fanout, seed, backends)
     all_rows = {}
-    for backend in backends:
+    for backend, rows in zip(backends, per_backend):
         print(f"backend: {backend or 'default'}")
         print(f"{'n':>8} {'E':>8} {'R':>4} {'H_prime':>10} {'work':>12} "
               f"{'work/(E+R*H)':>13} {'seconds':>8}")
-        rows = scaling_rows(sizes, out_degree, fanout, seed, backend=backend)
         for r in rows:
             print(f"{r.n:>8} {r.marked_E:>8} {r.max_rank_R:>4} {r.live_size_H:>10} "
                   f"{r.work:>12} {r.ratio:>13.4f} {r.seconds:>8.3f}")
@@ -203,6 +213,9 @@ def benchmark_json(all_rows, out_degree, fanout, seed) -> dict:
                  "date": datetime.now(timezone.utc).isoformat(timespec="seconds")},
         "settings": {"sizes": [r.n for r in next(iter(all_rows.values()))],
                      "out_degree": out_degree, "fanout": fanout, "seed": seed,
-                     "repeats": REPEATS},
+                     "repeats": REPEATS,
+                     # the scanner that timed parse_s; without a compiler it is
+                     # the pure one, which parses slower
+                     "scanner": "compiled" if model.compiled_scan_plain else "pure"},
         "backends": backends,
     }

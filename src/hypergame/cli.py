@@ -22,7 +22,7 @@ from .minimax import TooLargeError, minimax_moves_to_mark, strategy_moves_to_mar
 from .model import ModelError, parse_model, serialize_model
 from .providers import (DeclProvider, check_random_params, gen_chain,
                         gen_random_bounded_degree)
-from .ranks import UNREACHABLE, get_engine_class, oracle_ranks
+from .ranks import UNREACHABLE, RankTable, get_engine_class
 from .transforms import apply_transforms
 
 EXIT_CONFIG = 2
@@ -83,18 +83,24 @@ def _rank_value(r):
 
 def cmd_rank(args):
     decl = _load_decl(args.model, strict=args.strict_vertices)
-    marked = {decl.initial}
+    # An eager table, as `run` plays the declaration; it marks the initial vertex.
+    table = RankTable(DeclProvider(decl, lazy=False))
     for v in args.after_mark or []:
         if v not in decl.vertex_set:
             raise CliError(f"--after-mark: unknown vertex {v!r}")
-        if v in marked:
+        if v in table.marked:
             raise CliError(f"--after-mark: {v!r} already marked")
-        marked.add(v)
-    vrank, erank = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=True)
+        table.apply_marking(v)
+    vrank = {v: table.ensure_settled(v)[0] for v in decl.vertices}
     for v in decl.vertices:
         print(f"vertex {v} rank {_rank_value(vrank[v])}")
     for e in decl.edges:
-        print(f"edge {e.id} rank {_rank_value(erank[e.id])}")
+        # An edge, live or dead, ranks as the max over its tail. The engine
+        # stores only live edges: a dead edge's head is unmarked, so its marker
+        # edge pins that head at rank 1 and the dead edge changes no vertex
+        # rank; its own rank is still defined, and computed here.
+        r = max(vrank[t] for t in e.tail)
+        print(f"edge {e.id} rank {_rank_value(r)}")
     return 0
 
 
@@ -244,7 +250,7 @@ def _parser():
     p.add_argument("--version", action="version", version=f"hypergame {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pr = sub.add_parser("rank", help="print oracle ranks for a model")
+    pr = sub.add_parser("rank", help="print a model's ranks")
     pr.add_argument("model")
     pr.add_argument("--after-mark", action="append", metavar="VERTEX",
                     help="mark this vertex before ranking (repeatable)")

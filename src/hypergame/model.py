@@ -2,7 +2,7 @@
 
 A declaration holds only real and virtual edges. The empty-tail marker edge
 that every unmarked vertex carries in the game is implicit: it exists only
-in the rank engine and the rank oracle, never in a declaration.
+in the rank engine, never in a declaration.
 
 A `ModelDecl` is sorted and validated when it is built, so every
 declaration that exists can be played.

@@ -1,15 +1,16 @@
-"""Rank maintenance: lazy decremental engine plus the naive oracle.
+"""Rank maintenance: the lazy decremental engine and its session-facing table.
 
-These are the only places that know the game's marker edges: every unmarked
-vertex carries an implicit empty-tail edge, which is the base case of the
-rank recursion. Declarations and providers hold only real and virtual edges.
+The engines are the only places that know the game's marker edges: every
+unmarked vertex carries an implicit empty-tail edge, which is the base case
+of the rank recursion. Declarations and providers hold only real and virtual
+edges.
 
-The engine has two interchangeable backends: a compiled C++ core
-(`_core.cpp`) and a pure-Python fallback. `backend=None` or "auto" picks the
-compiled one when the extension was built.
+The engine has two interchangeable backends, one copy of the algorithm each:
+a compiled C++ core (`_core.cpp`) and a pure-Python fallback (`pure.py`).
+`backend=None` or "auto" picks the compiled one when the extension was built.
 """
 
-from .pure import PureRankEngine
+from .pure import UNREACHABLE, PureRankEngine
 
 try:
     from ._core import CompiledRankEngine
@@ -26,7 +27,6 @@ def get_engine_class(backend=None):
     return PureRankEngine
 
 
-from .oracle import UNREACHABLE, oracle_ranks  # noqa: E402
 from .table import RankTable, WorkStats  # noqa: E402
 
 __all__ = [
@@ -34,5 +34,4 @@ __all__ = [
     "UNREACHABLE",
     "WorkStats",
     "get_engine_class",
-    "oracle_ranks",
 ]

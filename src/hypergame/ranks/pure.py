@@ -32,6 +32,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
+# The rank of a vertex from which the system can keep the tester off every
+# unmarked vertex: UNREACH_INT inside the engines, UNREACHABLE above them.
+UNREACHABLE = float("inf")
 UNREACH_INT = 1 << 62
 
 

@@ -17,9 +17,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 
 from ..model import Edge
-from .oracle import UNREACHABLE
 from . import get_engine_class
-from .pure import UNREACH_INT
+from .pure import UNREACH_INT, UNREACHABLE
 
 
 @dataclass

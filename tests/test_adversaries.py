@@ -10,9 +10,8 @@ from hypergame.engine import GameState, format_stats, format_trace, run_session
 from hypergame.model import parse_model
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import gen_strongly_connected, incident_ids, random_decl
+from conftest import gen_strongly_connected, incident_ids, oracle_ranks, random_decl
 
 
 class TestRandomFair:

@@ -42,3 +42,13 @@ def test_benchmark_reads_exist(module, owner, attr):
         assert callable(getattr(mod, attr))
     else:
         assert callable(vars(getattr(mod, owner)).get(attr))
+
+
+def test_one_rank_algorithm_per_backend():
+    # The round-based oracle is the tests' reference (conftest.py), not API.
+    import hypergame.ranks
+    for module in (hypergame, hypergame.ranks):
+        assert "oracle_ranks" not in module.__all__
+        assert not hasattr(module, "oracle_ranks")
+    with pytest.raises(ImportError):
+        importlib.import_module("hypergame.ranks.oracle")

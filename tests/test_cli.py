@@ -1,16 +1,20 @@
 import hashlib
 import json
 import platform
+import random
 
 import pytest
 
 import hypergame.cli
+import hypergame.model
 import hypergame.ranks
 from hypergame.cli import main
 from hypergame.model import ModelDecl, serialize_model
 from hypergame.providers import gen_random_bounded_degree
+from hypergame.ranks import UNREACHABLE, RankTable
 
-from conftest import G1_TEXT, G2_TEXT, G3_TEXT, require_compiled
+from conftest import (G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, oracle_ranks,
+                      random_decl, require_compiled)
 
 
 @pytest.fixture
@@ -71,6 +75,96 @@ class TestRank:
 
     def test_unknown_after_mark_exits_2(self, g1_path, capsys):
         assert main(["rank", g1_path, "--after-mark", "zz"]) == 2
+
+
+def oracle_rank_text(decl, after_mark):
+    """What `hypergame rank` prints for `decl` after `after_mark`, from the
+    oracle's ranks, dead edges included."""
+    vr, er = oracle_ranks(decl.vertices, decl.edges, {decl.initial, *after_mark})
+
+    def value(r):
+        return "unreachable" if r == UNREACHABLE else str(r)
+
+    return "".join([*(f"vertex {v} rank {value(vr[v])}\n" for v in decl.vertices),
+                    *(f"edge {e.id} rank {value(er[e.id])}\n" for e in decl.edges)])
+
+
+class TestRankMatchesOracle:
+    """`rank` prints the session engine's ranks, on each backend; they equal
+    the oracle's whatever the order of the --after-mark vertices."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The rank tables `rank` builds, in order."""
+        made = []
+
+        class Recorded(RankTable):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(hypergame.cli, "RankTable", Recorded)
+        return made
+
+    @pytest.fixture
+    def rank(self, backend, tables, tmp_path, capsys, monkeypatch):
+        """`rank` on `decl`'s text with each --after-mark vertex in the given
+        order, on `backend`, which the default engine lookup picks once a
+        pure run hides the compiled core; asserts exit 0 and no stderr,
+        returns stdout."""
+        if backend == "pure":
+            monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)
+
+        def rank(decl, after_mark):
+            path = tmp_path / "model.hg"
+            path.write_text(serialize_model(decl))
+            argv = ["rank", str(path)]
+            for v in after_mark:
+                argv += ["--after-mark", v]
+            assert main(argv) == 0
+            assert tables[-1].eng.backend == backend
+            out, err = capsys.readouterr()
+            assert err == ""
+            return out
+        return rank
+
+    def test_random_models(self, rank):
+        rng = random.Random(43)
+        for _ in range(150):
+            decl = random_decl(rng)
+            after = [v for v in decl.vertices if v != decl.initial]
+            rng.shuffle(after)
+            after = after[:rng.randint(0, len(after))]
+            want = oracle_rank_text(decl, after)
+            assert rank(decl, after) == want
+            rng.shuffle(after)
+            assert rank(decl, after) == want
+
+    def test_every_vertex_marked(self, rank, tables):
+        # No unmarked vertex is left, so no base case: all is unreachable.
+        rng = random.Random(44)
+        for _ in range(20):
+            decl = random_decl(rng)
+            after = [v for v in decl.vertices if v != decl.initial]
+            rng.shuffle(after)
+            out = rank(decl, after)
+            assert tables[-1].eng.unmarked == 0
+            assert out == oracle_rank_text(decl, after)
+            assert all(line.endswith(" rank unreachable") for line in out.splitlines())
+
+    def test_lost_base_takes_the_flush(self, rank, tables):
+        # Marking the base `c` leaves each ring without support; the spare
+        # `z` stays unmarked, so the queries drain, overrun the work budget
+        # and flush.
+        rng = random.Random(45)
+        for _ in range(6):
+            decl, order = lost_base_decl(rng)
+            order = order[:-1]
+            want = oracle_rank_text(decl, order)
+            assert rank(decl, order) == want
+            assert tables[-1].snapshot_work().flushes >= 1
+            rng.shuffle(order)
+            assert rank(decl, order) == want
 
 
 class TestRun:
@@ -386,7 +480,7 @@ class TestBench:
         assert set(doc["host"]) == {"python", "cpu", "date"}
         assert doc["host"]["python"] == platform.python_version()
         assert doc["settings"] == {"sizes": [8, 16], "out_degree": 3, "fanout": 2,
-                                   "seed": 1, "repeats": 3}
+                                   "seed": 1, "repeats": 3, "scanner": "compiled"}
         assert set(doc["backends"]) == {"pure", "compiled"}
         for result in doc["backends"].values():
             assert set(result) == {"rows", "work_fit", "rank_growth_fit"}
@@ -423,7 +517,7 @@ class TestBench:
         ticks = iter([0.0, 5.0, 10.0, 11.0, 20.0, 23.0])  # 5 s, 1 s, 3 s
         monkeypatch.setattr(bench, "run_session", run_session)
         monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
-        row = bench.measure_session(8, seed=1, backend="pure")
+        [row] = bench.measure_session(8, seed=1, backends=["pure"])
         assert row.seconds == 3.0
         assert len(adversaries) == len({id(a) for a in adversaries}) == bench.REPEATS == 3
 
@@ -439,10 +533,39 @@ class TestBench:
             return real_parse_model(text)
 
         monkeypatch.setattr(bench, "parse_model", parse_model)
-        row = bench.measure_session(8, seed=1, backend="pure")
+        [row] = bench.measure_session(8, seed=1, backends=["pure"])
         decl = gen_random_bounded_degree(8, 3, 2, 1)
         assert texts == [serialize_model(decl)] * bench.REPEATS
         assert 0 < row.parse_s
+
+    def test_json_names_the_pure_scanner(self, monkeypatch, capsys):
+        import hypergame.bench as bench
+        monkeypatch.setattr(hypergame.model, "compiled_scan_plain", None)
+        rows = bench.run_benchmark([8])
+        assert bench.benchmark_json(rows, 3, 2, 1)["settings"]["scanner"] == "pure"
+
+    def test_compare_backends_parses_each_row_once(self, request, monkeypatch, capsys):
+        # Each row's model is generated and its text parsed REPEATS times
+        # once, whatever the number of backends; both rows carry that parse_s.
+        require_compiled(request.config)
+        import hypergame.bench as bench
+        calls = {"gen": 0, "parse": 0}
+        real_gen, real_parse = bench.gen_random_bounded_degree, bench.parse_model
+
+        def gen(*args):
+            calls["gen"] += 1
+            return real_gen(*args)
+
+        def parse_model(text):
+            calls["parse"] += 1
+            return real_parse(text)
+
+        monkeypatch.setattr(bench, "gen_random_bounded_degree", gen)
+        monkeypatch.setattr(bench, "parse_model", parse_model)
+        sizes = [8, 16, 32]
+        rows = bench.run_benchmark(sizes, compare=True)
+        assert calls == {"gen": len(sizes), "parse": bench.REPEATS * len(sizes)}
+        assert [r.parse_s for r in rows["pure"]] == [r.parse_s for r in rows["compiled"]]
 
     def test_json_unwritable(self, tmp_path, capsys):
         bad = tmp_path / "no-such-dir" / "bench.json"

@@ -10,9 +10,8 @@ from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON,
 from hypergame.model import parse_model
 from hypergame.providers import DeclProvider
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import incident_ids, random_decl, snapshot_ranks
+from conftest import incident_ids, oracle_ranks, random_decl, snapshot_ranks
 
 # A model that reaches a position with incident edge ranks {3, 1, 1}:
 # script [m, m2, s0] walks the m-chain and resets, after which p has rank 3

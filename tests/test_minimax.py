@@ -8,9 +8,8 @@ from hypergame.minimax import (TooLargeError, minimax_moves_to_mark,
 from hypergame.model import Edge, ModelDecl
 from hypergame.providers import gen_chain
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import random_decl
+from conftest import oracle_ranks, random_decl
 
 
 def test_g1_start_value_one(g1):

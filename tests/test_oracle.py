@@ -1,9 +1,8 @@
 import random
 
 from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import oracle_for_decl, random_decl
+from conftest import oracle_for_decl, oracle_ranks, random_decl
 
 
 def test_g1_start(g1):

@@ -9,9 +9,9 @@ from hypergame.engine import format_stats, format_trace, run_session
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import RankTable, UNREACHABLE, get_engine_class
 from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
-from hypergame.ranks.oracle import oracle_ranks
 
-from conftest import lost_base_decl, random_decl, require_compiled, snapshot_ranks
+from conftest import (lost_base_decl, oracle_ranks, random_decl, require_compiled,
+                     snapshot_ranks)
 
 
 def make_table(decl, backend, lazy=False):
