@@ -206,17 +206,14 @@ def cmd_transform(args):
 
 
 def cmd_gen(args):
-    if args.generator == "random":
-        try:
+    try:
+        if args.generator == "random":
             decl = gen_random_bounded_degree(args.states, args.out_degree,
                                              args.fanout, args.seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    else:
-        try:
+        else:
             decl = gen_chain(args.length)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     _write_text(args.output, serialize_model(decl))
     print(f"wrote {args.output}: {len(decl.vertices)} vertices, {len(decl.edges)} edges")
     return 0

@@ -128,7 +128,7 @@ class GameState:
         return self.table.marked
 
     def states_total(self) -> int:
-        return self.table.vertex_count()
+        return len(self.table.vid)
 
     def edge(self, eid: str):
         """The live edge `eid`: one whose head is marked. KeyError if there

@@ -16,9 +16,9 @@ declaration that exists can be played.
    of each plain edge line, from which the edges are built in one pass;
 3. other lines: every other non-blank line (the initial and model lines,
    labels, comments, keyword options) goes through the per-line code;
-4. on error: on any ModelError or a repeated edge id, the whole text is
-   parsed again one line at a time, so the error names the first faulty
-   line, as it always has.
+4. on error: on any ModelError or a repeated edge id, the same per-line
+   reader reads every line of the text, so the error names the first
+   faulty line, as it always has.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ REAL = "real"
 VIRTUAL = "virtual"
 INTERIOR = "interior"
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
-_IDS_RE = re.compile(r"[A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*\Z")  # space-joined ids
+_ID = r"[A-Za-z0-9_.-]+"  # an identifier; `_scan.cpp` keeps its own table
+_ID_RE = re.compile(_ID + r"\Z")
 _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 # A plain edge or vertex line: single spaces and identifiers only, so no
 # comment, label, tab or keyword option. An edge whose tail names `virtual`
 # or `interior` still needs the per-line parser.
-_PLAIN_LINE_RE = re.compile(
-    r"edge ([A-Za-z0-9_.-]+) ([A-Za-z0-9_.-]+) -> ([A-Za-z0-9_.-]+(?: [A-Za-z0-9_.-]+)*)"
-    r"|vertex ([A-Za-z0-9_.-]+)")
+_PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex ({_ID})")
 
 
 try:
@@ -105,12 +103,13 @@ class ModelDecl:
     Building one stores `vertices` sorted and `edges` sorted by id (each
     edge's tail keeps its given order), then raises ModelError, naming every
     violation, unless the initial vertex, every virtual vertex and every
-    head and tail are declared, no vertex or edge id repeats, and
-    `serialize_model` can write every name where `parse_model` reads it
-    back. The format's tail keywords make that false for a vertex named
-    `interior`, and for a tail or interior vertex named `virtual` except as
-    the last tail vertex of a virtual edge, which the parser reads after
-    the keyword.
+    head and tail are declared, no vertex or edge id repeats, and no
+    keyword name stands where `parse_model` would read it as the keyword:
+    a vertex named `interior`, or a tail or interior vertex named `virtual`
+    except as the last tail vertex of a virtual edge, which the parser
+    reads after the keyword. Whether each name is an identifier is not
+    checked here, where every parse would pay for it: `serialize_model`
+    raises on a name that its text cannot carry.
 
     A declaration is frozen but not hashable, because its edges are not
     (see `Edge`); nothing hashes one.
@@ -187,7 +186,7 @@ class ModelDecl:
         )
 
 
-def _check_id(token, line):
+def _check_id(token, line=None):
     if not _ID_RE.match(token):
         raise ModelError(f"bad identifier {token!r}", line)
     return token
@@ -245,38 +244,27 @@ def parse_model(text: str, strict_vertices: bool = False) -> ModelDecl:
     and an undeclared reference is an error.
     """
     columns = compiled_scan_plain(text) if compiled_scan_plain else None
-    vertices, ids, heads, tails, others = columns or scan_plain(text)
     try:
-        # A repeated id makes ModelDecl raise, if the other lines do not.
-        reader = _Reader(vertices, list(map(Edge, ids, heads, tails)), set(ids), heads)
-        for lineno, line in others:
-            reader.read(lineno, line)
-        return reader.decl(strict_vertices, tails)
+        return _read(columns or scan_plain(text), strict_vertices)
     except ModelError:
         return _parse_lines(text, strict_vertices)
 
 
 def _parse_lines(text, strict_vertices):
     """`parse_model` one line at a time, so the first fault raises with its
-    line number: a plain edge or vertex line takes one pattern match, every
-    other line `_Reader.read`."""
-    reader = _Reader([], [], set(), [])
-    plain_line = _PLAIN_LINE_RE.fullmatch
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = plain_line(line)
-        if m:
-            eid, head, tail, vertex = m.groups()
-            if vertex:
-                reader.declared.append(vertex)
-                continue
-            if VIRTUAL not in tail and INTERIOR not in tail:
-                tail = tuple(tail.split(" "))
-                reader.edges.append(_new_edge(lineno, reader.edge_ids, eid, head, tail))
-                reader.implicit.append(head)
-                reader.implicit.extend(tail)
-                continue
+    line number: `_Reader.read` reads every line."""
+    return _read(([], [], [], [], enumerate(text.splitlines(), start=1)), strict_vertices)
+
+
+def _read(columns, strict_vertices):
+    """The declaration of `columns`, as `scan_plain` gives them: the plain
+    edges are built in one pass, and `_Reader.read` reads the other lines."""
+    vertices, ids, heads, tails, others = columns
+    # A repeated id makes ModelDecl raise, if the other lines do not.
+    reader = _Reader(vertices, list(map(Edge, ids, heads, tails)), set(ids), heads)
+    for lineno, line in others:
         reader.read(lineno, line)
-    return reader.decl(strict_vertices)
+    return reader.decl(strict_vertices, tails)
 
 
 class _Reader:
@@ -296,7 +284,7 @@ class _Reader:
         self.implicit = implicit
 
     def read(self, lineno, line):
-        """Read line `lineno`, which is not a plain edge or vertex line."""
+        """Read line `lineno`, any line of the format."""
         if "#" in line:
             line = _cut_comment(line)
         fields = line.split()
@@ -331,7 +319,7 @@ class _Reader:
         else:
             raise ModelError(f"unknown keyword {kw!r}", lineno)
 
-    def decl(self, strict_vertices, tails=()):
+    def decl(self, strict_vertices, tails):
         """The declaration read; `tails` are more tails whose vertices are
         implicit."""
         if self.initial is None:
@@ -360,7 +348,12 @@ def _parse_edge_line(line, fields, lineno, edge_ids):
             fields = (line[: m.start()] + line[m.end() :]).split()
     if len(fields) < 4 or fields[3] != "->":
         raise ModelError("expected: edge <id> <head> -> <tails...>", lineno)
-    eid = fields[1]
+    # The first fault raises, in the order the pinned messages follow: a bad
+    # id, a repeated id, then a bad head, interior or tail.
+    eid = _check_id(fields[1], lineno)
+    if eid in edge_ids:
+        raise ModelError(f"duplicate edge id {eid!r}", lineno)
+    edge_ids.add(eid)
     head = fields[2]
     tail = fields[4:]
     kind = REAL
@@ -372,29 +365,10 @@ def _parse_edge_line(line, fields, lineno, edge_ids):
         i = tail.index(INTERIOR)
         interior = tail[i + 1 :]
         del tail[i:]
-    # One match checks every token. Only when it fails are they checked one
-    # by one, to name the first bad token: the id, then the head, interior
-    # and tail, with the repeated-id check after the id.
-    if _IDS_RE.match(" ".join([eid, head, *interior, *tail])):
-        unchecked = ()
-    else:
-        _check_id(eid, lineno)
-        unchecked = (head, *interior, *tail)
-    return _new_edge(lineno, edge_ids, eid, head, tuple(tail), kind, label,
-                     tuple(interior), unchecked)
-
-
-def _new_edge(lineno, edge_ids, eid, head, tail, kind=REAL, label="", interior=(),
-              unchecked=()):
-    """The edge of line `lineno`, whose id is checked: raise on a repeated
-    id, then on the first bad token of `unchecked`, then on a bad edge."""
-    if eid in edge_ids:
-        raise ModelError(f"duplicate edge id {eid!r}", lineno)
-    edge_ids.add(eid)
-    for token in unchecked:
+    for token in (head, *interior, *tail):
         _check_id(token, lineno)
     try:
-        return Edge(eid, head, tail, kind, label, interior)
+        return Edge(eid, head, tuple(tail), kind, label, tuple(interior))
     except ModelError as exc:
         raise ModelError(str(exc), lineno) from None
 
@@ -404,8 +378,15 @@ def serialize_model(decl: ModelDecl) -> str:
 
     Tails are written sorted, and `parse_model` keeps a file's tail order, so
     parse_model(serialize_model(d)) == d exactly when every tail of d is
-    sorted.
+    sorted. Raises ModelError("bad identifier ...") for the first name, in
+    text order, that is not an identifier: the model name, the initial
+    vertex, the vertices, then each edge's id and interiors. Its text would
+    not parse.
     """
+    names = chain((decl.name,) if decl.name else (), (decl.initial,), decl.vertices,
+                  chain.from_iterable((e.id, *e.interior) for e in decl.edges))
+    for name in names:
+        _check_id(name)
     out = []
     if decl.name:
         out.append(f"model {decl.name}")

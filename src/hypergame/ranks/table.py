@@ -59,9 +59,6 @@ class RankTable:
 
     # -- ids ----------------------------------------------------------------
 
-    def vertex_count(self) -> int:
-        return len(self.vid)
-
     def live_edge_objects(self) -> list[Edge]:
         """Every live edge, in dense id order."""
         return [e for edges in self.out.values() for e in edges]

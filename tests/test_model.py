@@ -103,7 +103,8 @@ def edge_line_calls(monkeypatch):
 
 class TestPlainLines:
     # parse_model reads a plain edge or vertex line with one pattern match;
-    # every other line goes through the per-line parser.
+    # every other line goes through the per-line parser, and so does every
+    # line of a text that does not parse.
     def test_other_forms_parse_the_same(self, edge_line_calls):
         rng = random.Random(14)
         for _ in range(150):
@@ -117,17 +118,34 @@ class TestPlainLines:
             for strict in (False, True):
                 del edge_line_calls[:]
                 expected = _outcome(plain, strict)
+                if isinstance(expected, str):  # the error path reads every line
+                    assert _outcome(other, strict) == expected
+                    continue
                 assert edge_line_calls == []
                 assert _outcome(other, strict) == expected
-                if not isinstance(expected, str):
-                    assert len(edge_line_calls) == len(expected.edges)
+                assert len(edge_line_calls) == len(expected.edges)
 
-    def test_plain_lines_raise_the_same_messages(self, edge_line_calls):
+    def test_plain_lines_raise_the_same_messages(self):
         with pytest.raises(ModelError, match="^line 3: duplicate edge id 'a'$"):
             parse_model("initial s0\nedge a s0 -> s1\nedge a s0 -> s2\n")
         with pytest.raises(ModelError, match="^line 2: edge a: duplicate tail vertex$"):
             parse_model("initial s0\nedge a s0 -> s1 s1\n")
-        assert edge_line_calls == []
+
+    def test_per_line_parser_reads_every_line(self, monkeypatch):
+        # The error path's reference grammar is `_Reader.read` alone: it
+        # matches none of the scanners' patterns, plain lines included.
+        lines = []
+        real = model._Reader.read
+
+        def counting(reader, lineno, line):
+            lines.append((lineno, line))
+            return real(reader, lineno, line)
+
+        monkeypatch.setattr(model._Reader, "read", counting)
+        text = "model m\ninitial s0\n\nvertex s1\nedge a s0 -> s1\nedge b s1 -> s0 s2\n"
+        decl = model._parse_lines(text, False)
+        assert lines == list(enumerate(text.splitlines(), start=1))
+        assert decl == parse_model(text)
 
     def test_generated_models_take_the_pattern(self, edge_line_calls):
         # Fails if an edit to the pattern sends plain lines to the slow path.
@@ -140,6 +158,22 @@ class TestPlainLines:
     def test_options_take_the_per_line_parser(self, edge_line_calls, line):
         parse_model(f"initial s0\n{line}\n")
         assert edge_line_calls == [line]
+
+
+@pytest.mark.parametrize("fault", ["repeated-id", "repeated-tail"])
+def test_faulty_last_line_of_a_large_text(scanner, fault):
+    # The error path reads the whole text again, one line at a time.
+    decl = gen_random_bounded_degree(4096, 3, 2, 17)
+    text = serialize_model(decl)
+    lineno = text.count("\n") + 1
+    eid, (v0, v1) = decl.edges[-1].id, decl.vertices[:2]
+    if fault == "repeated-id":
+        line, message = f"edge {eid} {v0} -> {v1}", f"duplicate edge id {eid!r}"
+    else:
+        line, message = f"edge {eid}x {v0} -> {v1} {v1}", f"edge {eid}x: duplicate tail vertex"
+    with pytest.raises(ModelError) as exc:
+        parse_model(f"{text}{line}\n")
+    assert str(exc.value) == f"line {lineno}: {message}"
 
 
 class TestEdge:
@@ -327,11 +361,20 @@ IDS = st.one_of(st.sampled_from(["virtual", "interior", "label", "edge", "vertex
 
 
 LINE_BREAK_LABEL = "two\nlines"
+# Names that are not identifiers: a ModelDecl takes them, and
+# serialize_model rejects the first.
+BAD_NAMES = ["s 1", "s~", "s\u00e9", ""]
 
 
 @st.composite
-def decl_parts(draw):
-    vs = tuple(draw(st.lists(IDS, min_size=1, max_size=6, unique=True)))
+def decl_parts(draw, bad_names=False):
+    def name(good):
+        """`good`, or with `bad_names` one time in ten a bad name."""
+        bad = draw(st.sampled_from([None] * 36 + BAD_NAMES)) if bad_names else None
+        return good if bad is None else bad
+
+    drawn = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    vs = tuple(dict.fromkeys(name(v) for v in drawn))
     m = draw(st.integers(min_value=0, max_value=8))
     edges = []
     for j in range(m):
@@ -341,10 +384,10 @@ def decl_parts(draw):
         label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"',
                                       LINE_BREAK_LABEL]))
         kind = draw(st.sampled_from(["real", "virtual"]))
-        interior = tuple(draw(st.lists(IDS, max_size=2)))
-        edges.append((f"e{j}", head, tail, kind, label, interior))
+        interior = tuple(name(v) for v in draw(st.lists(IDS, max_size=2)))
+        edges.append((name(f"e{j}"), head, tail, kind, label, interior))
     return {"initial": vs[0], "vertices": vs, "edges": tuple(edges),
-            "name": draw(st.sampled_from(["", "m1"])),
+            "name": name(draw(st.sampled_from(["", "m1"]))),
             "virtual_vertices": frozenset(draw(st.lists(st.sampled_from(vs))))}
 
 
@@ -363,20 +406,34 @@ def decls():
     return decl_parts().map(_build).filter(lambda d: d is not None)
 
 
-@settings(max_examples=200, deadline=None)
-@given(decl_parts())
+@settings(max_examples=300, deadline=None)
+@given(decl_parts(bad_names=True))
 def test_serialize_parse_round_trip(parts):
-    # Every declaration that can be built comes back from its text; a draw
-    # is invalid only for a line break in a label or a keyword name.
+    # Every declaration that can be built comes back from its text, unless
+    # it holds a bad name; a draw is invalid only for a line break in a
+    # label, a keyword name or a bad edge id drawn twice.
     decl = _build(parts)
     if decl is None:
         with pytest.raises(ModelError) as exc:
             _make(parts)
         broken = [e[0] for e in parts["edges"] if e[4] == LINE_BREAK_LABEL]
+        ids = [e[0] for e in parts["edges"]]
+        repeated = {f"DuplicateEdgeId({i})" for i in ids if ids.count(i) > 1}
         if broken:
             assert str(exc.value) == f"edge {broken[0]}: line break in label"
         else:
-            assert all(p.startswith("ReservedVertex(") for p in str(exc.value).split("; "))
+            assert all(p.startswith("ReservedVertex(") or p in repeated
+                       for p in str(exc.value).split("; "))
+        return
+    # The names in the order the text would hold them.
+    names = [decl.name] * bool(decl.name) + [decl.initial, *decl.vertices]
+    for e in decl.edges:
+        names += [e.id, *e.interior]
+    bad = [n for n in names if n in BAD_NAMES]
+    if bad:
+        with pytest.raises(ModelError) as exc:
+            serialize_model(decl)
+        assert str(exc.value) == f"bad identifier {bad[0]!r}"
         return
     assert parse_model(serialize_model(decl)) == decl
 

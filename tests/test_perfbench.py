@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hypergame
+from hypergame import model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
@@ -44,3 +45,26 @@ def test_workload_plays_checked_and_traced(name, capsys):
     assert left_out == STALE_SPANS
     session_spans = set(run.SESSION_SELF.values()) - STALE_SPANS
     assert {span for span in session_spans if not tracer.calls[span]} == set()
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_text_takes_the_scanned_path(name, scanner, monkeypatch):
+    # Only the model and initial lines reach the per-line reader; if the
+    # benchmark's text ever needs it for more, its parse times change.
+    keywords, slow = [], []
+
+    def logged(owner, attr, log, entry=None):
+        real = getattr(owner, attr)
+
+        def call(*args):
+            log.append(entry(*args) if entry else attr)
+            return real(*args)
+        monkeypatch.setattr(owner, attr, call)
+
+    logged(model._Reader, "read", keywords, lambda reader, lineno, line: line.split()[0])
+    logged(model, "_parse_edge_line", slow)
+    logged(model, "_parse_lines", slow)
+    model_seed, _ = run.input_seeds(name, 1)[0]
+    text, _ = run.make_input(name, 0, model_seed, with_model=False)
+    assert len(hypergame.parse_model(text).vertices) == run.WORKLOADS[name].states
+    assert (keywords, slow) == (["model", "initial"], [])
