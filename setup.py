@@ -1,10 +1,11 @@
 """Build script: compiles the optional C++ extensions, the rank-engine core
-and the model-text line scanner.
+and the model kernels (`hypergame._scan`: the model-text line scanner and
+the edge kernels that build a declaration's edges and check them).
 
-The package works without them (a pure-Python engine and scanner are
-selected at import time), so each extension is optional: where it cannot be
-compiled, for instance with no C++ compiler, the build warns and goes on
-pure-Python only.
+The package works without them: a pure-Python engine, scanner and edge
+kernels are selected at import time whenever an extension does not import.
+So each extension is optional: where it cannot be compiled, for instance
+with no C++ compiler, the build warns and goes on pure-Python only.
 """
 
 from setuptools import Extension, setup

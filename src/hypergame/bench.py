@@ -214,8 +214,9 @@ def benchmark_json(all_rows, out_degree, fanout, seed) -> dict:
         "settings": {"sizes": [r.n for r in next(iter(all_rows.values()))],
                      "out_degree": out_degree, "fanout": fanout, "seed": seed,
                      "repeats": REPEATS,
-                     # the scanner that timed parse_s; without a compiler it is
-                     # the pure one, which parses slower
-                     "scanner": "compiled" if model.compiled_scan_plain else "pure"},
+                     # the scanner and edge builder that timed parse_s; without
+                     # a compiler they are the pure ones, which parse slower
+                     "scanner": "compiled" if model.compiled_scan_plain else "pure",
+                     "builder": "compiled" if model.compiled_make_edges else "pure"},
         "backends": backends,
     }

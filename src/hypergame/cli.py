@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .adversaries import (AdversaryConfigError, ScriptError, make_adversary,
@@ -232,11 +233,23 @@ def cmd_bench(args):
         raise CliError(str(exc)) from None
     if args.compare_backends:
         _check_backend("compiled")
-    rows = run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
-                         seed=args.seed, compare=args.compare_backends)
-    if args.json:
-        doc = benchmark_json(rows, args.out_degree, args.fanout, args.seed)
-        _write_text(args.json, json.dumps(doc, indent=2) + "\n")
+    # Opened before any row is measured, so a path that cannot be written
+    # fails at once; appending leaves an existing file as it is until the
+    # rows replace it.
+    try:
+        out = open(args.json, "a", encoding="utf-8") if args.json else nullcontext()
+    except OSError as exc:
+        raise CliError(f"cannot write {args.json}: {exc}") from None
+    with out:
+        rows = run_benchmark(sizes=sizes, out_degree=args.out_degree, fanout=args.fanout,
+                             seed=args.seed, compare=args.compare_backends)
+        if args.json:
+            doc = benchmark_json(rows, args.out_degree, args.fanout, args.seed)
+            try:
+                out.truncate(0)
+                out.write(json.dumps(doc, indent=2) + "\n")
+            except OSError as exc:
+                raise CliError(f"cannot write {args.json}: {exc}") from None
     return 0
 
 

@@ -13,12 +13,24 @@ declaration that exists can be played.
    it was built and the text is ASCII with lines broken by \n only, else by
    the pure `scan_plain`;
 2. columns: the scan gives the vertex lines' names and the id, head and tail
-   of each plain edge line, from which the edges are built in one pass;
+   of each plain edge line, from which `make_edges` builds the edges;
 3. other lines: every other non-blank line (the initial and model lines,
    labels, comments, keyword options) goes through the per-line code;
 4. on error: on any ModelError or a repeated edge id, the same per-line
    reader reads every line of the text, so the error names the first
    faulty line, as it always has.
+
+Two edge kernels carry the per-edge work of a parse and of the coverage
+transforms, each a pure function here with a compiled twin in `_scan.cpp`
+that is used when the extension was built (`compiled_make_edges`,
+`compiled_check_edges`, else None):
+
+- `make_edges` builds edges from columns. The compiled copy fills each
+  edge's slots without calling `Edge`, after making `Edge`'s checks; an
+  edge that fails one, or that it does not take, it builds with `Edge`.
+- `check_edges` sorts a declaration's edges by id and tells whether they
+  pass `ModelDecl`'s per-edge checks. Only when they do not does the Python
+  loop, `_edge_problems`, run to name every problem.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 REAL = "real"
@@ -43,9 +55,10 @@ _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex
 
 
 try:
-    from ._scan import scan_plain as compiled_scan_plain
+    from . import _scan
 except ImportError:  # extension not built
-    compiled_scan_plain = None
+    _scan = None
+compiled_scan_plain = _scan.scan_plain if _scan else None
 
 
 class ModelError(Exception):
@@ -71,6 +84,10 @@ class Edge:
     bytes per edge (`tracemalloc`). `parse_model` builds one per edge line.
     Neither an edge nor a `ModelDecl` is therefore hashable. Nothing assigns
     to an edge or hashes one; `dataclasses.replace` makes a changed copy.
+
+    The compiled `make_edges` fills these six slots itself and repeats the
+    checks of `__post_init__`, so a change to either is made in `_scan.cpp`
+    too; a change to the fields makes the import of this module raise.
     """
 
     id: str
@@ -123,8 +140,10 @@ class ModelDecl:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=attrgetter("id"))))
         vset = self.vertex_set
+        checked = compiled_check_edges(self.edges, vset) if compiled_check_edges else None
+        edges, edges_ok = checked or check_edges(self.edges, vset)
+        object.__setattr__(self, "edges", edges)
         problems = []
         if self.initial not in vset:
             problems.append(f"UnknownVertex({self.initial}): initial vertex not declared")
@@ -135,22 +154,8 @@ class ModelDecl:
                             for prev, v in zip(self.vertices, self.vertices[1:]) if v == prev)
         if INTERIOR in vset:
             problems.append(f"ReservedVertex({INTERIOR})")
-        virtual_named = VIRTUAL in vset
-        prev = None
-        for e in self.edges:
-            if e.id == prev:  # sorted, so a repeated id follows its first use
-                problems.append(f"DuplicateEdgeId({e.id})")
-            prev = e.id
-            if e.head not in vset:
-                problems.append(f"UnknownVertex({e.head}): head of edge {e.id}")
-            if not vset.issuperset(e.tail):
-                problems.extend(f"UnknownVertex({t}): tail of edge {e.id}"
-                                for t in e.tail if t not in vset)
-            if virtual_named and VIRTUAL in e.tail and (e.kind != VIRTUAL
-                                                        or e.tail[-1] != VIRTUAL):
-                problems.append(f"ReservedVertex({VIRTUAL}): tail of edge {e.id}")
-            if e.interior and e.kind == REAL and VIRTUAL in e.interior:
-                problems.append(f"ReservedVertex({VIRTUAL}): interior of edge {e.id}")
+        if not edges_ok:
+            problems.extend(_edge_problems(edges, vset))
         if problems:
             raise ModelError("; ".join(problems))
 
@@ -184,6 +189,56 @@ class ModelDecl:
             edges=tuple(edges),
             virtual_vertices=(self.virtual_vertices - drop) | frozenset(added_virtual),
         )
+
+
+def make_edges(ids, heads, tails, kinds=None, labels=None, interiors=None):
+    """`[Edge(ids[i], heads[i], tails[i], kinds[i], labels[i], interiors[i]) ...]`
+    over columns of one length (else ValueError); a column given as None
+    gives every edge that field's default. The first edge that `Edge`
+    rejects raises, as `Edge` does. `compiled_make_edges` is the compiled
+    twin: it takes the same columns, positionally."""
+    n = len(ids)
+    if any(c is not None and len(c) != n for c in (heads, tails, kinds, labels, interiors)):
+        raise ValueError("make_edges() columns differ in length")
+    return list(map(Edge, ids, heads, tails,
+                    repeat(REAL) if kinds is None else kinds,
+                    repeat("") if labels is None else labels,
+                    repeat(()) if interiors is None else interiors))
+
+
+def check_edges(edges, vertex_set):
+    """`(sorted edges, ok)`: `edges` as a tuple stably sorted by id, and
+    whether `_edge_problems` finds no problem in them. `compiled_check_edges`
+    is the compiled twin; it gives None for input it does not take: anything
+    but a tuple or list of `Edge`s whose names are str and whose tail and
+    interior are tuples of str."""
+    edges = tuple(sorted(edges, key=attrgetter("id")))
+    return edges, next(_edge_problems(edges, vertex_set), None) is None
+
+
+def _edge_problems(edges, vset):
+    """The per-edge problems of a declaration with vertex set `vset` and
+    `edges`, sorted by id, in `ModelDecl`'s order."""
+    virtual_named = VIRTUAL in vset
+    prev = None
+    for e in edges:
+        if e.id == prev:  # sorted, so a repeated id follows its first use
+            yield f"DuplicateEdgeId({e.id})"
+        prev = e.id
+        if e.head not in vset:
+            yield f"UnknownVertex({e.head}): head of edge {e.id}"
+        if not vset.issuperset(e.tail):
+            yield from (f"UnknownVertex({t}): tail of edge {e.id}"
+                        for t in e.tail if t not in vset)
+        if virtual_named and VIRTUAL in e.tail and (e.kind != VIRTUAL
+                                                    or e.tail[-1] != VIRTUAL):
+            yield f"ReservedVertex({VIRTUAL}): tail of edge {e.id}"
+        if e.interior and e.kind == REAL and VIRTUAL in e.interior:
+            yield f"ReservedVertex({VIRTUAL}): interior of edge {e.id}"
+
+
+compiled_make_edges, compiled_check_edges = (_scan.edge_kernels(Edge) if _scan
+                                             else (None, None))
 
 
 def _check_id(token, line=None):
@@ -258,10 +313,12 @@ def _parse_lines(text, strict_vertices):
 
 def _read(columns, strict_vertices):
     """The declaration of `columns`, as `scan_plain` gives them: the plain
-    edges are built in one pass, and `_Reader.read` reads the other lines."""
+    edges are built by one `make_edges` call, and `_Reader.read` reads the
+    other lines."""
     vertices, ids, heads, tails, others = columns
     # A repeated id makes ModelDecl raise, if the other lines do not.
-    reader = _Reader(vertices, list(map(Edge, ids, heads, tails)), set(ids), heads)
+    edges = (compiled_make_edges or make_edges)(ids, heads, tails)
+    reader = _Reader(vertices, edges, set(ids), heads)
     for lineno, line in others:
         reader.read(lineno, line)
     return reader.decl(strict_vertices, tails)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Edge, ModelDecl, REAL, VIRTUAL
+from . import model
+from .model import Edge, ModelDecl, VIRTUAL
 
 
 @dataclass
@@ -95,20 +96,18 @@ def edge_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport
     """State coverage of the inserted waypoint vertices equals edge coverage
     of the input: each edge e: h -> T becomes h -> {w_e} -> T."""
     report = TransformReport()
-    fresh = _Fresh(decl)
-    edges = []
-    for e in decl.edges:
-        w = fresh.take(f"{e.id}.E")
-        out_id = fresh.take(f"{e.id}.E2")
-        report.added_vertices.append(w)
-        report.rewritten_edges.append(e.id)
-        report.added_edges.append(out_id)
-        edges.append(Edge(e.id, e.head, (w,), kind=e.kind, label=e.label,
-                          interior=e.interior))
-        edges.append(Edge(out_id, w, e.tail, kind=VIRTUAL))
-    if not report.rewritten_edges:
+    if not decl.edges:
         return decl, report
-    return decl.with_edges(edges, added_virtual=report.added_vertices), report
+    take = _Fresh(decl).take
+    for e in decl.edges:
+        report.added_vertices.append(take(f"{e.id}.E"))
+        report.added_edges.append(take(f"{e.id}.E2"))
+    report.rewritten_edges = [e.id for e in decl.edges]
+    ws = report.added_vertices
+    edges = _rewritten(decl.edges, [(w,) for w in ws])
+    edges += _make_edges(report.added_edges, ws, [e.tail for e in decl.edges],
+                         [VIRTUAL] * len(ws))
+    return decl.with_edges(edges, added_virtual=ws), report
 
 
 def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -116,23 +115,33 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
     stimulus e was observed at least once. The system still picks the
     outcome, now among the waypoints."""
     report = TransformReport()
-    fresh = _Fresh(decl)
-    edges = []
-    for e in decl.edges:
-        ws = []
-        outs = []
-        for t in sorted(e.tail):
-            w = fresh.take(f"{e.id}.B.{t}")
-            ws.append(w)
-            outs.append(Edge(fresh.take(f"{e.id}.B2.{t}"), w, (t,), VIRTUAL))
-        report.added_vertices.extend(ws)
-        report.rewritten_edges.append(e.id)
-        report.added_edges.extend(o.id for o in outs)
-        edges.append(Edge(e.id, e.head, tuple(ws), e.kind, e.label, e.interior))
-        edges.extend(outs)
-    if not report.rewritten_edges:
+    if not decl.edges:
         return decl, report
-    return decl.with_edges(edges, added_virtual=report.added_vertices), report
+    take = _Fresh(decl).take
+    ws, out_tails, tails = report.added_vertices, [], []
+    for e in decl.edges:
+        first = len(ws)
+        for t in sorted(e.tail):
+            ws.append(take(f"{e.id}.B.{t}"))
+            report.added_edges.append(take(f"{e.id}.B2.{t}"))
+            out_tails.append((t,))
+        tails.append(tuple(ws[first:]))
+    report.rewritten_edges = [e.id for e in decl.edges]
+    edges = _rewritten(decl.edges, tails)
+    edges += _make_edges(report.added_edges, ws, out_tails, [VIRTUAL] * len(ws))
+    return decl.with_edges(edges, added_virtual=ws), report
+
+
+def _make_edges(*columns):
+    """`model.make_edges(*columns)`, by its compiled twin when it is built."""
+    return (model.compiled_make_edges or model.make_edges)(*columns)
+
+
+def _rewritten(edges, tails):
+    """Each of `edges` with the matching one of `tails` as its tail."""
+    return _make_edges([e.id for e in edges], [e.head for e in edges], tails,
+                       [e.kind for e in edges], [e.label for e in edges],
+                       [e.interior for e in edges])
 
 
 def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:

@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 NO_COMPILER = "no C++ compiler"
 # None once the compiled backend is registered; else why it is not.
 _COMPILED_MISSING = pytest.StashKey[str | None]()
+# The compiled edge kernels as built, unchecked: (make_edges, check_edges).
+_EDGE_KERNELS = pytest.StashKey[tuple]()
 
 
 def _have_compiler() -> bool:
@@ -32,12 +34,14 @@ def _have_compiler() -> bool:
     return True
 
 
-def _build_compiled(tmp: Path) -> str | None:
+def _build_compiled(tmp: Path, config) -> str | None:
     """Build the C++ extensions from this checkout's sources into `tmp` with
-    setup.py, register the rank core as hypergame.ranks.CompiledRankEngine
-    and the line scanner, checked by `_scanners_agree`, as
-    hypergame.model.compiled_scan_plain. Returns None on success, else the
-    reason the compiled backend is missing."""
+    setup.py, register the rank core as hypergame.ranks.CompiledRankEngine,
+    the line scanner, checked by `_scanners_agree`, as
+    hypergame.model.compiled_scan_plain, and the edge kernels, checked by
+    `_builders_agree`, as hypergame.model.compiled_make_edges and
+    compiled_check_edges. Returns None on success, else the reason the
+    compiled backend is missing."""
     if not _have_compiler():
         return NO_COMPILER
     proc = subprocess.run(
@@ -57,6 +61,10 @@ def _build_compiled(tmp: Path) -> str | None:
         sys.modules[name] = modules[name]
     hypergame.ranks.CompiledRankEngine = modules["hypergame.ranks._core"].CompiledRankEngine
     hypergame.model.compiled_scan_plain = _scanners_agree(modules["hypergame._scan"].scan_plain)
+    kernels = modules["hypergame._scan"].edge_kernels(Edge)
+    config.stash[_EDGE_KERNELS] = kernels
+    (hypergame.model.compiled_make_edges,
+     hypergame.model.compiled_check_edges) = _builders_agree(*kernels)
     return None
 
 
@@ -79,10 +87,50 @@ def _scanners_agree(compiled):
     return scan_plain
 
 
+def _builders_agree(make_edges, check_edges):
+    """The compiled edge kernels, each of which also runs its pure twin and
+    asserts the same result: equal edges with equal reprs, or the same
+    error, from `make_edges`; the same edge objects in the same order and
+    the same verdict from `check_edges`, which may give None only for
+    input it does not take. So every parse, transform and declaration in a
+    test that does not pin a builder runs both."""
+    def make(*columns):
+        try:
+            edges = make_edges(*columns)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as pure:
+                hypergame.model.make_edges(*columns)
+            assert str(pure.value) == str(exc)
+            raise
+        pure = hypergame.model.make_edges(*columns)
+        assert edges == pure and repr(edges) == repr(pure)
+        assert all(type(e) is Edge for e in edges)
+        return edges
+
+    def check(edges, vertex_set):
+        checked = check_edges(edges, vertex_set)
+        if checked is None:
+            assert not (type(edges) in (tuple, list) and all(map(_plain_edge, edges)))
+        else:
+            pure = hypergame.model.check_edges(edges, vertex_set)
+            assert checked[1] == pure[1] and len(checked[0]) == len(pure[0])
+            assert all(a is b for a, b in zip(checked[0], pure[0]))
+        return checked
+    return make, check
+
+
+def _plain_edge(e):
+    """Whether `check_edges`'s compiled twin takes edge `e`."""
+    def names(t):
+        return type(t) is tuple and len(t) <= 32 and all(type(v) is str for v in t)
+    return (type(e) is Edge and type(e.id) is type(e.head) is type(e.kind) is str
+            and names(e.tail) and names(e.interior))
+
+
 @pytest.hookimpl(trylast=True)  # after the tmpdir plugin set up its factory
 def pytest_configure(config):
     tmp = config._tmp_path_factory.mktemp("rank-core")
-    config.stash[_COMPILED_MISSING] = _build_compiled(tmp)
+    config.stash[_COMPILED_MISSING] = _build_compiled(tmp, config)
 
 
 def require_compiled(config) -> None:
@@ -147,6 +195,20 @@ def scanner(request, monkeypatch):
         require_compiled(request.config)
     else:
         monkeypatch.setattr(hypergame.model, "compiled_scan_plain", None)
+    return request.param
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def builder(request, monkeypatch):
+    """The edge kernels this test builds and checks edges with: the pure
+    ones, or the compiled ones as built, not checked against the pure ones;
+    the compiled ones skip without a C++ compiler."""
+    kernels = (None, None)
+    if request.param == "compiled":
+        require_compiled(request.config)
+        kernels = request.config.stash[_EDGE_KERNELS]
+    monkeypatch.setattr(hypergame.model, "compiled_make_edges", kernels[0])
+    monkeypatch.setattr(hypergame.model, "compiled_check_edges", kernels[1])
     return request.param
 
 

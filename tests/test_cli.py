@@ -480,7 +480,8 @@ class TestBench:
         assert set(doc["host"]) == {"python", "cpu", "date"}
         assert doc["host"]["python"] == platform.python_version()
         assert doc["settings"] == {"sizes": [8, 16], "out_degree": 3, "fanout": 2,
-                                   "seed": 1, "repeats": 3, "scanner": "compiled"}
+                                   "seed": 1, "repeats": 3, "scanner": "compiled",
+                                   "builder": "compiled"}
         assert set(doc["backends"]) == {"pure", "compiled"}
         for result in doc["backends"].values():
             assert set(result) == {"rows", "work_fit", "rank_growth_fit"}
@@ -544,6 +545,11 @@ class TestBench:
         rows = bench.run_benchmark([8])
         assert bench.benchmark_json(rows, 3, 2, 1)["settings"]["scanner"] == "pure"
 
+    def test_json_names_the_builder(self, builder, capsys):
+        import hypergame.bench as bench
+        rows = bench.run_benchmark([8])
+        assert bench.benchmark_json(rows, 3, 2, 1)["settings"]["builder"] == builder
+
     def test_compare_backends_parses_each_row_once(self, request, monkeypatch, capsys):
         # Each row's model is generated and its text parsed REPEATS times
         # once, whatever the number of backends; both rows carry that parse_s.
@@ -567,10 +573,35 @@ class TestBench:
         assert calls == {"gen": len(sizes), "parse": bench.REPEATS * len(sizes)}
         assert [r.parse_s for r in rows["pure"]] == [r.parse_s for r in rows["compiled"]]
 
-    def test_json_unwritable(self, tmp_path, capsys):
-        bad = tmp_path / "no-such-dir" / "bench.json"
-        assert main(["bench", "--min-pow", "3", "--max-pow", "3", "--json", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+    def test_json_unwritable(self, tmp_path, monkeypatch, capsys):
+        # A path that cannot be written fails before any session is played.
+        import hypergame.bench as bench
+
+        def run_session(*args, **kwargs):
+            raise AssertionError("a session was played")
+
+        monkeypatch.setattr(bench, "run_session", run_session)
+        for bad in (tmp_path / "no-such-dir" / "bench.json", tmp_path):
+            assert main(["bench", "--min-pow", "3", "--max-pow", "3", "--json", str(bad)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot write {bad}")
+
+    def test_json_replaces_a_file_once_the_rows_are_written(self, tmp_path, monkeypatch,
+                                                            capsys):
+        import hypergame.bench as bench
+        out = tmp_path / "bench.json"
+        old = "old\n" * 10_000  # longer than the new text
+        out.write_text(old)
+        seen = []
+        real_run_session = bench.run_session
+
+        def run_session(*args, **kwargs):
+            seen.append(out.read_text())
+            return real_run_session(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_session", run_session)
+        assert main(["bench", "--min-pow", "3", "--max-pow", "3", "--json", str(out)]) == 0
+        assert seen == [old] * bench.REPEATS
+        assert json.loads(out.read_text())["settings"]["sizes"] == [8]
 
 
 def test_version(capsys):

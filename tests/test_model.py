@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +214,117 @@ class TestEdge:
             "interior=('s3',))"
 
 
+# Edges that Edge builds, with the fields the compiled make_edges takes
+# and some it leaves to Edge: a list tail, a non-str vertex, a str subclass
+# as kind, a long tail, a label with a tab or a non-ASCII letter.
+class _Kind(str):
+    pass
+
+
+GOOD_EDGES = [
+    ("a", "s0", ("s1",), "real", "", ()),
+    ("b", "s0", ("s1", "s2"), "virtual", "hit", ("s3", "virtual")),
+    ("c", "s1", ["s2", "s0"], "real", "", ()),
+    ("d", "s1", (7,), _Kind("real"), "x\ty", ()),
+    ("e", "s2", tuple(f"v{i}" for i in range(40)), "virtual", "\u00e9", ["i"]),
+    (3, "s2", ("s0", 1), "real", "say \"hi\"", ()),
+]
+BAD_EDGES = [
+    ("a", "s0", ("s1",), "marker", "", ()),
+    ("a", "s0", (), "virtual", "", ()),
+    ("a", "s0", ("s1", "".join(["s", "1"])), "real", "", ()),
+    ("a", "s0", ("s1", "s2", "s1"), "real", "", ()),
+    ("a", "s0", tuple(f"v{i % 39}" for i in range(40)), "real", "", ()),
+    *[("a", "s0", ("s1",), "real", f"x{brk}y", ()) for brk in ("\n", *LINE_BREAKS)],
+]
+
+
+def _columns(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+class TestEdgeKernels:
+    """`make_edges` and `check_edges` on the builder each test pins: the
+    pure functions, or their compiled twins."""
+
+    def test_make_edges_builds_what_edge_builds(self, builder):
+        edges = model.make_edges(*_columns(GOOD_EDGES))
+        made = (model.compiled_make_edges or model.make_edges)(*_columns(GOOD_EDGES))
+        assert made == edges == [Edge(*row) for row in GOOD_EDGES]
+        assert repr(made) == repr(edges)
+        assert all(type(e) is Edge for e in made)
+
+    def test_make_edges_defaults(self, builder):
+        make = model.compiled_make_edges or model.make_edges
+        ids, heads, tails, kinds, labels, interiors = _columns(GOOD_EDGES[:2])
+        assert make(ids, heads, tails) == [Edge(*row[:3]) for row in GOOD_EDGES[:2]]
+        assert make(ids, heads, tails, None, labels, None) == \
+            [Edge(i, h, t, label=la) for i, h, t, la in zip(ids, heads, tails, labels)]
+        assert make([], [], []) == []
+
+    @pytest.mark.parametrize("bad", range(len(BAD_EDGES)))
+    def test_make_edges_raises_the_first_edges_error(self, builder, bad):
+        make = model.compiled_make_edges or model.make_edges
+        with pytest.raises(ModelError) as expected:
+            Edge(*BAD_EDGES[bad])
+        rows = [GOOD_EDGES[0], ("z", *BAD_EDGES[bad][1:]), BAD_EDGES[bad], GOOD_EDGES[1]]
+        with pytest.raises(ModelError) as exc:
+            make(*_columns(rows))
+        assert str(exc.value) == str(expected.value).replace("edge a:", "edge z:")
+
+    def test_make_edges_columns_differ_in_length(self, builder):
+        make = model.compiled_make_edges or model.make_edges
+        with pytest.raises(ValueError, match="^make_edges\\(\\) columns differ in length$"):
+            make(["a", "b"], ["s0", "s0"], [("s1",)])
+        with pytest.raises(ValueError, match="^make_edges\\(\\) columns differ in length$"):
+            make(["a"], ["s0"], [("s1",)], ["real", "real"])
+
+    @pytest.mark.parametrize("rows, vertices, ok", [
+        ([("b", "s0", ("s1",)), ("a", "s1", ("s0",)), ("c", "s0", ("s0", "s1"))], "s0 s1", True),
+        ([("a", "s0", ("s1",))], "s0", False),  # undeclared tail vertex
+        ([("a", "s2", ("s1",))], "s0 s1", False),  # undeclared head
+        ([("a", "s0", ("s1",)), ("a", "s1", ("s0",))], "s0 s1", False),  # repeated id
+        ([("a", "s0", ("virtual",), "virtual")], "s0 virtual", True),
+        ([("a", "s0", ("virtual",))], "s0 virtual", False),
+        ([("a", "s0", ("virtual", "s0"), "virtual")], "s0 virtual", False),
+        ([("a", "s0", ("s0",), "real", "", ("virtual",))], "s0", False),
+        ([("a", "s0", ("s0",), "virtual", "", ("virtual",))], "s0", True),
+    ])
+    def test_check_edges(self, builder, rows, vertices, ok):
+        edges = [Edge(*row) for row in rows]
+        vset = frozenset(vertices.split())
+        check = model.compiled_check_edges or model.check_edges
+        for given in (edges, tuple(edges), edges[::-1]):
+            out, verdict = check(given, vset)
+            by_id = sorted(given, key=lambda e: e.id)  # stable, so repeats keep their order
+            assert type(out) is tuple and all(a is b for a, b in zip(out, by_id, strict=True))
+            assert verdict == ok
+
+    @pytest.mark.parametrize("builder", ["compiled"], indirect=True)
+    def test_compiled_check_edges_declines_what_it_does_not_take(self, builder):
+        vset = frozenset(["s0", "s1", 7])
+        for edges in [(Edge("a", "s0", ["s1"]),), (Edge(3, "s0", ("s1",)),),
+                      (Edge("a", "s0", (7,)),), (Edge("a", "s0", ("s1",), interior=["s1"]),),
+                      (Edge("a", "s0", ("s1",), kind=_Kind("real")),),
+                      iter([Edge("a", "s0", ("s1",))]), (None,)]:
+            assert model.compiled_check_edges(edges, vset) is None
+        assert model.compiled_check_edges((Edge("a", "s0", ("s1",)),), {"s0", "s1"})[1]
+        assert model.compiled_check_edges((Edge("a", "s0", ("s1",)),), ["s0", "s1"]) is None
+
+    @pytest.mark.parametrize("builder", ["compiled"], indirect=True)
+    def test_edge_kernels_check_the_layout(self, builder):
+        edge_kernels = sys.modules["hypergame._scan"].edge_kernels
+        fields = [f.name for f in dataclasses.fields(Edge)]
+        for cls in (dataclasses.make_dataclass("E", fields[::-1], slots=True),
+                    dataclasses.make_dataclass("E", fields + ["note"], slots=True),
+                    dataclasses.make_dataclass("E", fields),
+                    int):
+            with pytest.raises(TypeError, match="^edge_kernels\\(\\)"):
+                edge_kernels(cls)
+        make, check = edge_kernels(Edge)
+        assert make(["a"], ["s0"], [("s1",)]) == [Edge("a", "s0", ("s1",))]
+
+
 class TestValidate:
     """A declaration sorts and validates itself when it is built."""
 
@@ -354,10 +466,15 @@ class TestGameGraph:
 
 
 # Every valid identifier can name a vertex or an interior, the format's
-# keywords included.
-IDS = st.one_of(st.sampled_from(["virtual", "interior", "label", "edge", "vertex",
-                                 "initial", "model"]),
-                st.from_regex(r"[A-Za-z0-9_.-]{1,3}", fullmatch=True))
+# keywords included. A keyword is drawn about one time in eight: `virtual`
+# and `interior` make a declaration invalid in most places.
+KEYWORDS = ["virtual", "interior", "label", "edge", "vertex", "initial", "model"]
+
+
+@st.composite
+def identifiers(draw):
+    keyword = draw(st.sampled_from([None] * 49 + KEYWORDS))
+    return keyword or draw(st.from_regex(r"[A-Za-z0-9_.-]{1,3}", fullmatch=True))
 
 
 LINE_BREAK_LABEL = "two\nlines"
@@ -368,12 +485,16 @@ BAD_NAMES = ["s 1", "s~", "s\u00e9", ""]
 
 @st.composite
 def decl_parts(draw, bad_names=False):
+    # With `bad_names`, one draw in four may hold bad names.
+    bad_names = bad_names and draw(st.sampled_from([True, False, False, False]))
+
     def name(good):
-        """`good`, or with `bad_names` one time in ten a bad name."""
+        """`good`, or in a draw that may hold bad names one time in ten a
+        bad name."""
         bad = draw(st.sampled_from([None] * 36 + BAD_NAMES)) if bad_names else None
         return good if bad is None else bad
 
-    drawn = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    drawn = draw(st.lists(identifiers(), min_size=1, max_size=6, unique=True))
     vs = tuple(dict.fromkeys(name(v) for v in drawn))
     m = draw(st.integers(min_value=0, max_value=8))
     edges = []
@@ -381,10 +502,11 @@ def decl_parts(draw, bad_names=False):
         head = draw(st.sampled_from(vs))
         size = draw(st.integers(min_value=1, max_value=len(vs)))
         tail = tuple(sorted(draw(st.permutations(vs))[:size]))
-        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"',
-                                      LINE_BREAK_LABEL]))
+        # A label with a line break, one time in thirty, makes the draw invalid.
+        label = draw(st.sampled_from(["", "hit", 'say "hi"', "a\\b", "x#y", 'say "#1"'] * 5
+                                     + [LINE_BREAK_LABEL]))
         kind = draw(st.sampled_from(["real", "virtual"]))
-        interior = tuple(name(v) for v in draw(st.lists(IDS, max_size=2)))
+        interior = tuple(name(v) for v in draw(st.lists(identifiers(), max_size=2)))
         edges.append((name(f"e{j}"), head, tail, kind, label, interior))
     return {"initial": vs[0], "vertices": vs, "edges": tuple(edges),
             "name": name(draw(st.sampled_from(["", "m1"]))),

@@ -68,3 +68,35 @@ def test_workload_text_takes_the_scanned_path(name, scanner, monkeypatch):
     text, _ = run.make_input(name, 0, model_seed, with_model=False)
     assert len(hypergame.parse_model(text).vertices) == run.WORKLOADS[name].states
     assert (keywords, slow) == (["model", "initial"], [])
+
+
+@pytest.mark.parametrize("builder", ["compiled"], indirect=True)
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_edges_take_the_compiled_path(name, builder, monkeypatch):
+    # With the compiled kernels, a benchmark text's edges are built without
+    # Edge.__init__, ModelDecl's per-edge loop never runs, and a coverage
+    # transform's edges all come from make_edges; else set-up times change.
+    inits, loops, made = [], [], []
+    edge_init, kernel = model.Edge.__init__, model.compiled_make_edges
+
+    def init(self, *args, **kwargs):
+        inits.append(args)
+        edge_init(self, *args, **kwargs)
+
+    def make_edges(*columns):
+        edges = kernel(*columns)
+        made.extend(edges)
+        return edges
+
+    monkeypatch.setattr(model.Edge, "__init__", init)
+    monkeypatch.setattr(model, "_edge_problems", lambda *args: loops.append(args) or iter(()))
+    monkeypatch.setattr(model, "compiled_make_edges", make_edges)
+    wl = run.WORKLOADS[name]
+    model_seed, _ = run.input_seeds(name, 1)[0]
+    text, _ = run.make_input(name, 0, model_seed, with_model=False)
+    parsed, decl = run.set_up(hypergame, wl, text)
+    assert len(parsed.vertices) == wl.states
+    assert len(decl.edges) > len(parsed.edges) if wl.transforms else decl is parsed
+    made_ids = {id(e) for e in made}  # `made` keeps them alive
+    assert all(id(e) in made_ids for e in (*parsed.edges, *decl.edges))
+    assert (inits, loops) == ([], [])
