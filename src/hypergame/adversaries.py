@@ -23,8 +23,6 @@ class RandomFair:
     """Uniform seeded choice over the tail: given enough opportunities the
     system exhibits every allowed transition."""
 
-    kind = "random"
-
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
@@ -47,8 +45,6 @@ class Avoider:
     the drain frontier, so every tail vertex is already settled.
     """
 
-    kind = "avoider"
-
     def respond(self, gs, eid: str) -> str:
         tail = sorted(gs.edge(eid).tail)
         marked = [t for t in tail if t in gs.marked]
@@ -65,8 +61,6 @@ class Avoider:
 class SubsetSystem:
     """An implementation for which some specified transitions never happen:
     responds uniformly over a fixed nonempty subset of each tail."""
-
-    kind = "subset"
 
     def __init__(self, allowed: dict[str, list[str]], seed: int = 0):
         self.allowed = {e: sorted(set(vs)) for e, vs in allowed.items()}
@@ -90,8 +84,6 @@ class SubsetSystem:
 
 class Scripted:
     """Deterministic replay: answers from a fixed list of vertices."""
-
-    kind = "script"
 
     def __init__(self, script):
         self.script = list(script)

@@ -1,7 +1,8 @@
 """Scaling measurements: instrumented work against the E + R*H' budget, the
 growth of R in E on random bounded-degree models, and a wall-clock comparison
-of the pure and compiled engine backends, printed and, on request, written
-as JSON.
+of the pure and compiled engine backends. `run_benchmark` derives each
+backend's rows and fits once, as JSON, and prints them; `benchmark_json`
+adds the host and settings for `bench --json`.
 """
 
 from __future__ import annotations
@@ -135,45 +136,56 @@ def rank_growth_fit(rows):
                   [r.max_rank_R for r in rows])
 
 
+def _fit_json(fit):
+    if fit is None:
+        return None
+    slope, intercept, r2 = fit
+    return {"slope": slope, "intercept": intercept, "r2": r2}
+
+
 def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
-    """Print the scaling table and both fits per backend (the default one,
-    or pure and compiled with `compare`), once every row is measured.
-    Returns {backend name: rows}."""
+    """Measure every row, then print, per backend (the default one, or pure
+    and compiled with `compare`), the scaling table and both fits. Returns
+    {backend name: {"rows", "work_fit", "rank_growth_fit"}}, JSON-ready:
+    the printed table is read from it."""
     backends = ["pure", "compiled"] if compare else [None]
     per_backend = scaling_rows(sizes, out_degree, fanout, seed, backends)
-    all_rows = {}
+    results = {}
     for backend, rows in zip(backends, per_backend):
+        c, fit = work_fit(rows)
+        result = results[get_engine_class(backend)().backend] = {
+            "rows": [{"n": r.n, "seed": r.seed, "E": r.marked_E, "R": r.max_rank_R,
+                      "H_prime": r.live_size_H, "work": r.work, "ratio": r.ratio,
+                      "seconds": r.seconds, "moves": r.moves,
+                      "terminated": r.terminated, "parse_s": r.parse_s} for r in rows],
+            "work_fit": {"c": c, "log_log": _fit_json(fit)},
+            "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
+        }
         print(f"backend: {backend or 'default'}")
         print(f"{'n':>8} {'E':>8} {'R':>4} {'H_prime':>10} {'work':>12} "
               f"{'work/(E+R*H)':>13} {'seconds':>8}")
-        for r in rows:
-            print(f"{r.n:>8} {r.marked_E:>8} {r.max_rank_R:>4} {r.live_size_H:>10} "
-                  f"{r.work:>12} {r.ratio:>13.4f} {r.seconds:>8.3f}")
-        all_rows[get_engine_class(backend)().backend] = rows
-        c, fit = work_fit(rows)
+        for r in result["rows"]:
+            print(f"{r['n']:>8} {r['E']:>8} {r['R']:>4} {r['H_prime']:>10} "
+                  f"{r['work']:>12} {r['ratio']:>13.4f} {r['seconds']:>8.3f}")
         line = f"work bound fit: work <= {c:.3f} * (E + R*H')"
         if fit:
             slope, _, r2 = fit
             line += f", log-log slope {slope:.3f} (R^2 {r2:.3f})"
         print(line)
-        fit = rank_growth_fit(rows)
-        if fit:
-            slope, intercept, r2 = fit
-            print(f"rank growth fit: R ~ {slope:.3f} * log2(E) + {intercept:.3f} "
-                  f"(R^2 {r2:.3f})")
+        growth = result["rank_growth_fit"]
+        if growth:
+            print(f"rank growth fit: R ~ {growth['slope']:.3f} * log2(E) + "
+                  f"{growth['intercept']:.3f} (R^2 {growth['r2']:.3f})")
         else:
             print("rank growth fit: none, E does not vary")
-        ratios = [r.max_rank_R / r.marked_E for r in rows]
-        print("R/E trend: " + " ".join(f"{x:.5f}" for x in ratios))
+        print("R/E trend: " + " ".join(f"{r['R'] / r['E']:.5f}" for r in result["rows"]))
         print()
     if compare:
-        pure = all_rows["pure"]
-        comp = all_rows["compiled"]
         print("backend speedup (pure seconds / compiled seconds):")
-        for p, c in zip(pure, comp):
-            ratio = p.seconds / c.seconds if c.seconds > 0 else float("inf")
-            print(f"{p.n:>8} {ratio:>8.2f}x")
-    return all_rows
+        for p, c in zip(results["pure"]["rows"], results["compiled"]["rows"]):
+            ratio = p["seconds"] / c["seconds"] if c["seconds"] > 0 else float("inf")
+            print(f"{p['n']:>8} {ratio:>8.2f}x")
+    return results
 
 
 def _cpu_name() -> str:
@@ -187,36 +199,18 @@ def _cpu_name() -> str:
     return platform.processor() or platform.machine()
 
 
-def _fit_json(fit):
-    if fit is None:
-        return None
-    slope, intercept, r2 = fit
-    return {"slope": slope, "intercept": intercept, "r2": r2}
-
-
-def benchmark_json(all_rows, out_degree, fanout, seed) -> dict:
-    """`run_benchmark`'s rows and fits with the host and settings, as one
+def benchmark_json(results, out_degree, fanout, seed) -> dict:
+    """`run_benchmark`'s results with the host and settings, as one
     JSON-ready dict."""
-    backends = {}
-    for name, rows in all_rows.items():
-        c, fit = work_fit(rows)
-        backends[name] = {
-            "rows": [{"n": r.n, "seed": r.seed, "E": r.marked_E, "R": r.max_rank_R,
-                      "H_prime": r.live_size_H, "work": r.work, "ratio": r.ratio,
-                      "seconds": r.seconds, "moves": r.moves,
-                      "terminated": r.terminated, "parse_s": r.parse_s} for r in rows],
-            "work_fit": {"c": c, "log_log": _fit_json(fit)},
-            "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
-        }
     return {
         "host": {"python": platform.python_version(), "cpu": _cpu_name(),
                  "date": datetime.now(timezone.utc).isoformat(timespec="seconds")},
-        "settings": {"sizes": [r.n for r in next(iter(all_rows.values()))],
+        "settings": {"sizes": [r["n"] for r in next(iter(results.values()))["rows"]],
                      "out_degree": out_degree, "fanout": fanout, "seed": seed,
                      "repeats": REPEATS,
                      # the scanner and edge builder that timed parse_s; without
                      # a compiler they are the pure ones, which parse slower
                      "scanner": "compiled" if model.compiled_scan_plain else "pure",
                      "builder": "compiled" if model.compiled_make_edges else "pure"},
-        "backends": backends,
+        "backends": results,
     }

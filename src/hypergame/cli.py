@@ -85,7 +85,7 @@ def _rank_value(r):
 def cmd_rank(args):
     decl = _load_decl(args.model, strict=args.strict_vertices)
     # An eager table, as `run` plays the declaration; it marks the initial vertex.
-    table = RankTable(DeclProvider(decl, lazy=False))
+    table = RankTable(decl)
     for v in args.after_mark or []:
         if v not in decl.vertex_set:
             raise CliError(f"--after-mark: unknown vertex {v!r}")
@@ -132,7 +132,7 @@ def cmd_run(args):
         raise CliError("--trace is only supported for single runs")
     _check_backend(args.backend)
 
-    source = DeclProvider(decl, lazy=args.lazy)  # shared by every session
+    source = DeclProvider(decl) if args.lazy else decl  # shared by every session
     inputs = _adversary_inputs(args)
     runs = []
     last_reason = None

@@ -1,12 +1,12 @@
 """The testing game: session state, the min-rank tester strategy, system
 responses, termination detection, and transcript/stats emission.
 
-A session plays one `ModelDecl`, eagerly or, through a `DeclProvider`,
-lazily. It looks a stimulated edge up in the declaration's `by_id` index;
-its `RankTable` plays the provider, holding ranks, dense ids and each marked
-vertex's edges, which it alone takes from `expand`. One `ensure_settled`
-call per move gives the new state's rank and the edge the tester will
-stimulate there.
+A session plays one `ModelDecl`, eagerly, or lazily when it comes wrapped
+in a `DeclProvider`. It looks a stimulated edge up in the declaration's
+`by_id` index; its `RankTable` plays the declaration, holding ranks, dense
+ids and each marked vertex's edges, which it alone takes from `by_head`.
+One `ensure_settled` call per move gives the new state's rank and the edge
+the tester will stimulate there.
 
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
@@ -19,8 +19,6 @@ import json
 from collections.abc import Set
 from dataclasses import dataclass, field
 
-from .model import ModelDecl
-from .providers import DeclProvider
 from .ranks import UNREACHABLE, RankTable
 from .ranks.table import WorkStats
 
@@ -106,13 +104,12 @@ class GameState:
     def __init__(self, source, backend=None):
         """The starting position: the initial vertex marked and current, its
         edges live, its rank settled. source: a declaration, which is played
-        eagerly, or a `DeclProvider`, which chooses lazy or eager play."""
-        if isinstance(source, ModelDecl):
-            source = DeclProvider(source, lazy=False)
-        self.decl = decl = source.decl
+        eagerly, or a `DeclProvider`, whose declaration is played lazily;
+        the table tells them apart."""
+        self.table = table = RankTable(source, backend=backend)
+        self.decl = decl = table.decl
         self.by_id = decl.by_id  # read per move; cheaper than the cached property
-        self.lazy = source.lazy
-        self.table = RankTable(source, backend=backend)
+        self.lazy = table.lazy
         self.current = decl.initial
         self.moves = 0
         self.transcript: list[MoveRecord] = []

@@ -16,9 +16,9 @@ declaration that exists can be played.
    of each plain edge line, from which `make_edges` builds the edges;
 3. other lines: every other non-blank line (the initial and model lines,
    labels, comments, keyword options) goes through the per-line code;
-4. on error: on any ModelError or a repeated edge id, the same per-line
-   reader reads every line of the text, so the error names the first
-   faulty line, as it always has.
+4. on error: on any ModelError, the same per-line reader reads every line
+   of the text, so the error names the first faulty line, as it always
+   has. A repeated edge id is one: `ModelDecl` raises it.
 
 Two edge kernels carry the per-edge work of a parse and of the coverage
 transforms, each a pure function here with a compiled twin in `_scan.cpp`
@@ -314,11 +314,11 @@ def _parse_lines(text, strict_vertices):
 def _read(columns, strict_vertices):
     """The declaration of `columns`, as `scan_plain` gives them: the plain
     edges are built by one `make_edges` call, and `_Reader.read` reads the
-    other lines."""
+    other lines. An id repeated by two edge lines makes ModelDecl raise,
+    if the reader does not, so the reread names the second line."""
     vertices, ids, heads, tails, others = columns
-    # A repeated id makes ModelDecl raise, if the other lines do not.
     edges = (compiled_make_edges or make_edges)(ids, heads, tails)
-    reader = _Reader(vertices, edges, set(ids), heads)
+    reader = _Reader(vertices, edges, heads)
     for lineno, line in others:
         reader.read(lineno, line)
     return reader.decl(strict_vertices, tails)
@@ -326,18 +326,19 @@ def _read(columns, strict_vertices):
 
 class _Reader:
     """What the lines read so far declare. `implicit` lists the vertices
-    named by edges and the initial line, not yet the vertex set."""
+    named by edges and the initial line, not yet the vertex set;
+    `edge_ids` the ids of the edge lines it has read."""
 
     __slots__ = ("name", "initial", "declared", "virtual_vertices", "edges", "edge_ids",
                  "implicit")
 
-    def __init__(self, declared, edges, edge_ids, implicit):
+    def __init__(self, declared, edges, implicit):
         self.name = ""
         self.initial = None
         self.declared = declared
         self.virtual_vertices = set()
         self.edges = edges
-        self.edge_ids = edge_ids
+        self.edge_ids = set()
         self.implicit = implicit
 
     def read(self, lineno, line):

@@ -1,10 +1,10 @@
 """How a session plays a declaration, and model generators for benchmarks.
 
-A session plays a `ModelDecl`, which is valid once built (see `model`). A
-`DeclProvider` wraps one to choose lazy or eager play. The session's
-`RankTable` is its one caller: it asks for a vertex's edges when it marks
-the vertex, the initial vertex at session start. A provider holds no
-per-session state, so one provider may serve many sessions.
+A session plays a `ModelDecl`, which is valid once built (see `model`):
+eagerly when given the declaration itself, lazily when given it wrapped in a
+`DeclProvider`. The session's `RankTable` is the one place that tells the
+two apart. A provider holds no per-session state, so one provider may serve
+many sessions.
 """
 
 from __future__ import annotations
@@ -15,18 +15,12 @@ from .model import Edge, ModelDecl
 
 
 class DeclProvider:
-    """A declaration and how to play it. `expand(v)` hands out v's edges,
-    from the declaration's `by_head` index, in id order; the rank table calls
-    it once per marking. A lazy provider lets the session discover states as
-    live tails name them; an eager one (`lazy=False`) gives the session every
-    declared vertex and interior from the start."""
+    """A declaration played lazily: the session discovers states as the
+    tails of the edges it promotes name them, where eager play knows every
+    declared vertex from the start."""
 
-    def __init__(self, decl: ModelDecl, lazy: bool = True):
+    def __init__(self, decl: ModelDecl):
         self.decl = decl
-        self.lazy = lazy
-
-    def expand(self, v: str) -> tuple[Edge, ...]:
-        return self.decl.by_head.get(v, ())
 
 
 def _pad(i: int, width: int) -> str:

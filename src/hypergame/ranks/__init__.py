@@ -19,12 +19,18 @@ except ImportError:  # extension not built
 
 
 def get_engine_class(backend=None):
-    backend = backend or "auto"
-    if backend in ("auto", "compiled") and CompiledRankEngine is not None:
-        return CompiledRankEngine
-    if backend == "compiled":
+    """The engine class for `backend`: None or "auto" (compiled when built,
+    else pure), "pure" or "compiled". ValueError for any other name."""
+    if backend is None or backend == "auto":
+        return CompiledRankEngine or PureRankEngine
+    if backend == "pure":
+        return PureRankEngine
+    if backend != "compiled":
+        raise ValueError(f"unknown backend {backend!r}: expected None, 'auto', "
+                         f"'pure' or 'compiled'")
+    if CompiledRankEngine is None:
         raise RuntimeError("compiled rank engine requested but not built")
-    return PureRankEngine
+    return CompiledRankEngine
 
 
 from .table import RankTable, WorkStats  # noqa: E402

@@ -1,14 +1,15 @@
 """Session-facing rank table: string ids, work accounting, lazy settlement.
 
 Wraps a dense-index engine backend (pure Python or the compiled core) and
-owns the vertex ids. The table plays one `DeclProvider`: it is the only
-reader of the declaration's edges in a session. Marking a vertex makes
-exactly that vertex's declared edges live, so the table takes them from
-`source.expand(v)` and hands them to the engine in one `mark` call, in id
-order as `ModelDecl.by_head` holds them. It keeps, per marked vertex, those
-edges in that order, so the position the engine's `ensure` returns for the
-tester's edge indexes them; it copies nothing else of the declaration. One
-table is bound to one session and is mutated single-threaded.
+owns the vertex ids. The table plays one declaration, eagerly, or lazily
+when it comes wrapped in a `DeclProvider`: it is the only reader of the
+declaration's edges in a session. Marking a vertex makes exactly that
+vertex's declared edges live, so the table takes them from
+`ModelDecl.by_head`, in id order, and hands them to the engine in one
+`mark` call. It keeps, per marked vertex, those edges in that order, so the
+position the engine's `ensure` returns for the tester's edge indexes them;
+it copies nothing else of the declaration. One table is bound to one
+session and is mutated single-threaded.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 
 from ..model import Edge
+from ..providers import DeclProvider
 from . import get_engine_class
 from .pure import UNREACH_INT, UNREACHABLE
 
@@ -36,19 +38,19 @@ class WorkStats:
 
 
 class RankTable:
-    """Vertex/edge ranks for one session's provider, maintained
+    """Vertex/edge ranks for one session's declaration, maintained
     decrementally over the edges its markings have promoted."""
 
     def __init__(self, source, backend=None):
-        """Intern the initial vertex, then, unless `source.lazy`, every
-        declared vertex in sorted order; mark the initial vertex. A lazy
-        table meets the other vertices as tails of the edges it promotes.
-        """
-        engine_cls = get_engine_class(backend)
-        self.eng = engine_cls()
-        self.source = source
-        decl = source.decl
-        known = (decl.initial,) if source.lazy else (decl.initial, *decl.vertices)
+        """source: a `ModelDecl`, played eagerly, or a `DeclProvider`, whose
+        declaration is played lazily. Intern the initial vertex, then, when
+        eager, every declared vertex in sorted order; mark the initial
+        vertex. A lazy table meets the other vertices as tails of the edges
+        it promotes."""
+        self.eng = get_engine_class(backend)()
+        self.lazy = lazy = isinstance(source, DeclProvider)
+        self.decl = decl = source.decl if lazy else source
+        known = (decl.initial,) if lazy else (decl.initial, *decl.vertices)
         # Dense ids, in id order.
         self.vid: dict[str, int] = {v: self.eng.add_vertex() for v in dict.fromkeys(known)}
         # Each marked vertex's out-edges, in the order the engine has them;
@@ -77,7 +79,7 @@ class RankTable:
         head = get(v)
         if head is None:
             raise ValueError(f"vertex {v} is not in the table")
-        edges = self.source.expand(v)
+        edges = self.decl.by_head.get(v, ())
         add = self.eng.add_vertex
         tails = []
         for e in edges:

@@ -190,7 +190,7 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
             nxt = decl.by_head[cur][0]
             chain_edges.append(nxt)
             cur = nxt.tail[0]
-        if len(chain_edges) < 2 or cur == pred.head or cur in chain_vertices:
+        if cur == pred.head or cur in chain_vertices:
             continue
         eid = fresh.take(f"{chain_edges[0].id}.C")
         new_edges.append(Edge(eid, pred.head, (cur,), kind=VIRTUAL,

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
-import hypergame.model
-import hypergame.ranks
-from hypergame.model import Edge, ModelDecl, parse_model
-from hypergame.ranks import UNREACHABLE
-from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
+# The tests run the extensions pytest_configure builds from this checkout,
+# or none: never one left in src/ by an earlier in-place build.
+sys.modules["hypergame._scan"] = sys.modules["hypergame.ranks._core"] = None
+import hypergame.model  # noqa: E402
+import hypergame.ranks  # noqa: E402
+from hypergame.model import Edge, ModelDecl, parse_model  # noqa: E402
+from hypergame.ranks import UNREACHABLE  # noqa: E402
+from hypergame.ranks.pure import UNREACH_INT, PureRankEngine  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 NO_COMPILER = "no C++ compiler"
@@ -23,6 +26,8 @@ NO_COMPILER = "no C++ compiler"
 _COMPILED_MISSING = pytest.StashKey[str | None]()
 # The compiled edge kernels as built, unchecked: (make_edges, check_edges).
 _EDGE_KERNELS = pytest.StashKey[tuple]()
+# The extension modules built, by name; empty when none was.
+BUILT = pytest.StashKey[dict]()
 
 
 def _have_compiler() -> bool:
@@ -42,6 +47,7 @@ def _build_compiled(tmp: Path, config) -> str | None:
     `_builders_agree`, as hypergame.model.compiled_make_edges and
     compiled_check_edges. Returns None on success, else the reason the
     compiled backend is missing."""
+    config.stash[BUILT] = {}
     if not _have_compiler():
         return NO_COMPILER
     proc = subprocess.run(
@@ -59,6 +65,7 @@ def _build_compiled(tmp: Path, config) -> str | None:
         modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(modules[name])
         sys.modules[name] = modules[name]
+    config.stash[BUILT] = modules
     hypergame.ranks.CompiledRankEngine = modules["hypergame.ranks._core"].CompiledRankEngine
     hypergame.model.compiled_scan_plain = _scanners_agree(modules["hypergame._scan"].scan_plain)
     kernels = modules["hypergame._scan"].edge_kernels(Edge)

@@ -21,7 +21,7 @@ BENCHMARK_READS = [
     ("hypergame", None, "build_game_graph"),
     ("hypergame", None, "apply_transforms"),
     ("hypergame", None, "run_session"),
-    ("hypergame", "DeclProvider", "expand"),
+    ("hypergame", None, "DeclProvider"),
     ("hypergame", "Avoider", "respond"),
     ("hypergame", "RandomFair", "respond"),
     ("hypergame", "GameState", "tester_choose"),

@@ -571,7 +571,8 @@ class TestBench:
         sizes = [8, 16, 32]
         rows = bench.run_benchmark(sizes, compare=True)
         assert calls == {"gen": len(sizes), "parse": bench.REPEATS * len(sizes)}
-        assert [r.parse_s for r in rows["pure"]] == [r.parse_s for r in rows["compiled"]]
+        assert ([r["parse_s"] for r in rows["pure"]["rows"]]
+                == [r["parse_s"] for r in rows["compiled"]["rows"]])
 
     def test_json_unwritable(self, tmp_path, monkeypatch, capsys):
         # A path that cannot be written fails before any session is played.

@@ -135,7 +135,7 @@ class TestApplyResponse:
         # At s1, edge a is live at the marked s0 and edge c is declared but
         # not yet live (s2 is unmarked): neither is incident, and only the
         # live one is an edge of the session.
-        gs = GameState(DeclProvider(g1, lazy=lazy))
+        gs = GameState(DeclProvider(g1) if lazy else g1)
         gs.apply_response("a", "s1")
         for eid, v in (("a", "s2"), ("c", "s0"), ("zz", "s0")):
             with pytest.raises(SessionError, match=f"^edge {eid} is not incident on s1$"):

@@ -131,7 +131,7 @@ def session_digest(model, transform, mode, adversary, backend):
 
 def flush_digest(backend):
     decl, order = _model("lostbase")
-    table = RankTable(DeclProvider(decl, lazy=False), backend=backend)
+    table = RankTable(decl, backend=backend)
     # Ranks are read in the order lost_base_decl lists the vertices: s0, c,
     # z, then the ring states (which sort in the order they were made).
     probe = ["s0", "c", "z"] + [v for v in decl.vertices if v.startswith("r")]

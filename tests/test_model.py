@@ -132,6 +132,18 @@ class TestPlainLines:
         with pytest.raises(ModelError, match="^line 2: edge a: duplicate tail vertex$"):
             parse_model("initial s0\nedge a s0 -> s1 s1\n")
 
+    @pytest.mark.parametrize("labelled_first", [False, True], ids=["plain-first",
+                                                                    "labelled-first"])
+    def test_id_repeated_by_a_plain_and_a_labelled_line(self, scanner, labelled_first):
+        # The two lines take different readers, and ModelDecl finds the
+        # repeat; the reread names the second line.
+        lines = ["edge a s0 -> s1", 'edge a s1 -> s0 label "x"']
+        if labelled_first:
+            lines.reverse()
+        text = "initial s0\nvertex s1\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ModelError, match="^line 4: duplicate edge id 'a'$"):
+            parse_model(text)
+
     def test_per_line_parser_reads_every_line(self, monkeypatch):
         # The error path's reference grammar is `_Reader.read` alone: it
         # matches none of the scanners' patterns, plain lines included.

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,20 +13,26 @@ from conftest import gen_strongly_connected, random_decl
 
 
 class TestDeclProvider:
-    def test_expand_initial(self, g1):
+    def test_holds_only_the_declaration(self, g1):
+        # Eager play takes the declaration itself; a provider means lazy play.
+        with pytest.raises(TypeError):
+            DeclProvider(g1, lazy=False)
         p = DeclProvider(g1)
-        assert [e.id for e in p.expand("s0")] == ["a"]
+        assert vars(p) == {"decl": g1}
+        assert not hasattr(p, "expand")
 
-    def test_one_provider_serves_many_sessions(self, g1):
-        # Providers keep no per-session state: a reused one plays every
-        # session as a fresh one does.
-        for make in (lambda: DeclProvider(g1), lambda: DeclProvider(g1, lazy=False)):
+    def test_one_provider_serves_many_sessions(self):
+        # Neither a provider nor a declaration keeps per-session state: a
+        # shared one plays every session as a fresh one does.
+        decl = gen_random_bounded_degree(64, 3, 2, 4)
+        for make in (lambda: DeclProvider(decl), lambda: replace(decl)):
             shared = make()
-            for seed in range(3):
-                again = run_session(shared, RandomFair(seed), seed=seed)
-                fresh = run_session(make(), RandomFair(seed), seed=seed)
-                assert format_trace(again[0]) == format_trace(fresh[0])
-                assert again[1] == fresh[1]
+            for seed in range(6):
+                for adversary in (lambda: RandomFair(seed), Avoider):
+                    again = run_session(shared, adversary(), seed=seed)
+                    fresh = run_session(make(), adversary(), seed=seed)
+                    assert format_trace(again[0]) == format_trace(fresh[0])
+                    assert again[1] == fresh[1]
 
     def test_lazy_session_grows_states_total(self, g2):
         gs = GameState(DeclProvider(g2))

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import hypergame.engine
+import hypergame.ranks
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import format_stats, format_trace, run_session
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
@@ -15,7 +17,7 @@ from conftest import (lost_base_decl, oracle_ranks, random_decl, require_compile
 
 
 def make_table(decl, backend, lazy=False):
-    return RankTable(DeclProvider(decl, lazy=lazy), backend=backend)
+    return RankTable(DeclProvider(decl) if lazy else decl, backend=backend)
 
 
 class TestBatch:
@@ -124,38 +126,38 @@ class TestMarkingErrors:
             eng.ensure(h)
 
 
-class CountingProvider(DeclProvider):
-    """A DeclProvider that records every vertex its `expand` is called on."""
-
-    def __init__(self, decl, lazy):
-        super().__init__(decl, lazy)
-        self.expanded = []
-
-    def expand(self, v):
-        self.expanded.append(v)
-        return super().expand(v)
-
-
-def test_expand_once_per_marking(backend):
-    # The table takes a vertex's edges from the provider once, when it
+def test_table_keeps_each_marked_vertex_edges(backend, monkeypatch):
+    # The table takes a vertex's edges from the declaration once, when it
     # marks the vertex: the initial vertex first, then each newly marked
-    # answer in move order. perfbench's providers.expand_calls reads this.
+    # answer in move order. perfbench's ranks.table.mark calls count these.
+    tables = []
+
+    class Recorded(RankTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(self)
+
+    monkeypatch.setattr(hypergame.engine, "RankTable", Recorded)
     rng = random.Random(5)
     models = [random_decl(rng) for _ in range(20)]
     models.append(gen_random_bounded_degree(256, 3, 2, 1))
     for decl in models:
         for lazy in (False, True):
             for adversary in (RandomFair(3), Avoider()):
-                source = CountingProvider(decl, lazy)
+                source = DeclProvider(decl) if lazy else decl
                 transcript, _ = run_session(source, adversary, backend=backend)
+                table = tables.pop()
                 marked = [m.response for m in transcript if m.newly_marked]
-                assert source.expanded == [decl.initial] + marked
-    # A rejected marking calls nothing.
-    source = CountingProvider(models[-1], lazy=True)
-    t = RankTable(source, backend=backend)
-    with pytest.raises(ValueError):
-        t.apply_marking(models[-1].initial)
-    assert source.expanded == [models[-1].initial]
+                assert list(table.out) == [decl.initial] + marked
+                assert all(edges == decl.by_head.get(v, ()) for v, edges in table.out.items())
+    # A rejected marking changes neither the edges nor the ids.
+    decl = models[-1]
+    t = RankTable(DeclProvider(decl), backend=backend)
+    before = (dict(t.out), dict(t.vid))
+    for v in (decl.initial, next(v for v in decl.vertices if v not in t.vid)):
+        with pytest.raises(ValueError):
+            t.apply_marking(v)
+        assert (dict(t.out), dict(t.vid)) == before
 
 
 class TestWorkStats:
@@ -379,6 +381,30 @@ def test_engine_api_is_the_session_api(request):
         assert {name for name in public if callable(getattr(cls, name))} == ENGINE_API
         eng = cls()
         assert all(type(getattr(eng, name)) is int for name in ENGINE_COUNTERS)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["not-built", "built"])
+def test_backend_names(built, g1, request, monkeypatch):
+    # None, "auto", "pure" and "compiled" are the backends; a misspelt name
+    # raises rather than running the pure engine.
+    if built:
+        require_compiled(request.config)
+    else:
+        monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)
+    compiled = hypergame.ranks.CompiledRankEngine
+    assert get_engine_class("pure") is PureRankEngine
+    assert get_engine_class(None) is get_engine_class("auto") is (compiled or PureRankEngine)
+    if built:
+        assert get_engine_class("compiled") is compiled
+    else:
+        with pytest.raises(RuntimeError, match="not built"):
+            get_engine_class("compiled")
+    for bad in ("Compiled", "compield", "cython"):
+        for call in (lambda: get_engine_class(bad), lambda: RankTable(g1, backend=bad),
+                     lambda: run_session(g1, RandomFair(0), backend=bad)):
+            with pytest.raises(ValueError, match=f"^unknown backend '{bad}': expected None, "
+                                                 "'auto', 'pure' or 'compiled'$"):
+                call()
 
 
 def test_snapshot_copies_and_counts_nothing(backend):
