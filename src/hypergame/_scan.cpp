@@ -29,6 +29,10 @@
 //   a declared head and tail, no misplaced keyword name. It returns None for
 //   input it does not take: anything but a tuple or list of Edge instances
 //   whose names are str and whose tail and interior are tuples of str.
+//
+// PROTOCOL is the version of this interface. model.SCAN_PROTOCOL names the
+// one the package speaks, and a module of another version is not used; a
+// change to the interface raises both.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -43,6 +47,8 @@
 #include <vector>
 
 namespace {
+
+const int PROTOCOL = 1;  // model.SCAN_PROTOCOL
 
 struct Ref {
     PyObject *p;
@@ -622,5 +628,8 @@ PyMODINIT_FUNC PyInit__scan(void) {
     scan_module.m_doc = "Compiled kernels of hypergame.model: line scanner and edge kernels.";
     scan_module.m_size = -1;
     scan_module.m_methods = scan_methods;
-    return PyModule_Create(&scan_module);
+    PyObject *m = PyModule_Create(&scan_module);
+    if (m != NULL && PyModule_AddIntConstant(m, "PROTOCOL", PROTOCOL) < 0)
+        Py_CLEAR(m);
+    return m;
 }

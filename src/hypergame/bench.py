@@ -16,9 +16,9 @@ import timeit
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from . import model
+from . import model, ranks
 from .adversaries import RandomFair
-from .engine import run_session
+from .engine import compiled_model, run_session
 from .model import parse_model, serialize_model
 from .providers import gen_random_bounded_degree
 from .ranks import get_engine_class
@@ -70,11 +70,14 @@ def measure_session(n, out_degree=3, fanout=2, seed=1, backends=(None,)):
     backend, play the row's seeded session REPEATS times on the parsed model,
     each with a fresh adversary. Returns one row per backend, with the median
     times; every row carries the one `parse_s`. The parse equals the
-    generated model, whose tails are sorted. The model and its indexes are
-    built outside the session timer, so every repeat does the same work."""
+    generated model, whose tails are sorted. The model, its indexes and its
+    integer copy for the compiled loop are built outside the session timer,
+    so every repeat does the same work."""
     text = serialize_model(gen_random_bounded_degree(n, out_degree, fanout, seed))
     decl, parse_s = timed_parse(text)
     decl.by_head, decl.by_id  # index the model now, outside the timer
+    if ranks.CompiledRankEngine:
+        compiled_model(decl)
     rows = []
     for backend in backends:
         times = []
@@ -188,6 +191,15 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
     return results
 
 
+def calibration_s() -> float:
+    """The seconds of a fixed pure-Python loop, the median of REPEATS runs.
+    Dividing a file's seconds by it takes host speed out, so files from
+    different sittings compare."""
+    return statistics.median(timeit.repeat(
+        "d = {}\nfor i in range(200_000):\n    d[i & 1023] = d.get(i & 1023, 0) + i",
+        number=1, repeat=REPEATS))
+
+
 def _cpu_name() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as f:
@@ -204,13 +216,17 @@ def benchmark_json(results, out_degree, fanout, seed) -> dict:
     JSON-ready dict."""
     return {
         "host": {"python": platform.python_version(), "cpu": _cpu_name(),
-                 "date": datetime.now(timezone.utc).isoformat(timespec="seconds")},
+                 "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                 "calibration_s": calibration_s()},
         "settings": {"sizes": [r["n"] for r in next(iter(results.values()))["rows"]],
                      "out_degree": out_degree, "fanout": fanout, "seed": seed,
                      "repeats": REPEATS,
                      # the scanner and edge builder that timed parse_s; without
                      # a compiler they are the pure ones, which parse slower
                      "scanner": "compiled" if model.compiled_scan_plain else "pure",
-                     "builder": "compiled" if model.compiled_make_edges else "pure"},
+                     "builder": "compiled" if model.compiled_make_edges else "pure",
+                     # the move loop that timed the compiled engine's rows, or,
+                     # without it, the pure ones; pure rows take the Python loop
+                     "loop": "compiled" if ranks.CompiledRankEngine else "python"},
         "backends": results,
     }

@@ -11,20 +11,41 @@ the tester will stimulate there.
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
 coverage), or the move budget ran out.
+
+`run_session` has two copies of the move loop. The Python loop, over a
+`GameState`, is the reference, and it plays every session but one kind: on
+an engine of exactly the compiled class, against an adversary whose
+`respond` is `RandomFair.respond` or `Avoider.respond` as `adversaries.py`
+defines them, the compiled core plays the whole session (`play_compiled`).
+It keeps the Python loop's order of engine calls, ids and rng draws, so
+both give the same transcript, stats and adversary state. An overriding
+or patched `respond`, any other adversary, the pure engine and an engine
+subclass take the Python loop.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections.abc import Set
 from dataclasses import dataclass, field
 
+from . import ranks
+from .adversaries import Avoider, RandomFair
+from .providers import DeclProvider
 from .ranks import UNREACHABLE, RankTable
+from .ranks import table as rank_table
 from .ranks.table import WorkStats
 
 ALL_MARKED = "all_marked"
 UNREACHABLE_REASON = "unreachable"
 MOVE_CAP = "move_cap"
+# The endings by the number the compiled loop gives them.
+ENDINGS = (ALL_MARKED, UNREACHABLE_REASON, MOVE_CAP)
+# The responses the compiled loop plays, as defined, each with whether it
+# draws from the adversary's rng.
+COMPILED_RESPONSES = {RandomFair.respond: True, Avoider.respond: False}
 
 
 class SessionError(Exception):
@@ -206,9 +227,15 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
     """
     if max_moves < 1:
         raise SessionError("max_moves must be >= 1")
+    # The compiled loop, when the call the Python loop would make to the
+    # adversary is a built-in response, bound to this adversary.
+    respond = adversary.respond
+    draws = COMPILED_RESPONSES.get(getattr(respond, "__func__", None))
+    if (draws is not None and respond.__self__ is adversary
+            and rank_table.get_engine_class(backend) is ranks.CompiledRankEngine):
+        return play_compiled(source, adversary, draws, max_moves, seed)
     gs = GameState(source, backend=backend)
     eng = gs.table.eng
-    respond = adversary.respond
     while True:
         # The table interns every vertex it knows into the engine. The
         # current state is always marked, so it has no tester's edge exactly
@@ -225,6 +252,37 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
         eid = gs.tester_choose()
         gs.apply_response(eid, respond(gs, eid))
     return gs.transcript, gs.stats(seed=seed)
+
+
+def compiled_model(decl):
+    """`decl` on integers, for the compiled loop: built by the compiled core
+    on the first session that needs it and cached on the declaration, as
+    `by_head` is."""
+    model = decl.__dict__.get("compiled_model")
+    if model is None:
+        model = decl.__dict__["compiled_model"] = ranks.CompiledRankEngine.compile_model(decl)
+    return model
+
+
+def play_compiled(source, adversary, draws, max_moves, seed):
+    """`run_session` in the compiled core, for an adversary whose `respond`
+    is a built-in one: `RandomFair`'s, which `draws` through its rng's
+    `choice`, or the `Avoider`'s."""
+    lazy = isinstance(source, DeclProvider)
+    decl = source.decl if lazy else source
+    eng = ranks.CompiledRankEngine()
+    # The cap as an int the compiled loop takes: no count of moves reaches
+    # sys.maxsize, and an int count reaches x when it reaches ceil(x).
+    cap = math.ceil(min(max_moves, sys.maxsize))
+    transcript, ending, states, virtual_marked, interior_total, interior_covered = eng.play(
+        compiled_model(decl), MoveRecord, cap, lazy, adversary.rng.choice if draws else None)
+    work = WorkStats.of(eng)
+    return transcript, SessionStats(
+        states_total=states, states_marked=states - eng.unmarked,
+        virtual_marked=virtual_marked, interior_total=interior_total,
+        interior_covered=interior_covered, moves=len(transcript),
+        max_rank_R=work.max_rank_R, work=work, terminated=ENDINGS[ending], lazy=lazy,
+        seed=seed)
 
 
 def format_trace(transcript) -> str:

@@ -36,7 +36,7 @@ that is used when the extension was built (`compiled_make_edges`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
@@ -54,11 +54,18 @@ _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex ({_ID})")
 
 
+# The version of `_scan.cpp`'s interface this module speaks. An extension
+# of another version, such as one an older in-place build left in src/, is
+# not used, nor one whose `edge_kernels` gives other than two kernels: the
+# module runs pure, as when nothing was built.
+SCAN_PROTOCOL = 1
+
 try:
     from . import _scan
 except ImportError:  # extension not built
     _scan = None
-compiled_scan_plain = _scan.scan_plain if _scan else None
+if getattr(_scan, "PROTOCOL", None) != SCAN_PROTOCOL:
+    _scan = None
 
 
 class ModelError(Exception):
@@ -159,6 +166,11 @@ class ModelDecl:
         if problems:
             raise ModelError("; ".join(problems))
 
+    def __getstate__(self):
+        """The fields alone: a copy or an unpickled declaration builds its
+        indexes, and the compiled loop's integer copy, again on use."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def vertex_set(self) -> frozenset[str]:
         """The vertices as a set; built once, when the declaration is."""
@@ -237,8 +249,11 @@ def _edge_problems(edges, vset):
             yield f"ReservedVertex({VIRTUAL}): interior of edge {e.id}"
 
 
-compiled_make_edges, compiled_check_edges = (_scan.edge_kernels(Edge) if _scan
-                                             else (None, None))
+_kernels = _scan.edge_kernels(Edge) if _scan else None
+if type(_kernels) is not tuple or len(_kernels) != 2:
+    _scan, _kernels = None, (None, None)
+compiled_scan_plain = _scan.scan_plain if _scan else None
+compiled_make_edges, compiled_check_edges = _kernels
 
 
 def _check_id(token, line=None):

@@ -2,9 +2,9 @@
 
 A session plays a `ModelDecl`, which is valid once built (see `model`):
 eagerly when given the declaration itself, lazily when given it wrapped in a
-`DeclProvider`. The session's `RankTable` is the one place that tells the
-two apart. A provider holds no per-session state, so one provider may serve
-many sessions.
+`DeclProvider`. The session's `RankTable`, or the compiled move loop, tells
+the two apart. A provider holds no per-session state, so one provider may
+serve many sessions.
 """
 
 from __future__ import annotations

@@ -8,14 +8,22 @@ edges.
 The engine has two interchangeable backends, one copy of the algorithm each:
 a compiled C++ core (`_core.cpp`) and a pure-Python fallback (`pure.py`).
 `backend=None` or "auto" picks the compiled one when the extension was built.
+The compiled core also plays whole sessions for `engine.run_session`.
 """
 
 from .pure import UNREACHABLE, PureRankEngine
 
+# The version of `_core.cpp`'s interface this package speaks. A core of
+# another version, such as one an older in-place build left in src/, is
+# not used: the package runs pure, as when nothing was built.
+CORE_PROTOCOL = 1
+
 try:
-    from ._core import CompiledRankEngine
+    from . import _core
 except ImportError:  # extension not built
-    CompiledRankEngine = None
+    _core = None
+CompiledRankEngine = (_core.CompiledRankEngine
+                      if getattr(_core, "PROTOCOL", None) == CORE_PROTOCOL else None)
 
 
 def get_engine_class(backend=None):

@@ -13,6 +13,18 @@
 // (IndexError) and reads a marking's tail lists in full before it changes
 // anything.
 //
+// The session entry point has no pure twin. compile_model(decl) builds a
+// declaration on integers: the names in decl.vertices order, each head's
+// edges as one range in ModelDecl.by_head order, flat tails in their given
+// order and sorted, and each edge's interior names. play() plays one whole
+// session of engine.run_session on a fresh engine, RandomFair's or the
+// Avoider's: it interns tails in RankTable's order and calls the mark and
+// ensure internals in the order of the Python loop, the Avoider's lookups
+// of marked tail vertices included, and it draws RandomFair's answers with
+// the adversary's own rng.choice on the tail sorted by name. So ids, pop
+// order, counters, transcripts and rng states equal the Python loop's,
+// which is the reference. PROTOCOL versions this module's interface.
+//
 // Both queues pop (key, vertex) entries in increasing order, keeping stale
 // and repeated ones, so they count the same queue ops. Keys are finite
 // stored ranks, 1 .. vertex count: this one is a bucket queue indexed by
@@ -26,6 +38,7 @@
 #include <climits>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -34,6 +47,10 @@ namespace {
 typedef long long i64;
 
 const i64 UNREACH = (i64)1 << 62;  // ranks.pure.UNREACH_INT
+
+// The version of this module's interface; ranks.CORE_PROTOCOL names the one
+// the package speaks, and a module of another version is not used.
+const int PROTOCOL = 1;
 
 // One min-heap of vertex ids per key; the cursor is at or below the least
 // key with an entry.
@@ -332,20 +349,337 @@ int put(PyObject *dict, const char *key, PyObject *value) {
     return v.p ? PyDict_SetItemString(dict, key, v.p) : -1;
 }
 
+// Marks v and registers the edges read by read_tails (or built the same
+// way) as its out-edges. The first call on an engine marks the initial
+// vertex, which is set-up: its marker edge leaves the live size, and it
+// counts no marking and no queue op. v is not marked yet.
+void mark_vertex(Engine *self, int v, const std::vector<int> &flat,
+                 const std::vector<size_t> &offsets) {
+    State &s = *self->st;
+    bool initial = self->unmarked == (i64)s.vstored.size();
+    s.vmarked[v] = 1;
+    self->unmarked--;
+    if (initial)
+        self->live_size--;
+    else
+        self->markings++;
+    // Losing the marker edge invalidates v; its old value stays as a
+    // lower bound and the queue drains it on demand.
+    if (!s.vdirty[v]) {
+        s.vdirty[v] = 1;
+        s.queue.push(s.vstored[v], v);
+        if (!initial)
+            self->queue_ops++;
+    }
+    register_edges(self, v, flat, offsets);
+}
+
+// A new unmarked vertex's id, or -1 with OverflowError set.
+int new_vertex(Engine *self) {
+    State &s = *self->st;
+    if (s.vstored.size() >= (size_t)INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "too many vertices");
+        return -1;
+    }
+    int v = (int)s.vstored.size();
+    s.vstored.push_back(1);  // marker edge support
+    s.vdirty.push_back(0);
+    s.vmarked.push_back(0);
+    s.efirst.push_back(0);
+    s.ecount.push_back(0);
+    s.tail_edges.emplace_back();
+    self->unmarked++;
+    self->live_size++;  // the marker edge itself
+    return v;
+}
+
+// Drains until v's rank is exact and sets *r to it and *k to the position
+// of v's first out-edge of rank *r - 1, or -1 when v is unmarked or its
+// rank is unreachable. Returns -1 with AssertionError set if the engine's
+// invariant is broken.
+int ensure_vertex(Engine *self, int v, i64 *r, int *k) {
+    State &s = *self->st;
+    *r = UNREACH;
+    *k = -1;
+    if (self->unmarked == 0)
+        return 0;
+    // Pops until v is certified, flushing whenever this call's pops reach
+    // the live-size budget.
+    i64 pops = 0;
+    i64 budget = self->live_size + (i64)s.vstored.size() + 64;
+    while (true) {
+        if (!s.vdirty[v]) {
+            i64 sv = s.vstored[v];
+            if (sv == UNREACH)
+                break;
+            i64 mk = peek(self);
+            if (mk < 0 || mk >= sv)
+                break;
+        }
+        if (step(self) < 0)
+            return -1;
+        if (++pops >= budget) {
+            flush_unreachable(self);
+            pops = 0;
+        }
+    }
+    *r = s.vstored[v];
+    if (*r == UNREACH)
+        return 0;
+    if (*r > self->max_rank)
+        self->max_rank = *r;
+    if (!s.vmarked[v])
+        return 0;
+    for (int j = 0; j < s.ecount[v]; j++) {
+        if (s.estored[s.efirst[v] + j] == *r - 1) {
+            *k = j;
+            return 0;
+        }
+    }
+    PyErr_Format(PyExc_AssertionError, "no out-edge of vertex %d has rank %lld", v, *r - 1);
+    return -1;
+}
+
+// -- the integer model -----------------------------------------------------------
+
+// A declaration on integers, for play(). A vertex is its index in
+// decl.vertices, which is sorted, so index order is name order. Edges are
+// numbered by head, each head's edges in id order, as ModelDecl.by_head
+// holds them.
+struct ModelData {
+    int initial = 0;
+    std::vector<int> first;           // head v's edges: first[v] .. first[v + 1] - 1
+    std::vector<int> tail_first;      // edge e's tail: tail_first[e] .. tail_first[e + 1] - 1
+    std::vector<int> tails;           // each tail in its given order
+    std::vector<int> sorted_tails;    // each tail sorted
+    std::vector<int> interior_first;  // edge e's interior, likewise
+    std::vector<int> interiors;       // ids of distinct interior names
+    int interior_names = 0;
+    std::vector<char> is_virtual;
+};
+
+struct Model {
+    PyObject_HEAD
+    PyObject *names;     // decl.vertices
+    PyObject *edge_ids;  // the id of each edge number
+    ModelData *d;
+};
+
+void Model_dealloc(Model *self) {
+    Py_XDECREF(self->names);
+    Py_XDECREF(self->edge_ids);
+    delete self->d;
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+PyTypeObject ModelType = {PyVarObject_HEAD_INIT(NULL, 0)};
+
+// The int that `index` maps `name` to; ValueError when it has none, or,
+// with `add`, the next int, which is then stored.
+int index_of(PyObject *index, PyObject *name, bool add, int *out) {
+    PyObject *i = PyDict_GetItemWithError(index, name);
+    if (i == NULL) {
+        if (PyErr_Occurred())
+            return -1;
+        if (!add) {
+            PyErr_Format(PyExc_ValueError, "compile_model(): %R is not a vertex", name);
+            return -1;
+        }
+        *out = (int)PyDict_GET_SIZE(index);
+        Ref next(PyLong_FromLong(*out));
+        return next.p ? PyDict_SetItem(index, name, next.p) : -1;
+    }
+    *out = (int)PyLong_AsLong(i);
+    return 0;
+}
+
+// Appends to out the index (see index_of) of each item of the sequence
+// seq, and then its end in out.
+int read_names(PyObject *seq, PyObject *index, bool add, std::vector<int> &out,
+               std::vector<size_t> &ends) {
+    Ref items(PySequence_Fast(seq, "compile_model(): a tail or interior is not a sequence"));
+    if (!items.p)
+        return -1;
+    for (Py_ssize_t j = 0; j < PySequence_Fast_GET_SIZE(items.p); j++) {
+        int i;
+        if (index_of(index, PySequence_Fast_GET_ITEM(items.p, j), add, &i) < 0)
+            return -1;
+        out.push_back(i);
+    }
+    ends.push_back(out.size());
+    return 0;
+}
+
+// Copies the ranges [ends[k], ends[k + 1]) of xs, for k = order[0], ...,
+// to out, with their new ends in first; with `sorted` each range sorted.
+void gather(const std::vector<int> &xs, const std::vector<size_t> &ends,
+            const std::vector<int> &order, bool sorted, std::vector<int> &out,
+            std::vector<int> *first) {
+    out.reserve(xs.size());
+    for (int k : order) {
+        size_t begin = out.size();
+        out.insert(out.end(), xs.begin() + (ptrdiff_t)ends[k],
+                   xs.begin() + (ptrdiff_t)ends[k + 1]);
+        if (sorted)
+            std::sort(out.begin() + (ptrdiff_t)begin, out.end());
+        if (first)
+            first->push_back((int)out.size());
+    }
+}
+
+PyObject *build_model(PyObject *decl) {
+    Ref names_attr(PyObject_GetAttrString(decl, "vertices"));
+    Ref edges_attr(PyObject_GetAttrString(decl, "edges"));
+    Ref initial(PyObject_GetAttrString(decl, "initial"));
+    Ref virtuals(PyObject_GetAttrString(decl, "virtual_vertices"));
+    if (!names_attr.p || !edges_attr.p || !initial.p || !virtuals.p)
+        return NULL;
+    Ref names(PySequence_Tuple(names_attr.p)), edges(PySequence_Tuple(edges_attr.p));
+    Ref index(PyDict_New()), interior_index(PyDict_New());
+    Ref s_id(PyUnicode_InternFromString("id")), s_head(PyUnicode_InternFromString("head"));
+    Ref s_tail(PyUnicode_InternFromString("tail"));
+    Ref s_interior(PyUnicode_InternFromString("interior"));
+    if (!names.p || !edges.p || !index.p || !interior_index.p || !s_id.p || !s_head.p ||
+        !s_tail.p || !s_interior.p)
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(names.p), m = PyTuple_GET_SIZE(edges.p);
+    if (n >= INT_MAX || m >= INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "compile_model(): too many vertices or edges");
+        return NULL;
+    }
+    std::unique_ptr<ModelData> d(new ModelData());
+    Py_ssize_t nvirtual = PyObject_Size(virtuals.p);
+    if (nvirtual < 0)
+        return NULL;
+    d->is_virtual.assign((size_t)n, 0);
+    for (Py_ssize_t v = 0; v < n; v++) {
+        PyObject *name = PyTuple_GET_ITEM(names.p, v);
+        int i, is_virtual = nvirtual ? PySequence_Contains(virtuals.p, name) : 0;
+        if (is_virtual < 0 || index_of(index.p, name, true, &i) < 0)
+            return NULL;
+        if (i != v) {
+            PyErr_Format(PyExc_ValueError, "compile_model(): vertex %R repeats", name);
+            return NULL;
+        }
+        d->is_virtual[v] = (char)is_virtual;
+    }
+    if (index_of(index.p, initial.p, false, &d->initial) < 0)
+        return NULL;
+    // Each edge in declaration order: its id, head, tail and interior.
+    Ref ids(PyTuple_New(m));
+    if (!ids.p)
+        return NULL;
+    std::vector<int> heads((size_t)m), tails, interiors;
+    std::vector<size_t> tail_ends{0}, interior_ends{0};
+    for (Py_ssize_t k = 0; k < m; k++) {
+        PyObject *e = PyTuple_GET_ITEM(edges.p, k);
+        PyObject *id = PyObject_GetAttr(e, s_id.p);
+        if (!id)
+            return NULL;
+        PyTuple_SET_ITEM(ids.p, k, id);
+        Ref head(PyObject_GetAttr(e, s_head.p)), tail(PyObject_GetAttr(e, s_tail.p));
+        Ref interior(PyObject_GetAttr(e, s_interior.p));
+        if (!head.p || !tail.p || !interior.p || index_of(index.p, head.p, false, &heads[k]) < 0 ||
+            read_names(tail.p, index.p, false, tails, tail_ends) < 0 ||
+            read_names(interior.p, interior_index.p, true, interiors, interior_ends) < 0)
+            return NULL;
+    }
+    if (tails.size() >= (size_t)INT_MAX || interiors.size() >= (size_t)INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "compile_model(): too many tail vertices");
+        return NULL;
+    }
+    d->interior_names = (int)PyDict_GET_SIZE(interior_index.p);
+    // Number the edges by head, keeping declaration order within a head: a
+    // counting sort.
+    d->first.assign((size_t)n + 1, 0);
+    for (int h : heads)
+        d->first[h + 1]++;
+    for (Py_ssize_t v = 0; v < n; v++)
+        d->first[v + 1] += d->first[v];
+    std::vector<int> next(d->first.begin(), d->first.end() - 1), order((size_t)m);
+    for (int k = 0; k < (int)m; k++)
+        order[next[heads[k]]++] = k;
+    Ref edge_ids(PyTuple_New(m));
+    if (!edge_ids.p)
+        return NULL;
+    for (Py_ssize_t j = 0; j < m; j++) {
+        PyObject *id = PyTuple_GET_ITEM(ids.p, order[j]);
+        Py_INCREF(id);
+        PyTuple_SET_ITEM(edge_ids.p, j, id);
+    }
+    d->tail_first.assign(1, 0);
+    d->interior_first.assign(1, 0);
+    gather(tails, tail_ends, order, false, d->tails, &d->tail_first);
+    gather(tails, tail_ends, order, true, d->sorted_tails, NULL);
+    gather(interiors, interior_ends, order, false, d->interiors, &d->interior_first);
+    Model *model = PyObject_New(Model, &ModelType);
+    if (!model)
+        return NULL;
+    model->names = names.release();
+    model->edge_ids = edge_ids.release();
+    model->d = d.release();
+    return (PyObject *)model;
+}
+
+// -- the move loop ---------------------------------------------------------------
+
+// Marks model vertex v with its declared edges, first interning, as
+// RankTable.apply_marking does, each tail vertex the engine has not met, in
+// edge order, then tail order. dense maps model vertices to engine ids
+// (-1: not met).
+int mark_model_vertex(Engine *self, const ModelData &md, std::vector<int> &dense, int v) {
+    std::vector<int> flat;
+    std::vector<size_t> offsets{0};
+    for (int e = md.first[v]; e < md.first[v + 1]; e++) {
+        for (int j = md.tail_first[e]; j < md.tail_first[e + 1]; j++) {
+            int t = md.tails[j];
+            if (dense[t] < 0 && (dense[t] = new_vertex(self)) < 0)
+                return -1;
+            flat.push_back(dense[t]);
+        }
+        offsets.push_back(flat.size());
+    }
+    mark_vertex(self, dense[v], flat, offsets);
+    return 0;
+}
+
+// RandomFair.respond's draw: choice(list of the tail's names, sorted),
+// mapped back to the model vertex whose name it returns.
+int draw(PyObject *choice, PyObject *names, const int *tail, int width, int *v) {
+    Ref list(PyList_New(width));
+    if (!list.p)
+        return -1;
+    for (int j = 0; j < width; j++) {
+        PyObject *name = PyTuple_GET_ITEM(names, tail[j]);
+        Py_INCREF(name);
+        PyList_SET_ITEM(list.p, j, name);
+    }
+    Ref got(PyObject_CallOneArg(choice, list.p));
+    if (!got.p)
+        return -1;
+    for (int j = 0; j < width; j++) {
+        int eq = PyObject_RichCompareBool(PyTuple_GET_ITEM(names, tail[j]), got.p, Py_EQ);
+        if (eq < 0)
+            return -1;
+        if (eq) {
+            *v = tail[j];
+            return 0;
+        }
+    }
+    PyErr_Format(PyExc_ValueError, "choice() answered %R, which is not in the tail", got.p);
+    return -1;
+}
+
 // -- methods -------------------------------------------------------------------
 
-// Marks v and registers its out-edges. The first call on an engine marks
-// the initial vertex, which is set-up: its marker edge leaves the live size,
-// and it counts no marking and no queue op.
 PyObject *Engine_mark(Engine *self, PyObject *args) {
     return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
         PyObject *vertex, *tail_lists;
         int v;
         if (!PyArg_UnpackTuple(args, "mark", 2, 2, &vertex, &tail_lists) ||
             vertex_index(self, vertex, &v) < 0)
             return NULL;
-        if (s.vmarked[v]) {
+        if (self->st->vmarked[v]) {
             PyErr_SetString(PyExc_ValueError, "vertex already marked");
             return NULL;
         }
@@ -353,87 +687,155 @@ PyObject *Engine_mark(Engine *self, PyObject *args) {
         std::vector<size_t> offsets;
         if (read_tails(self, tail_lists, flat, offsets) < 0)
             return NULL;
-        bool initial = self->unmarked == (i64)s.vstored.size();
-        s.vmarked[v] = 1;
-        self->unmarked--;
-        if (initial)
-            self->live_size--;
-        else
-            self->markings++;
-        // Losing the marker edge invalidates v; its old value stays as a
-        // lower bound and the queue drains it on demand.
-        if (!s.vdirty[v]) {
-            s.vdirty[v] = 1;
-            s.queue.push(s.vstored[v], v);
-            if (!initial)
-                self->queue_ops++;
-        }
-        register_edges(self, v, flat, offsets);
+        mark_vertex(self, v, flat, offsets);
         Py_RETURN_NONE;
     });
 }
 
 PyObject *Engine_add_vertex(Engine *self, PyObject *) {
     return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
-        if (s.vstored.size() >= (size_t)INT_MAX) {
-            PyErr_SetString(PyExc_OverflowError, "too many vertices");
-            return NULL;
-        }
-        int v = (int)s.vstored.size();
-        s.vstored.push_back(1);  // marker edge support
-        s.vdirty.push_back(0);
-        s.vmarked.push_back(0);
-        s.efirst.push_back(0);
-        s.ecount.push_back(0);
-        s.tail_edges.emplace_back();
-        self->unmarked++;
-        self->live_size++;  // the marker edge itself
-        return PyLong_FromLong(v);
+        int v = new_vertex(self);
+        return v < 0 ? NULL : PyLong_FromLong(v);
     });
 }
 
 PyObject *Engine_ensure(Engine *self, PyObject *arg) {
     return guarded(self, [&]() -> PyObject * {
-        State &s = *self->st;
-        int v;
-        if (vertex_index(self, arg, &v) < 0)
+        int v, k;
+        i64 r;
+        if (vertex_index(self, arg, &v) < 0 || ensure_vertex(self, v, &r, &k) < 0)
             return NULL;
-        if (self->unmarked == 0)
-            return Py_BuildValue("(Li)", UNREACH, -1);
-        // Pops until v is certified, flushing whenever this call's pops
-        // reach the live-size budget.
-        i64 pops = 0;
-        i64 budget = self->live_size + (i64)s.vstored.size() + 64;
-        while (true) {
-            if (!s.vdirty[v]) {
-                i64 sv = s.vstored[v];
-                if (sv == UNREACH)
-                    break;
-                i64 mk = peek(self);
-                if (mk < 0 || mk >= sv)
-                    break;
-            }
-            if (step(self) < 0)
+        return Py_BuildValue("(Li)", r, k);
+    });
+}
+
+// The session of RankTable and engine.run_session's move loop on model,
+// with RandomFair.respond's draws through `choice` (its rng.choice), or,
+// when choice is None, Avoider.respond's answers. See Engine_methods.
+PyObject *Engine_play(Engine *self, PyObject *args) {
+    return guarded(self, [&]() -> PyObject * {
+        PyObject *model, *record, *cap, *choice;
+        int lazy;
+        if (!PyArg_ParseTuple(args, "O!OOpO:play", &ModelType, &model, &record, &cap, &lazy,
+                              &choice))
+            return NULL;
+        long long max_moves = PyLong_AsLongLong(cap);
+        if (max_moves == -1 && PyErr_Occurred())
+            return NULL;
+        State &s = *self->st;
+        if (max_moves < 1 || !s.vstored.empty()) {
+            PyErr_SetString(PyExc_ValueError, "play() needs a fresh engine and max_moves >= 1");
+            return NULL;
+        }
+        const ModelData &md = *((Model *)model)->d;
+        PyObject *names = ((Model *)model)->names, *edge_ids = ((Model *)model)->edge_ids;
+        int n = (int)PyTuple_GET_SIZE(names);
+        // RankTable's ids: the initial vertex, then, when eager, every
+        // vertex in name order.
+        std::vector<int> dense((size_t)n, -1);
+        if ((dense[md.initial] = new_vertex(self)) < 0)
+            return NULL;
+        for (int v = 0; !lazy && v < n; v++)
+            if (dense[v] < 0 && (dense[v] = new_vertex(self)) < 0)
                 return NULL;
-            if (++pops >= budget) {
-                flush_unreachable(self);
-                pops = 0;
+        int cur = md.initial, k;
+        i64 r;
+        if (mark_model_vertex(self, md, dense, cur) < 0 ||
+            ensure_vertex(self, dense[cur], &r, &k) < 0)
+            return NULL;
+        Ref records(PyList_New(0));
+        if (!records.p)
+            return NULL;
+        std::vector<char> covered((size_t)md.interior_names, 0);
+        i64 moves = 0, interior_covered = 0;
+        int ending;  // engine.ENDINGS
+        while (true) {
+            if (self->unmarked == 0) {
+                ending = 0;
+                break;
+            }
+            if (k < 0) {
+                ending = 1;
+                break;
+            }
+            if (moves >= max_moves) {
+                ending = 2;
+                break;
+            }
+            int e = md.first[cur] + k;
+            const int *tail = &md.sorted_tails[md.tail_first[e]];
+            int width = md.tail_first[e + 1] - md.tail_first[e], v = tail[0];
+            if (choice == Py_None) {
+                // The first marked tail vertex of highest rank, else the first.
+                i64 best = 0;
+                for (int j = 0; j < width; j++) {
+                    i64 rt;
+                    int kt;
+                    if (!s.vmarked[dense[tail[j]]])
+                        continue;
+                    if (ensure_vertex(self, dense[tail[j]], &rt, &kt) < 0)
+                        return NULL;
+                    if (rt > best) {
+                        best = rt;
+                        v = tail[j];
+                    }
+                }
+            } else if (width > 1 && draw(choice, names, tail, width, &v) < 0) {
+                return NULL;
+            }
+            bool newly = !s.vmarked[dense[v]];
+            Ref index(PyLong_FromLongLong(++moves)), rank(PyLong_FromLongLong(r));
+            if (!index.p || !rank.p)
+                return NULL;
+            PyObject *fields[6] = {index.p,
+                                   PyTuple_GET_ITEM(names, cur),
+                                   PyTuple_GET_ITEM(edge_ids, e),
+                                   PyTuple_GET_ITEM(names, v),
+                                   newly ? Py_True : Py_False,
+                                   rank.p};
+            Ref move(PyObject_Vectorcall(record, fields, 6, NULL));
+            if (!move.p || PyList_Append(records.p, move.p) < 0)
+                return NULL;
+            if (newly && mark_model_vertex(self, md, dense, v) < 0)
+                return NULL;
+            for (int j = md.interior_first[e]; j < md.interior_first[e + 1]; j++) {
+                if (!covered[md.interiors[j]]) {
+                    covered[md.interiors[j]] = 1;
+                    interior_covered++;
+                }
+            }
+            cur = v;
+            if (ensure_vertex(self, dense[cur], &r, &k) < 0)
+                return NULL;
+        }
+        // The marked virtual vertices, and the distinct interior names of
+        // the live edges: of every edge when eager, else of the marked
+        // vertices' edges.
+        i64 virtual_marked = 0, interior_total = lazy ? 0 : md.interior_names;
+        std::vector<char> live((size_t)md.interior_names, 0);
+        for (int v = 0; v < n; v++) {
+            if (dense[v] < 0 || !s.vmarked[dense[v]])
+                continue;
+            virtual_marked += md.is_virtual[v];
+            int end = lazy ? md.interior_first[md.first[v + 1]] : 0;
+            for (int j = md.interior_first[md.first[v]]; j < end; j++) {
+                if (!live[md.interiors[j]]) {
+                    live[md.interiors[j]] = 1;
+                    interior_total++;
+                }
             }
         }
-        i64 r = s.vstored[v];
-        if (r == UNREACH)
-            return Py_BuildValue("(Li)", r, -1);
-        if (r > self->max_rank)
-            self->max_rank = r;
-        if (!s.vmarked[v])
-            return Py_BuildValue("(Li)", r, -1);
-        for (int k = 0; k < s.ecount[v]; k++)
-            if (s.estored[s.efirst[v] + k] == r - 1)
-                return Py_BuildValue("(Li)", r, k);
-        PyErr_Format(PyExc_AssertionError, "no out-edge of vertex %d has rank %lld", v, r - 1);
-        return NULL;
+        return Py_BuildValue("(NiLLLL)", records.release(), ending, (i64)s.vstored.size(),
+                             virtual_marked, interior_total, interior_covered);
     });
+}
+
+PyObject *Engine_compile_model(PyObject *, PyObject *decl) {
+    try {
+        return build_model(decl);
+    } catch (const std::bad_alloc &) {
+        return PyErr_NoMemory();
+    }
 }
 
 PyObject *Engine_snapshot(Engine *self, PyObject *) {
@@ -490,6 +892,12 @@ PyMethodDef Engine_methods[] = {
            "v's first out-edge of rank - 1, or -1."),
     METHOD(snapshot, METH_NOARGS,
            "snapshot() -> dict: copies of vstored, vdirty, vmarked and estored."),
+    METHOD(compile_model, METH_O | METH_STATIC,
+           "compile_model(decl) -> the declaration on integers, for play()."),
+    METHOD(play, METH_VARARGS,
+           "play(model, record, max_moves, lazy, choice) -> (records, ending, vertices, "
+           "virtual_marked, interior_total, interior_covered): a whole session on this "
+           "fresh engine, RandomFair's with choice its rng.choice, else the Avoider's."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -522,7 +930,12 @@ PyMODINIT_FUNC PyInit__core(void) {
     EngineType.tp_methods = Engine_methods;
     EngineType.tp_members = Engine_members;
     EngineType.tp_getset = Engine_getset;
-    if (PyType_Ready(&EngineType) < 0)
+    ModelType.tp_name = "hypergame.ranks._core.CompiledModel";
+    ModelType.tp_doc = "A declaration on integers, from CompiledRankEngine.compile_model.";
+    ModelType.tp_basicsize = sizeof(Model);
+    ModelType.tp_flags = Py_TPFLAGS_DEFAULT;
+    ModelType.tp_dealloc = (destructor)Model_dealloc;
+    if (PyType_Ready(&EngineType) < 0 || PyType_Ready(&ModelType) < 0)
         return NULL;
 
     core_module.m_name = "hypergame.ranks._core";
@@ -531,7 +944,8 @@ PyMODINIT_FUNC PyInit__core(void) {
     PyObject *m = PyModule_Create(&core_module);
     if (m == NULL)
         return NULL;
-    if (PyModule_AddObjectRef(m, "CompiledRankEngine", (PyObject *)&EngineType) < 0) {
+    if (PyModule_AddObjectRef(m, "CompiledRankEngine", (PyObject *)&EngineType) < 0 ||
+        PyModule_AddIntConstant(m, "PROTOCOL", PROTOCOL) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -61,6 +61,13 @@ class PureRankEngine:
     Read-only counters: `unmarked`, `relaxations`, `queue_ops`, `live_size`,
     `markings`, `max_rank` and `flushes`; `backend` names the backend.
 
+    The compiled engine also has a session entry point, with no pure twin:
+    `compile_model(decl)` gives a declaration on integers, and `play` plays
+    a whole session of `engine.run_session` on a fresh engine for the
+    built-in adversaries, through the same `mark` and `ensure` internals.
+    The Python loop of `run_session`, over the four methods above, is its
+    reference, and plays every other session on either backend.
+
     `tail_lists` holds one sequence of tail-vertex ids per edge. Edge ids
     are handed out 0, 1, 2, ... in call order. A vertex's out-edges all
     arrive in one `mark` call, which rejects an already-marked vertex

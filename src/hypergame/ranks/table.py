@@ -3,7 +3,8 @@
 Wraps a dense-index engine backend (pure Python or the compiled core) and
 owns the vertex ids. The table plays one declaration, eagerly, or lazily
 when it comes wrapped in a `DeclProvider`: it is the only reader of the
-declaration's edges in a session. Marking a vertex makes exactly that
+declaration's edges in the Python move loop of `engine.run_session`, and
+the compiled loop keeps its ids. Marking a vertex makes exactly that
 vertex's declared edges live, so the table takes them from
 `ModelDecl.by_head`, in id order, and hands them to the engine in one
 `mark` call. It keeps, per marked vertex, those edges in that order, so the
@@ -35,6 +36,11 @@ class WorkStats:
     @property
     def work(self) -> int:
         return self.relaxations + self.queue_ops
+
+    @classmethod
+    def of(cls, e) -> WorkStats:
+        """Engine e's counters."""
+        return cls(e.relaxations, e.queue_ops, e.live_size, e.markings, e.max_rank, e.flushes)
 
 
 class RankTable:
@@ -105,12 +111,4 @@ class RankTable:
         return (UNREACHABLE if r >= UNREACH_INT else r), None
 
     def snapshot_work(self) -> WorkStats:
-        e = self.eng
-        return WorkStats(
-            relaxations=e.relaxations,
-            queue_ops=e.queue_ops,
-            live_size_H_prime=e.live_size,
-            markings_E=e.markings,
-            max_rank_R=e.max_rank,
-            flushes=e.flushes,
-        )
+        return WorkStats.of(self.eng)

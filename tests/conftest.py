@@ -1,3 +1,5 @@
+import copy
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -14,6 +16,7 @@ import pytest
 # The tests run the extensions pytest_configure builds from this checkout,
 # or none: never one left in src/ by an earlier in-place build.
 sys.modules["hypergame._scan"] = sys.modules["hypergame.ranks._core"] = None
+import hypergame.engine  # noqa: E402
 import hypergame.model  # noqa: E402
 import hypergame.ranks  # noqa: E402
 from hypergame.model import Edge, ModelDecl, parse_model  # noqa: E402
@@ -42,11 +45,12 @@ def _have_compiler() -> bool:
 def _build_compiled(tmp: Path, config) -> str | None:
     """Build the C++ extensions from this checkout's sources into `tmp` with
     setup.py, register the rank core as hypergame.ranks.CompiledRankEngine,
-    the line scanner, checked by `_scanners_agree`, as
-    hypergame.model.compiled_scan_plain, and the edge kernels, checked by
-    `_builders_agree`, as hypergame.model.compiled_make_edges and
-    compiled_check_edges. Returns None on success, else the reason the
-    compiled backend is missing."""
+    its move loop, checked by `_loops_agree`, as
+    hypergame.engine.play_compiled, the line scanner, checked by
+    `_scanners_agree`, as hypergame.model.compiled_scan_plain, and the edge
+    kernels, checked by `_builders_agree`, as
+    hypergame.model.compiled_make_edges and compiled_check_edges. Returns
+    None on success, else the reason the compiled backend is missing."""
     config.stash[BUILT] = {}
     if not _have_compiler():
         return NO_COMPILER
@@ -67,6 +71,7 @@ def _build_compiled(tmp: Path, config) -> str | None:
         sys.modules[name] = modules[name]
     config.stash[BUILT] = modules
     hypergame.ranks.CompiledRankEngine = modules["hypergame.ranks._core"].CompiledRankEngine
+    hypergame.engine.play_compiled = _loops_agree(hypergame.engine.play_compiled)
     hypergame.model.compiled_scan_plain = _scanners_agree(modules["hypergame._scan"].scan_plain)
     kernels = modules["hypergame._scan"].edge_kernels(Edge)
     config.stash[_EDGE_KERNELS] = kernels
@@ -124,6 +129,34 @@ def _builders_agree(make_edges, check_edges):
             assert all(a is b for a, b in zip(checked[0], pure[0]))
         return checked
     return make, check
+
+
+def _loops_agree(play_compiled):
+    """`play_compiled`, which also plays each session through the Python
+    loop of `run_session`, on the compiled engine, against a copy of the
+    adversary taken before the session, and asserts that both loops give
+    the same transcript, the same stats (every `WorkStats` field, `flushes`
+    and `markings_E` included) and the same adversary state after it. So
+    every session a test plays on the compiled loop runs both loops."""
+    def play(source, adversary, draws, max_moves, seed):
+        reference = copy.deepcopy(adversary)
+        # respond as an instance attribute: run_session takes the Python loop.
+        reference.respond = functools.partial(adversary.respond.__func__, reference)
+        want = hypergame.engine.run_session(source, reference, max_moves, seed,
+                                            backend="compiled")
+        got = play_compiled(source, adversary, draws, max_moves, seed)
+        assert hypergame.engine.format_trace(got[0]) == hypergame.engine.format_trace(want[0])
+        assert hypergame.engine.format_stats(got[1]) == hypergame.engine.format_stats(want[1])
+        assert got == want
+        del reference.respond
+        assert adversary_state(adversary) == adversary_state(reference)
+        return got
+    return play
+
+
+def adversary_state(adversary):
+    """What an adversary holds, with its rng's state for the rng."""
+    return {k: v.getstate() if k == "rng" else v for k, v in vars(adversary).items()}
 
 
 def _plain_edge(e):

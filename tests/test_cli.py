@@ -477,11 +477,12 @@ class TestBench:
         printed = capsys.readouterr().out
         doc = json.loads(out.read_text())
         assert set(doc) == {"host", "settings", "backends"}
-        assert set(doc["host"]) == {"python", "cpu", "date"}
+        assert set(doc["host"]) == {"python", "cpu", "date", "calibration_s"}
         assert doc["host"]["python"] == platform.python_version()
+        assert doc["host"]["calibration_s"] > 0
         assert doc["settings"] == {"sizes": [8, 16], "out_degree": 3, "fanout": 2,
                                    "seed": 1, "repeats": 3, "scanner": "compiled",
-                                   "builder": "compiled"}
+                                   "builder": "compiled", "loop": "compiled"}
         assert set(doc["backends"]) == {"pure", "compiled"}
         for result in doc["backends"].values():
             assert set(result) == {"rows", "work_fit", "rank_growth_fit"}
@@ -549,6 +550,39 @@ class TestBench:
         import hypergame.bench as bench
         rows = bench.run_benchmark([8])
         assert bench.benchmark_json(rows, 3, 2, 1)["settings"]["builder"] == builder
+
+    @pytest.mark.parametrize("built", [False, True], ids=["not-built", "built"])
+    def test_json_names_the_loop(self, built, request, monkeypatch, capsys):
+        # The compiled engine's rows time the compiled loop; without it, the
+        # pure rows time the Python loop, and nothing builds the integer model.
+        import hypergame.bench as bench
+        if built:
+            require_compiled(request.config)
+        else:
+            monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)
+        rows = bench.run_benchmark([8])
+        assert bench.benchmark_json(rows, 3, 2, 1)["settings"]["loop"] == (
+            "compiled" if built else "python")
+
+    def test_row_builds_the_integer_model_outside_the_timer(self, request, monkeypatch):
+        import types
+        import hypergame.bench as bench
+        require_compiled(request.config)
+        log = []
+        real_compiled_model = bench.compiled_model
+
+        def compiled_model(decl):
+            log.append("build")
+            return real_compiled_model(decl)
+
+        def perf_counter():
+            log.append("tick")
+            return 0.0
+
+        monkeypatch.setattr(bench, "compiled_model", compiled_model)
+        monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=perf_counter))
+        bench.measure_session(8, seed=1, backends=["compiled"])
+        assert log == ["build"] + ["tick"] * 2 * bench.REPEATS
 
     def test_compare_backends_parses_each_row_once(self, request, monkeypatch, capsys):
         # Each row's model is generated and its text parsed REPEATS times

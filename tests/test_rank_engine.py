@@ -368,17 +368,20 @@ def test_ensure_returns_the_least_edge_position(backend):
 
 
 ENGINE_API = {"add_vertex", "mark", "ensure", "snapshot"}
+# The compiled move loop's entry point, which only the compiled engine has.
+COMPILED_SESSION_API = {"compile_model", "play"}
 ENGINE_COUNTERS = {"unmarked", "relaxations", "queue_ops", "live_size",
                    "markings", "max_rank", "flushes"}
 
 
 def test_engine_api_is_the_session_api(request):
     # Both backends expose exactly the methods sessions use plus snapshot(),
-    # and the same read-only counters.
+    # and the same read-only counters; the compiled one also plays sessions.
     require_compiled(request.config)
-    for cls in (PureRankEngine, get_engine_class("compiled")):
+    for cls, api in ((PureRankEngine, ENGINE_API),
+                     (get_engine_class("compiled"), ENGINE_API | COMPILED_SESSION_API)):
         public = {name for name in dir(cls) if not name.startswith("_")}
-        assert {name for name in public if callable(getattr(cls, name))} == ENGINE_API
+        assert {name for name in public if callable(getattr(cls, name))} == api
         eng = cls()
         assert all(type(getattr(eng, name)) is int for name in ENGINE_COUNTERS)
 
