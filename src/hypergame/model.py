@@ -9,9 +9,9 @@ declaration that exists can be played.
 
 `parse_model` reads a text in four steps:
 
-1. scan: one pass over the text, by the compiled scanner (`_scan.cpp`) when
-   it was built and the text is ASCII with lines broken by \n only, else by
-   the pure `scan_plain`;
+1. scan: one pass over the text, by the compiled scanner (`_native.cpp`)
+   when it was built and the text is ASCII with lines broken by \n only,
+   else by the pure `scan_plain`;
 2. columns: the scan gives the vertex lines' names and the id, head and tail
    of each plain edge line, from which `make_edges` builds the edges;
 3. other lines: every other non-blank line (the initial and model lines,
@@ -21,7 +21,7 @@ declaration that exists can be played.
    has. A repeated edge id is one: `ModelDecl` raises it.
 
 Two edge kernels carry the per-edge work of a parse and of the coverage
-transforms, each a pure function here with a compiled twin in `_scan.cpp`
+transforms, each a pure function here with a compiled twin in `_native.cpp`
 that is used when the extension was built (`compiled_make_edges`,
 `compiled_check_edges`, else None):
 
@@ -31,6 +31,10 @@ that is used when the extension was built (`compiled_make_edges`,
 - `check_edges` sorts a declaration's edges by id and tells whether they
   pass `ModelDecl`'s per-edge checks. Only when they do not does the Python
   loop, `_edge_problems`, run to name every problem.
+
+This module is the one place that imports the compiled extension,
+`hypergame._native`, and checks it; `ranks` takes its `CompiledRankEngine`
+from `_native` here, which is None when the package runs pure.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ REAL = "real"
 VIRTUAL = "virtual"
 INTERIOR = "interior"
 
-_ID = r"[A-Za-z0-9_.-]+"  # an identifier; `_scan.cpp` keeps its own table
+_ID = r"[A-Za-z0-9_.-]+"  # an identifier; `_native.cpp` keeps its own table
 _ID_RE = re.compile(_ID + r"\Z")
 _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 # A plain edge or vertex line: single spaces and identifiers only, so no
@@ -54,18 +58,18 @@ _LABEL_RE = re.compile(r'label\s+"((?:[^"\\]|\\.)*)"')
 _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex ({_ID})")
 
 
-# The version of `_scan.cpp`'s interface this module speaks. An extension
+# The version of `_native.cpp`'s interface the package speaks. An extension
 # of another version, such as one an older in-place build left in src/, is
 # not used, nor one whose `edge_kernels` gives other than two kernels: the
-# module runs pure, as when nothing was built.
-SCAN_PROTOCOL = 1
+# whole package runs pure, as when nothing was built.
+NATIVE_PROTOCOL = 2
 
 try:
-    from . import _scan
+    from . import _native
 except ImportError:  # extension not built
-    _scan = None
-if getattr(_scan, "PROTOCOL", None) != SCAN_PROTOCOL:
-    _scan = None
+    _native = None
+if getattr(_native, "PROTOCOL", None) != NATIVE_PROTOCOL:
+    _native = None
 
 
 class ModelError(Exception):
@@ -93,7 +97,7 @@ class Edge:
     to an edge or hashes one; `dataclasses.replace` makes a changed copy.
 
     The compiled `make_edges` fills these six slots itself and repeats the
-    checks of `__post_init__`, so a change to either is made in `_scan.cpp`
+    checks of `__post_init__`, so a change to either is made in `_native.cpp`
     too; a change to the fields makes the import of this module raise.
     """
 
@@ -249,10 +253,10 @@ def _edge_problems(edges, vset):
             yield f"ReservedVertex({VIRTUAL}): interior of edge {e.id}"
 
 
-_kernels = _scan.edge_kernels(Edge) if _scan else None
+_kernels = _native.edge_kernels(Edge) if _native else None
 if type(_kernels) is not tuple or len(_kernels) != 2:
-    _scan, _kernels = None, (None, None)
-compiled_scan_plain = _scan.scan_plain if _scan else None
+    _native, _kernels = None, (None, None)
+compiled_scan_plain = _native.scan_plain if _native else None
 compiled_make_edges, compiled_check_edges = _kernels
 
 
@@ -283,7 +287,7 @@ def scan_plain(text: str):
     or `interior` token. Plain means single spaces and identifiers only, so
     no comment, label, tab or keyword option. `others` holds
     `(line number, line)` for every other non-blank line; lines are those of
-    `str.splitlines`. The compiled scanner in `_scan.cpp` keeps this
+    `str.splitlines`. The compiled scanner in `_native.cpp` keeps this
     contract on the texts it takes.
     """
     vertices, ids, heads, tails, others = [], [], [], [], []

@@ -6,24 +6,17 @@ of the rank recursion. Declarations and providers hold only real and virtual
 edges.
 
 The engine has two interchangeable backends, one copy of the algorithm each:
-a compiled C++ core (`_core.cpp`) and a pure-Python fallback (`pure.py`).
+a compiled C++ engine and a pure-Python fallback (`pure.py`). The compiled
+one is `CompiledRankEngine` of the extension `hypergame._native`, which
+`model.py` imports and checks; it is None when the package runs pure.
 `backend=None` or "auto" picks the compiled one when the extension was built.
-The compiled core also plays whole sessions for `engine.run_session`.
+The compiled engine also plays whole sessions for `engine.run_session`.
 """
 
+from ..model import _native
 from .pure import UNREACHABLE, PureRankEngine
 
-# The version of `_core.cpp`'s interface this package speaks. A core of
-# another version, such as one an older in-place build left in src/, is
-# not used: the package runs pure, as when nothing was built.
-CORE_PROTOCOL = 1
-
-try:
-    from . import _core
-except ImportError:  # extension not built
-    _core = None
-CompiledRankEngine = (_core.CompiledRankEngine
-                      if getattr(_core, "PROTOCOL", None) == CORE_PROTOCOL else None)
+CompiledRankEngine = _native.CompiledRankEngine if _native else None
 
 
 def get_engine_class(backend=None):

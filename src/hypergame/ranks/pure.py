@@ -41,7 +41,7 @@ UNREACH_INT = 1 << 62
 class PureRankEngine:
     """Dense-index rank engine; the RankTable wrapper owns string ids.
 
-    The engine protocol, which the compiled core (`_core.cpp`) implements
+    The engine protocol, which the compiled engine (`_native.cpp`) implements
     with the same results and counters, has four methods:
 
     - `add_vertex() -> int`: a new unmarked vertex, ids 0, 1, 2, ...;

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-# The tests run the extensions pytest_configure builds from this checkout,
+# The tests run the extension pytest_configure builds from this checkout,
 # or none: never one left in src/ by an earlier in-place build.
-sys.modules["hypergame._scan"] = sys.modules["hypergame.ranks._core"] = None
+sys.modules["hypergame._native"] = None
 import hypergame.engine  # noqa: E402
 import hypergame.model  # noqa: E402
 import hypergame.ranks  # noqa: E402
@@ -29,8 +29,8 @@ NO_COMPILER = "no C++ compiler"
 _COMPILED_MISSING = pytest.StashKey[str | None]()
 # The compiled edge kernels as built, unchecked: (make_edges, check_edges).
 _EDGE_KERNELS = pytest.StashKey[tuple]()
-# The extension modules built, by name; empty when none was.
-BUILT = pytest.StashKey[dict]()
+# The extension module built, or None when none was.
+BUILT = pytest.StashKey[object]()
 
 
 def _have_compiler() -> bool:
@@ -43,37 +43,33 @@ def _have_compiler() -> bool:
 
 
 def _build_compiled(tmp: Path, config) -> str | None:
-    """Build the C++ extensions from this checkout's sources into `tmp` with
-    setup.py, register the rank core as hypergame.ranks.CompiledRankEngine,
+    """Build the C++ extension from this checkout's sources into `tmp` with
+    setup.py, register its rank engine as hypergame.ranks.CompiledRankEngine,
     its move loop, checked by `_loops_agree`, as
     hypergame.engine.play_compiled, the line scanner, checked by
     `_scanners_agree`, as hypergame.model.compiled_scan_plain, and the edge
     kernels, checked by `_builders_agree`, as
     hypergame.model.compiled_make_edges and compiled_check_edges. Returns
     None on success, else the reason the compiled backend is missing."""
-    config.stash[BUILT] = {}
+    config.stash[BUILT] = None
     if not _have_compiler():
         return NO_COMPILER
     proc = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp / "lib"),
          "--build-temp", str(tmp / "obj")],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
-    modules = {}
-    for name in ("hypergame.ranks._core", "hypergame._scan"):
-        path = tmp / "lib" / Path(*name.split("."))
-        built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                 for p in path.parent.glob(path.name + suffix)]
-        if proc.returncode != 0 or not built:
-            return f"building the C++ extensions failed:\n{proc.stdout}{proc.stderr}"
-        spec = importlib.util.spec_from_file_location(name, built[0])
-        modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(modules[name])
-        sys.modules[name] = modules[name]
-    config.stash[BUILT] = modules
-    hypergame.ranks.CompiledRankEngine = modules["hypergame.ranks._core"].CompiledRankEngine
+    built = [p for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             for p in (tmp / "lib" / "hypergame").glob("_native" + suffix)]
+    if proc.returncode != 0 or not built:
+        return f"building the C++ extension failed:\n{proc.stdout}{proc.stderr}"
+    spec = importlib.util.spec_from_file_location("hypergame._native", built[0])
+    native = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(native)
+    config.stash[BUILT] = sys.modules[spec.name] = native
+    hypergame.ranks.CompiledRankEngine = native.CompiledRankEngine
     hypergame.engine.play_compiled = _loops_agree(hypergame.engine.play_compiled)
-    hypergame.model.compiled_scan_plain = _scanners_agree(modules["hypergame._scan"].scan_plain)
-    kernels = modules["hypergame._scan"].edge_kernels(Edge)
+    hypergame.model.compiled_scan_plain = _scanners_agree(native.scan_plain)
+    kernels = native.edge_kernels(Edge)
     config.stash[_EDGE_KERNELS] = kernels
     (hypergame.model.compiled_make_edges,
      hypergame.model.compiled_check_edges) = _builders_agree(*kernels)

@@ -10,13 +10,19 @@ forces flushes mid-run, and hashes its ranks and counters. The declaration
 layer is pinned too: the serialized grid models, `hypergame rank` output on
 the fixtures, and the exact text of each invalid-declaration error. So is
 the parser: the exact error for malformed lines and the serialized parse of
-texts that use its whitespace, comment, label and keyword rules. A change
-that alters any of these outputs on purpose must say so and update GOLDEN.
+texts that use its whitespace, comment, label and keyword rules. So is the
+CLI: `run` on the fixtures, eager and lazy, against each of RandomFair, the
+Avoider and a script; `solve` on them; and `bench --compare-backends`, less
+its timings. A change that alters any of these outputs on purpose must say
+so and update GOLDEN.
 """
 
 import functools
 import hashlib
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +35,7 @@ from hypergame.providers import DeclProvider, gen_random_bounded_degree
 from hypergame.ranks import RankTable
 from hypergame.transforms import apply_transforms
 
-from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl
+from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, require_compiled
 
 MODELS = ["random1", "random2", "random3", "lostbase"]
 TRANSFORMS = ["none", "branch-coverage"]
@@ -103,6 +109,51 @@ GOLDEN = {
         "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
     "flush":
         "71370aa4246c72c486a22f16f70e1eb953c2f644a38a54e28d90114c76ce06ca",
+    # the CLI: `run`, seed 1, on either backend; `solve`; `bench`
+    "cli-run-G1-eager-random":
+        "05f2c657c3573799e7fc0b3cffcd7c7a0f497ece1d62de862ef083ac98e76601",
+    "cli-run-G1-eager-avoider":
+        "05f2c657c3573799e7fc0b3cffcd7c7a0f497ece1d62de862ef083ac98e76601",
+    "cli-run-G1-eager-script":
+        "7e22b32af822ca9e4d4dbc2e2254a26b41f11b4d0a8507e4e0abdd8d6c2c811b",
+    "cli-run-G1-lazy-random":
+        "2dec6a51db7f72d7211619a0ac874bf0eff93254e7eda876dce2b212d93b3e14",
+    "cli-run-G1-lazy-avoider":
+        "2dec6a51db7f72d7211619a0ac874bf0eff93254e7eda876dce2b212d93b3e14",
+    "cli-run-G1-lazy-script":
+        "9246ede65a8299cbcdd8a4aef70d2ee011ffd38545f17617f345240e0704957a",
+    "cli-run-G2-eager-random":
+        "c9d51474bdb73335e67f56ebdb33a75a44ac8db87615d6a9cdee74bd4144ab63",
+    "cli-run-G2-eager-avoider":
+        "c9d51474bdb73335e67f56ebdb33a75a44ac8db87615d6a9cdee74bd4144ab63",
+    "cli-run-G2-eager-script":
+        "649a7e79aab309d77d353bd95650b001ef766beb3f400c1e0acc79c166d309a9",
+    "cli-run-G2-lazy-random":
+        "f16c671a0da84f97af48d1cfaef371d06d6feedda23f5ad97a5c3cb5dcad80e2",
+    "cli-run-G2-lazy-avoider":
+        "f16c671a0da84f97af48d1cfaef371d06d6feedda23f5ad97a5c3cb5dcad80e2",
+    "cli-run-G2-lazy-script":
+        "649a7e79aab309d77d353bd95650b001ef766beb3f400c1e0acc79c166d309a9",
+    "cli-run-G3-eager-random":
+        "4eaffe8c06a86363c221133bd68eaec20dba051dad96922a7bea7384d52c63df",
+    "cli-run-G3-eager-avoider":
+        "4eaffe8c06a86363c221133bd68eaec20dba051dad96922a7bea7384d52c63df",
+    "cli-run-G3-eager-script":
+        "4eaffe8c06a86363c221133bd68eaec20dba051dad96922a7bea7384d52c63df",
+    "cli-run-G3-lazy-random":
+        "48265d453f380f2d3d6102e339e0180d55a4b051ad2948c0d3f10997241db182",
+    "cli-run-G3-lazy-avoider":
+        "48265d453f380f2d3d6102e339e0180d55a4b051ad2948c0d3f10997241db182",
+    "cli-run-G3-lazy-script":
+        "48265d453f380f2d3d6102e339e0180d55a4b051ad2948c0d3f10997241db182",
+    "cli-solve-G1":
+        "cb73b98237bab75ab1a161a9eebad5aae29e6121b577fa1328be8e4d369502b4",
+    "cli-solve-G2":
+        "cb73b98237bab75ab1a161a9eebad5aae29e6121b577fa1328be8e4d369502b4",
+    "cli-solve-G3":
+        "8f018125318172164234da5ea6e6f07d341afa841120e2fa377d4fad53db1d0e",
+    "cli-bench":
+        "07647b5fddaa1a01415c577c75163c134b88d30149508ddba18f561565f309c3",
 }
 
 
@@ -342,3 +393,64 @@ def test_parsed_model_is_pinned(case):
     text, strict = PARSE_TEXTS[case]
     out = serialize_model(parse_model(text, strict_vertices=strict))
     assert hashlib.sha256(out.encode()).hexdigest() == PARSED[case]
+
+
+# -- the CLI ------------------------------------------------------------------
+
+FIXTURES = {"G1": G1_TEXT, "G2": G2_TEXT, "G3": G3_TEXT}
+# The script adversary's answers, on every fixture. On G1 it marks s2 where
+# RandomFair and the Avoider mark s1; G2's first stimulus has no s2 in its
+# tail, which is a contract violation (exit 5); G3 ends before a move.
+SCRIPT = "s2\ns1\n"
+RUN_CASES = [(m, mode, a) for m in FIXTURES for mode in MODES
+             for a in ("random", "avoider", "script")]
+
+
+def cli_digest(argv, capsys, files=()):
+    """The sha256 of one `main(argv)` call: its exit code, stdout, stderr
+    and the bytes of each of `files` it wrote (None for one it did not)."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    written = [Path(f).read_bytes() if Path(f).exists() else None for f in files]
+    return hashlib.sha256(repr((code, out, err, *written)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", RUN_CASES, ids=["-".join(c) for c in RUN_CASES])
+def test_run_command_is_pinned(case, backend, tmp_path, monkeypatch, capsys):
+    model, mode, adversary = case
+    monkeypatch.chdir(tmp_path)
+    Path("model.hg").write_text(FIXTURES[model])
+    Path("script.txt").write_text(SCRIPT)
+    argv = ["run", "model.hg", "--seed", "1", "--adversary", adversary,
+            "--backend", backend, "--trace", "trace.tsv", "--stats", "stats.json"]
+    argv += ["--lazy"] if mode == "lazy" else []
+    argv += ["--script", "script.txt"] if adversary == "script" else []
+    digest = cli_digest(argv, capsys, ["trace.tsv", "stats.json"])
+    assert digest == GOLDEN["cli-run-" + "-".join(case)]
+
+
+@pytest.mark.parametrize("model", FIXTURES)
+def test_solve_command_is_pinned(model, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("model.hg").write_text(FIXTURES[model])
+    assert cli_digest(["solve", "model.hg"], capsys) == GOLDEN[f"cli-solve-{model}"]
+
+
+def test_bench_command_is_pinned(pytestconfig, tmp_path, monkeypatch, capsys):
+    # Everything but the timings: the host (its date and calibration
+    # included), each row's `seconds` and `parse_s`, and in stdout the
+    # seconds column and the speed-ups, the last field of each line that
+    # starts with a size.
+    require_compiled(pytestconfig)
+    monkeypatch.chdir(tmp_path)
+    code = main(["bench", "--min-pow", "3", "--max-pow", "4", "--compare-backends",
+                 "--json", "bench.json"])
+    out, err = capsys.readouterr()
+    doc = json.loads(Path("bench.json").read_text())
+    del doc["host"]
+    for result in doc["backends"].values():
+        for row in result["rows"]:
+            del row["seconds"], row["parse_s"]
+    untimed = re.sub(r"^( *\d+ .*?) +\S+$", r"\1", out, flags=re.M)
+    text = repr((code, untimed, err, json.dumps(doc, sort_keys=True)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["cli-bench"]

@@ -325,7 +325,7 @@ class TestEdgeKernels:
 
     @pytest.mark.parametrize("builder", ["compiled"], indirect=True)
     def test_edge_kernels_check_the_layout(self, builder):
-        edge_kernels = sys.modules["hypergame._scan"].edge_kernels
+        edge_kernels = sys.modules["hypergame._native"].edge_kernels
         fields = [f.name for f in dataclasses.fields(Edge)]
         for cls in (dataclasses.make_dataclass("E", fields[::-1], slots=True),
                     dataclasses.make_dataclass("E", fields + ["note"], slots=True),
