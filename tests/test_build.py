@@ -45,14 +45,26 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hypergame"
 PROTOCOL = int(re.findall(r"^NATIVE_PROTOCOL = (\d+)$", (SRC / "model.py").read_text(), re.M)[0])
 
 
-def test_extension_and_package_speak_one_protocol(request):
+# The two extensions `_native` replaces, each with what the package took
+# from it; all of it now comes from the one module, at its one protocol.
+FORMER = {
+    "hypergame._scan": ("scan_plain", "edge_kernels"),
+    "hypergame.ranks._core": ("CompiledRankEngine",),
+}
+
+
+@pytest.mark.parametrize("names", FORMER.values(), ids=FORMER.keys())
+def test_extension_and_package_speak_one_protocol(names, request):
     # Changing the extension's interface raises its version on both sides.
     [built_version] = re.findall(r"^const int PROTOCOL = (\d+);",
                                  (SRC / "_native.cpp").read_text(), re.M)
     assert int(built_version) == PROTOCOL
+    # The former extension is built no more, so no second protocol remains.
+    assert re.findall(r'Extension\("([\w.]+)"', (SRC.parent.parent / "setup.py").read_text()) == [NAME]
     built = request.config.stash[BUILT]
     if built:
         assert built.PROTOCOL == PROTOCOL
+        assert all(callable(getattr(built, name)) for name in names)
 
 
 # Fake extension modules, each (name, version, number of kernels its
