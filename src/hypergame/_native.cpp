@@ -54,18 +54,19 @@
 // The session entry point has no pure twin. compile_model(decl) builds a
 // declaration on integers: the names in decl.vertices order, each head's
 // edges as one range in ModelDecl.by_head order, flat tails in their given
-// order and sorted, and each edge's interior names. play() plays one whole
-// session of engine.run_session on a fresh engine, RandomFair's or the
-// Avoider's: it interns tails in RankTable's order and calls the mark and
-// ensure internals in the order of the Python loop, the Avoider's lookups
-// of marked tail vertices included, and it draws RandomFair's answers with
-// the adversary's own rng.choice on the tail sorted by name. So ids, pop
-// order, counters, transcripts and rng states equal the Python loop's,
-// which is the reference.
+// order and sorted, and each edge's interior names. It reads an Edge's
+// fields from the slots edge_kernels found, and any other edge's by getattr.
+// play() plays one whole session of engine.run_session on a fresh engine,
+// RandomFair's or the Avoider's: it interns tails in RankTable's order and
+// calls the mark and ensure internals in the order of the Python loop, the
+// Avoider's lookups of marked tail vertices included, and it draws
+// RandomFair's answers with the adversary's own rng.choice on the tail
+// sorted by name. So ids, pop order, counters, transcripts and rng states
+// equal the Python loop's, which is the reference.
 //
 // Both queues pop (key, vertex) entries in increasing order, keeping stale
 // and repeated ones, so they count the same queue ops. Keys are finite
-// stored ranks, 1 .. vertex count: this one is a bucket queue indexed by
+// stored ranks, 1 .. |marked| + 1: this one is a bucket queue indexed by
 // key (R. Dial, CACM 12(11), 1969).
 
 #define PY_SSIZE_T_CLEAN
@@ -351,6 +352,24 @@ void free_layout(PyObject *capsule) {
 
 inline const EdgeLayout &layout_of(PyObject *capsule) {
     return *(const EdgeLayout *)PyCapsule_GetPointer(capsule, LAYOUT);
+}
+
+// The capsule of the layout edge_kernels built last, or NULL: compile_model
+// reads the slots of that class's instances directly.
+PyObject *last_layout = NULL;
+
+// Field f of edge e, read from its slot when e is an instance of the class
+// last laid out and the slot is filled, else by getattr(e, name). A new
+// reference, or NULL with an error set.
+PyObject *edge_field(PyObject *e, int f, PyObject *name) {
+    if (last_layout) {
+        const EdgeLayout &L = layout_of(last_layout);
+        if (Py_TYPE(e) == L.cls && L.slot(e, f)) {
+            Py_INCREF(L.slot(e, f));
+            return L.slot(e, f);
+        }
+    }
+    return PyObject_GetAttr(e, name);
 }
 
 // a == b for two str objects.
@@ -647,6 +666,10 @@ PyObject *edge_kernels(PyObject *module, PyObject *arg) {
         Py_XDECREF(check);
         return NULL;
     }
+    PyObject *previous = last_layout;
+    Py_INCREF(capsule.p);
+    last_layout = capsule.p;
+    Py_XDECREF(previous);
     return Py_BuildValue("(NN)", make, check);
 }
 // -- the rank engine ---------------------------------------------------------
@@ -785,8 +808,9 @@ int step(Engine *self) {
     for (int e = s.efirst[y], end = e + s.ecount[y]; e < end; e++)
         if (s.estored[e] < best)
             best = s.estored[e];
+    // A finite rank is at most |marked| + 1 (see ranks/pure.py).
     i64 c = best != UNREACH ? best + 1 : UNREACH;
-    if (c > (i64)s.vstored.size())
+    if (c > (i64)s.vstored.size() - self->unmarked + 1)
         c = UNREACH;
     if (c == key) {
         s.vdirty[y] = 0;
@@ -992,10 +1016,11 @@ int ensure_vertex(Engine *self, int v, i64 *r, int *k) {
     *k = -1;
     if (self->unmarked == 0)
         return 0;
-    // Pops until v is certified, flushing whenever this call's pops reach
-    // the live-size budget.
-    i64 pops = 0;
+    // Pops until v is certified, flushing whenever the work (relaxations +
+    // queue ops) this call has done since its start or its last flush
+    // reaches the live-size budget, about what the counter pass costs.
     i64 budget = self->live_size + (i64)s.vstored.size() + 64;
+    i64 paid = self->relaxations + self->queue_ops;
     while (true) {
         if (!s.vdirty[v]) {
             i64 sv = s.vstored[v];
@@ -1007,9 +1032,9 @@ int ensure_vertex(Engine *self, int v, i64 *r, int *k) {
         }
         if (step(self) < 0)
             return -1;
-        if (++pops >= budget) {
+        if (self->relaxations + self->queue_ops - paid >= budget) {
             flush_unreachable(self);
-            pops = 0;
+            paid = self->relaxations + self->queue_ops;
         }
     }
     *r = s.vstored[v];
@@ -1162,12 +1187,12 @@ PyObject *build_model(PyObject *decl) {
     std::vector<size_t> tail_ends{0}, interior_ends{0};
     for (Py_ssize_t k = 0; k < m; k++) {
         PyObject *e = PyTuple_GET_ITEM(edges.p, k);
-        PyObject *id = PyObject_GetAttr(e, s_id.p);
+        PyObject *id = edge_field(e, ID_F, s_id.p);
         if (!id)
             return NULL;
         PyTuple_SET_ITEM(ids.p, k, id);
-        Ref head(PyObject_GetAttr(e, s_head.p)), tail(PyObject_GetAttr(e, s_tail.p));
-        Ref interior(PyObject_GetAttr(e, s_interior.p));
+        Ref head(edge_field(e, HEAD_F, s_head.p)), tail(edge_field(e, TAIL_F, s_tail.p));
+        Ref interior(edge_field(e, INTERIOR_F, s_interior.p));
         if (!head.p || !tail.p || !interior.p || index_of(index.p, head.p, false, &heads[k]) < 0 ||
             read_names(tail.p, index.p, false, tails, tail_ends) < 0 ||
             read_names(interior.p, interior_index.p, true, interiors, interior_ends) < 0)

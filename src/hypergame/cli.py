@@ -110,6 +110,10 @@ def _adversary_inputs(args):
     the files the options name."""
     allowed = None
     script = None
+    for flag, path, adversary in (("--allowed", args.allowed, "subset"),
+                                  ("--script", args.script, "script")):
+        if path and args.adversary != adversary:
+            raise CliError(f"{flag} FILE is only read by the {adversary} adversary")
     if args.adversary == "subset":
         if not args.allowed:
             raise CliError("--allowed FILE is required for the subset adversary")

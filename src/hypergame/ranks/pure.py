@@ -15,17 +15,26 @@ invariant is that every wrong stored value has a dirty witness queued at a
 key no larger than it, so values at or below the frontier are always exact.
 
 Edge ranks are maintained eagerly as max-over-tail stored values (an O(1)
-update per tail bump); a vertex recompute is 1 + min over its edges. Finite
-ranks never exceed the vertex count, so a recompute past that cap proves
-unreachability, which is final: edges are only ever added at the vertex
-being marked, so lost support never comes back.
+update per tail bump); a vertex recompute is 1 + min over its edges. A
+finite rank r is at most |marked| + 1: from a vertex of rank r, least-rank
+edges lead down one rank per step, and every vertex of rank 2 or more on
+the way is marked, so the walk meets r - 1 distinct marked vertices. A
+recompute past that cap therefore proves unreachability, which is final:
+edges are only ever added at the vertex being marked, so lost support never
+comes back, and the cap only grows.
 
 Cyclic regions that lose their last well-founded support would otherwise be
-detected by ranks creeping up one level per pop, which is quadratic. When a
-drain exceeds a live-size work budget, the engine instead recomputes the
-reachable (well-founded) set from the unmarked bases in one counter pass
-and finalizes everything outside it as unreachable; the sweep is paid for
-by the drain work that triggered it, so the total stays within the budget.
+detected by ranks creeping up one level per pop, which is quadratic. Each
+`ensure` call has a budget of live_size + n + 64 work units, a unit being
+one relaxation or one queue op. That is about what one counter pass costs
+in the same units: n for the bases, at most live_size for the live edges
+and their tail entries. Once the work the call has done since its start or
+its last flush reaches the budget, the engine recomputes the reachable
+(well-founded) set from the unmarked bases in one counter pass (Dowling and
+Gallier, 1984) and finalizes everything outside it as unreachable. The
+sweep thus costs about as much as the drain that paid for it, so a flushing
+call does at most about twice the work of its drains: creep while creeping
+is the cheaper choice, sweep once creeping has cost as much as a sweep.
 """
 
 from __future__ import annotations
@@ -174,6 +183,11 @@ class PureRankEngine:
         when unreachable) and the position among v's out-edges of the first
         one of rank `rank - 1`, or -1. Repeat calls without mutations do no
         relaxation.
+
+        After each queue step, once the work done since the call's start or
+        its last flush reaches live_size + n + 64, the call flushes: the
+        counter pass it then pays for costs about that budget, so the call
+        spends at most about twice its drain work.
         """
         self._vertex(v)
         # No unmarked vertex means no empty-tail base: nothing is reachable.
@@ -181,8 +195,8 @@ class PureRankEngine:
         # once this holds at a query it holds forever.
         if self.unmarked == 0:
             return UNREACH_INT, -1
-        pops = 0
         budget = self.live_size + len(self.vstored) + 64
+        paid = self.relaxations + self.queue_ops
         while True:
             if not self.vdirty[v]:
                 s = self.vstored[v]
@@ -192,10 +206,9 @@ class PureRankEngine:
                 if mk is None or mk >= s:
                     break
             self._step()
-            pops += 1
-            if pops >= budget:
+            if self.relaxations + self.queue_ops - paid >= budget:
                 self._flush_unreachable()
-                pops = 0
+                paid = self.relaxations + self.queue_ops
         r = self.vstored[v]
         if r == UNREACH_INT:
             return r, -1
@@ -245,7 +258,7 @@ class PureRankEngine:
         if not self.vdirty[y] or key != self.vstored[y]:
             return
         self.relaxations += 1
-        cap = len(self.vstored)
+        cap = len(self.vstored) - self.unmarked + 1
         first = self.efirst[y]
         best = min(self.estored[first:first + self.ecount[y]], default=UNREACH_INT)
         c = best + 1 if best != UNREACH_INT else UNREACH_INT

@@ -316,8 +316,9 @@ def lost_base_decl(rng: random.Random, cycles=12):
     then `c`, whose marking leaves the whole region without support, then a
     spare state `z` (kept unmarked until last so that queries still drain).
     The region's ranks then creep up one ring length per queue pop towards
-    the vertex-count cap, which takes more pops than the engine's work
-    budget, so the engine finalizes the region with an unreachable flush.
+    the cap of |marked| + 1, here the vertex count as only `z` is unmarked.
+    That takes more work than the engine's budget, so the engine finalizes
+    the region with an unreachable flush.
     """
     edges = []
     ring_states = []

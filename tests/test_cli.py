@@ -296,6 +296,19 @@ class TestConfigErrorsExit2:
                      "--script", str(missing)]) == 2
         self._one_line_error(capsys, missing)
 
+    @pytest.mark.parametrize("flag,adversary", [
+        ("--script", "script"), ("--allowed", "subset"),
+    ], ids=["script", "allowed"])
+    def test_input_file_for_another_adversary(self, flag, adversary, g1_path, tmp_path,
+                                              capsys):
+        # A file the chosen adversary does not read is a mistake, not a
+        # session: rejected before any session runs.
+        given = tmp_path / "input.txt"
+        given.write_text("s1\n")
+        assert main(["run", g1_path, flag, str(given)]) == 2
+        assert self._one_line_error(
+            capsys, f"{flag} FILE is only read by the {adversary} adversary") == ""
+
     @pytest.mark.parametrize("text,needle", [
         ("edge a: s1\nedge : s1\n", "line 2: expected `edge <id>: <v...>`"),
         ("edge a b: s1\n", "line 1: expected `edge <id>: <v...>`"),
@@ -458,11 +471,11 @@ class TestBench:
         # One size is one point: no slope, intercept or R^2 to report.
         assert main(["bench", "--min-pow", "3", "--max-pow", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines.pop(2).split()[:-1] == ["8", "3", "2", "34", "95", "1.3380"]
+        assert lines.pop(2).split()[:-1] == ["8", "3", "2", "34", "47", "0.6620"]
         assert lines == [  # less the row, whose last column is the seconds
             "backend: default",
             "       n        E    R    H_prime         work  work/(E+R*H)  seconds",
-            "work bound fit: work <= 1.338 * (E + R*H')",
+            "work bound fit: work <= 0.662 * (E + R*H')",
             "rank growth fit: none, E does not vary",
             "R/E trend: 0.66667",
             "",

@@ -44,53 +44,53 @@ ADVERSARIES = ["random", "avoider"]
 
 GOLDEN = {
     "random1-none-eager-random":
-        "50faaf34f58f5d2e608ae31f580ebdd9b496b67cccf53b8efd7d7a33ad67d7f5",
+        "a893f2bca2f5c74a2ed1dba6bd55b4c7b8763a1b548f6bd0f6d8cf6299a4c588",
     "random1-none-eager-avoider":
-        "fdcba68ebbbff04d8386528622b6144a53e2f57440d30c8000b6def6b551059a",
+        "abaa3044c5f489b4dbc45f2712784b978287f8df5e6892a35afa3a5f3c837710",
     "random1-none-lazy-random":
-        "c6ac07034de0f6dac5e555a0ce9c9059689c84d5f304f44cab7946e553959e22",
+        "1b6725dd6e4abb7f923ef1e75311961b2619752cc692f61ebf5087d117775c2f",
     "random1-none-lazy-avoider":
-        "7af27ea660092a26a4e1dafab40491dfc6d922d95e72a00d90acfab78b539f89",
+        "f811bd6bbc33cee97e195e959f5372b103eeff2c2dae4c5561bde114eeeaf91e",
     "random1-branch-coverage-eager-random":
-        "e4a0c51d6804c490cd912e7d28e3e872a0b27697ac7c9c367b82ce48348a6e34",
+        "7ff550dba733665f5dc45cf0ac1ac0a5c30bc90d506beccbba51ff6f5ea5fd93",
     "random1-branch-coverage-eager-avoider":
-        "dc1e936cbfa6582d0de0bd232a8e059f77c74097b73ac2da2c98bcb4c9e72791",
+        "ce69c11578945394f1e1f8053e7ce2245f6a2582ccf88a714430dcd0a583d2f9",
     "random1-branch-coverage-lazy-random":
-        "64e16811ef1d55c6065ca0147de01da674115849def12535299bf604d74e1687",
+        "9515a21c7acc40706efbeaecb2dca1cabdce66ead7ba89946cd0010b21d9150a",
     "random1-branch-coverage-lazy-avoider":
-        "d0c124ae856816d375b039e771559307289c33487d7ef1c7daf82894ed96e2cc",
+        "f7ed6235281de75d7f18dcf2b4ddd25497cfea74c321c1bda114b0c3ebbfe746",
     "random2-none-eager-random":
-        "dc9644dac0c152d035d893e90f71105664237a0723457b88a9b797efa41933d6",
+        "6ffdc32edaab5d432c87beefa3fd3706c25f26fca8b8df77e50d634803e2cfaf",
     "random2-none-eager-avoider":
-        "c3e03b5c0d2fa2e4cac9f41b5d27d05425fade8e47dc79c353b1c3d0655478d6",
+        "63e2d110746390690ab6bf2bb80868c258786533d3cef02c3e9c6d50e786bf61",
     "random2-none-lazy-random":
-        "4dcd1caf390fe465f5fa51ece411fd650a73e91cfca2163d46115e27be1e2d7b",
+        "33a67275ab8a3167eb3be61e21734b65ebf812aa20691db426200b6ad99c1bee",
     "random2-none-lazy-avoider":
-        "c86d9d8686c8f48b207b0d1823c5c200a153f9709b47cff3501dbb33d3133216",
+        "ccde08367ffa082f132607c0a264525f97a2e1ee496dcf97d0f50e627c8f8c17",
     "random2-branch-coverage-eager-random":
-        "410eb36d4d3e693fb8e62ed640daa09396428baafee6b981371490b562ff00fe",
+        "f40acd6ce9dd62720eb1491f997c8a93f6155814449f4e6292f13e5c863bec18",
     "random2-branch-coverage-eager-avoider":
-        "eaa1504cf14fc7366dc706e68e0e0b49fc91a10f110e09a6cafa1910d1fd42cf",
+        "2f058cde36acaba070ad8460ec88f0875ff76a9576d529f9414cc4ae1e35a8f8",
     "random2-branch-coverage-lazy-random":
-        "901979cefc82012eff035bdeec73e8dc45a99bd90d9b13115754494ed79045f7",
+        "729fa147856bdc42a4245735f0eda80755b5caf17ad517e1d40437c4a5ccbdea",
     "random2-branch-coverage-lazy-avoider":
-        "51ed31718e3709dc1bd4989572a8178aab16b0a4988ea1629a2f9e8ff22065c3",
+        "3a244f0e662f74553277725db0b6503e7c293aa9e6b1c1192be9c1f148adce8c",
     "random3-none-eager-random":
-        "db4fc8345ab6f281d2c9368d9e00819564c0c1fdef814bdbf24d878f6ba9ef8c",
+        "16ec22a4618090d163112e6da10b45b406644ec618fe5e70122dc9b0c1ca8e96",
     "random3-none-eager-avoider":
-        "660abd81ec411cf97b3cc4ab12abdd4a4220e5d7bc410cd17b27678dfbf5c9ac",
+        "c1678040be49ba42289e803dbed731e68f5742a332fbed3cfa132eb7545f390c",
     "random3-none-lazy-random":
-        "01de5d146e177aa47ad3277a04bdae77217fdc8e3b15e2ba10454b1407cd512d",
+        "e393a14fd1353fd956fc96b5ca756f7b5a6eb03f261c36dcbd5bc5f79830c860",
     "random3-none-lazy-avoider":
-        "eabea8ed8a31f3d6734b7091880a38a88fef98df36c3d77113026b390ea4f641",
+        "b7f77d9619ccdcfd0421af4a687b68dad25f2dcf57ed0733865ce68f1ad642aa",
     "random3-branch-coverage-eager-random":
-        "d150f1cb9fa1cf5f29449c05810a9bff5d2f91a4d809a42da965c1df8f95796b",
+        "868d10448b9f87d37e3cc692c20501b4b6d3024616f12ccd04a4d7e98c1b0139",
     "random3-branch-coverage-eager-avoider":
-        "d28590031a07f1a686c9f6e74d31d2ddfd87c3b04b3142a83a2b321d21ac44da",
+        "dc8fc223399925f1892e317cd35f7dfe41958e6c1767586907f1a231aa9d5929",
     "random3-branch-coverage-lazy-random":
-        "de4875b4f024b37645a5b437afe5087a52d6b80daa50c38625e7292b53d97933",
+        "b27e09e03251934540b1881469308ca8f264b8f956a64614d485ccb510cab787",
     "random3-branch-coverage-lazy-avoider":
-        "714b24de8268815000047e488781c97d48d72a0db08a83b55b5a15f3af79b821",
+        "17a3f4ea7d82a210d500388d54946bb8bea9546ec90468bd0efe965d46238b35",
     "lostbase-none-eager-random":
         "ccc1fa3da81537cab0101226ef0c691debe40c05d6f57163e7688d21962f198c",
     "lostbase-none-eager-avoider":
@@ -108,7 +108,7 @@ GOLDEN = {
     "lostbase-branch-coverage-lazy-avoider":
         "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
     "flush":
-        "71370aa4246c72c486a22f16f70e1eb953c2f644a38a54e28d90114c76ce06ca",
+        "eb1dbf5a830c5ca406ca8d288c3afebe3bc9cba7f0d1976b8b89f27694e6a8ac",
     # the CLI: `run`, seed 1, on either backend; `solve`; `bench`
     "cli-run-G1-eager-random":
         "05f2c657c3573799e7fc0b3cffcd7c7a0f497ece1d62de862ef083ac98e76601",
@@ -153,7 +153,7 @@ GOLDEN = {
     "cli-solve-G3":
         "8f018125318172164234da5ea6e6f07d341afa841120e2fa377d4fad53db1d0e",
     "cli-bench":
-        "07647b5fddaa1a01415c577c75163c134b88d30149508ddba18f561565f309c3",
+        "9ad190ebc805e5f6ba82e8f2bb743343424061eb52ea3832005285834055c899",
 }
 
 

@@ -277,6 +277,68 @@ def test_unreachable_flush_matches_oracle(backend):
         assert t.snapshot_work().flushes >= 1
 
 
+def test_finite_ranks_stay_within_marked_plus_one(backend):
+    # A finite rank r passes r - 1 distinct marked vertices on its way down
+    # least-rank edges, so r <= |marked| + 1. The engines cap recomputes
+    # there: no stored finite value, and no returned rank, exceeds it.
+    rng = random.Random(17)
+    for _ in range(150):
+        decl = random_decl(rng)
+        table = make_table(decl, backend, lazy=rng.random() < 0.5)
+        order = [v for v in decl.vertices if v != decl.initial]
+        rng.shuffle(order)
+        for v in order:
+            if v not in table.vid:
+                continue  # a lazy table has not met it
+            table.apply_marking(v)
+            eng = table.eng
+            cap = len(eng.snapshot()["vstored"]) - eng.unmarked + 1
+            for u in rng.sample(sorted(table.vid), rng.randint(0, len(table.vid))):
+                rank, _ = table.ensure_settled(u)
+                assert rank == UNREACHABLE or rank <= cap
+            snap = eng.snapshot()
+            assert all(s <= cap for s in snap["vstored"] + snap["estored"] if s != UNREACH_INT)
+
+
+def test_flush_fires_once_the_call_has_spent_its_budget(backend):
+    # ensure flushes at its first check (one after each queue step) at which
+    # the work, relaxations + queue ops, done since the call's start or its
+    # last flush reaches live_size + n + 64. The pure engine is watched at
+    # every check; the compiled one must keep its counters after every call.
+    rng = random.Random(37)
+    flushes = 0
+    for _ in range(6):
+        decl, order = lost_base_decl(rng)
+        tables = [make_table(decl, b) for b in dict.fromkeys(("pure", backend))]
+        pure = tables[0].eng
+        segment = {}  # the current segment's start and budget, and its checks
+
+        def work():
+            return pure.relaxations + pure.queue_ops
+
+        def step(real=pure._step):
+            real()
+            segment["checks"].append(work() - segment["start"])
+
+        def flush(real=pure._flush_unreachable):
+            checks, budget = segment["checks"], segment["budget"]
+            assert checks[-1] >= budget > max(checks[:-1], default=0)
+            real()
+            segment.update(start=work(), checks=[])
+
+        pure._step, pure._flush_unreachable = step, flush
+        for v in order:
+            for t in tables:
+                t.apply_marking(v)
+            for u in decl.vertices:
+                segment.update(start=work(), checks=[],
+                               budget=pure.live_size + len(pure.vstored) + 64)
+                got = [(t.ensure_settled(u), t.snapshot_work()) for t in tables]
+                assert got == got[:1] * len(got)
+        flushes += pure.flushes
+    assert flushes >= 6
+
+
 def test_backends_agree_exactly(request):
     require_compiled(request.config)
     rng = random.Random(23)
