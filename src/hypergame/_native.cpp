@@ -2,9 +2,8 @@
 // keeps the results of its pure-Python twin, which stays the reference.
 // model.py is the one place that imports this module: it takes it only when
 // PROTOCOL, the version of this module's interface, equals
-// model.NATIVE_PROTOCOL and edge_kernels gives two kernels, and otherwise
-// the whole package runs pure, as when nothing was built. A change to the
-// interface raises both versions.
+// model.NATIVE_PROTOCOL, and otherwise the whole package runs pure, as when
+// nothing was built. A change to the interface raises both versions.
 //
 // The model kernels, twins of model.py's scan_plain, make_edges and
 // check_edges:
@@ -21,9 +20,12 @@
 // Equal vertex names (of vertex lines, heads and tails) share one str
 // object, which makes later set and dict lookups on them cheaper.
 //
-// edge_kernels(Edge) checks that Edge's instances hold exactly the six
-// object slots id, head, tail, kind, label and interior, reads their offsets
-// once and returns two functions bound to them:
+// bind_edge(Edge) checks that Edge's instances hold exactly the six object
+// slots id, head, tail, kind, label and interior, and stores their offsets
+// in the one EdgeLayout that make_edges, check_edges and compile_model read.
+// Only the first class that passes is bound; binding it again does nothing,
+// and binding another class, like any failed call, raises TypeError and
+// keeps the binding. Before a bind the two kernels raise RuntimeError.
 //
 // - make_edges(ids, heads, tails[, kinds, labels, interiors]) builds each
 //   edge with Edge's tp_alloc and fills its slots, after making every check
@@ -54,8 +56,8 @@
 // The session entry point has no pure twin. compile_model(decl) builds a
 // declaration on integers: the names in decl.vertices order, each head's
 // edges as one range in ModelDecl.by_head order, flat tails in their given
-// order and sorted, and each edge's interior names. It reads an Edge's
-// fields from the slots edge_kernels found, and any other edge's by getattr.
+// order, and each edge's interior names. It reads an Edge's fields from the
+// bound slots, and any other edge's by getattr.
 // play() plays one whole session of engine.run_session on a fresh engine,
 // RandomFair's or the Avoider's: it interns tails in RankTable's order and
 // calls the mark and ensure internals in the order of the Python loop, the
@@ -86,7 +88,7 @@
 
 namespace {
 
-const int PROTOCOL = 2;  // model.NATIVE_PROTOCOL
+const int PROTOCOL = 3;  // model.NATIVE_PROTOCOL
 
 // Owns one reference; releases it on every exit path, C++ exceptions too.
 struct Ref {
@@ -325,10 +327,9 @@ enum { ID_F, HEAD_F, TAIL_F, KIND_F, LABEL_F, INTERIOR_F, N_FIELDS };
 // Tails and interiors longer than this go through Python; a duplicate tail
 // vertex is looked for pairwise.
 const Py_ssize_t LONG_TUPLE = 32;
-const char *const LAYOUT = "hypergame._native.EdgeLayout";
 
 // Edge's class and slot offsets, and the field values the kernels compare
-// with or fill in. Owned by the capsule the two bound functions share.
+// with or fill in.
 struct EdgeLayout {
     PyTypeObject *cls = NULL;
     Py_ssize_t offset[N_FIELDS] = {};
@@ -346,30 +347,26 @@ struct EdgeLayout {
     }
 };
 
-void free_layout(PyObject *capsule) {
-    delete (EdgeLayout *)PyCapsule_GetPointer(capsule, LAYOUT);
+// The layout bind_edge stored, or NULL before it succeeds. It is never
+// freed or replaced: a kernel that calls back into Python may still read it.
+const EdgeLayout *edge_layout = NULL;
+
+// The error of a kernel called before bind_edge succeeded.
+PyObject *unbound(const char *kernel) {
+    return PyErr_Format(PyExc_RuntimeError, "%s(): no Edge class is bound; call bind_edge(Edge)",
+                        kernel);
 }
 
-inline const EdgeLayout &layout_of(PyObject *capsule) {
-    return *(const EdgeLayout *)PyCapsule_GetPointer(capsule, LAYOUT);
-}
-
-// The capsule of the layout edge_kernels built last, or NULL: compile_model
-// reads the slots of that class's instances directly.
-PyObject *last_layout = NULL;
-
-// Field f of edge e, read from its slot when e is an instance of the class
-// last laid out and the slot is filled, else by getattr(e, name). A new
-// reference, or NULL with an error set.
-PyObject *edge_field(PyObject *e, int f, PyObject *name) {
-    if (last_layout) {
-        const EdgeLayout &L = layout_of(last_layout);
-        if (Py_TYPE(e) == L.cls && L.slot(e, f)) {
-            Py_INCREF(L.slot(e, f));
-            return L.slot(e, f);
-        }
+// Field f of edge e, read from its slot when e is an instance of the bound
+// class and the slot is filled, else by getattr. A new reference, or NULL
+// with an error set.
+PyObject *edge_field(PyObject *e, int f) {
+    const EdgeLayout *L = edge_layout;
+    if (L && Py_TYPE(e) == L->cls && L->slot(e, f)) {
+        Py_INCREF(L->slot(e, f));
+        return L->slot(e, f);
     }
-    return PyObject_GetAttr(e, name);
+    return PyObject_GetAttrString(e, FIELDS[f]);
 }
 
 // a == b for two str objects.
@@ -442,12 +439,14 @@ bool plain_edge(const EdgeLayout &L, PyObject *const *fields) {
     return true;
 }
 
-PyObject *make_edges(PyObject *capsule, PyObject *const *args, Py_ssize_t nargs) {
+PyObject *make_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
     if (nargs < 3 || nargs > N_FIELDS) {
         PyErr_SetString(PyExc_TypeError, "make_edges() takes 3 to 6 columns");
         return NULL;
     }
-    const EdgeLayout &L = layout_of(capsule);
+    if (edge_layout == NULL)
+        return unbound("make_edges");
+    const EdgeLayout &L = *edge_layout;
     PyObject *defaults[N_FIELDS] = {NULL, NULL, NULL, L.real, L.no_label, L.no_interior};
     Ref columns[N_FIELDS];
     for (int f = 0; f < nargs; f++) {
@@ -502,12 +501,14 @@ PyObject *make_edges(PyObject *capsule, PyObject *const *args, Py_ssize_t nargs)
     return out.release();
 }
 
-PyObject *check_edges(PyObject *capsule, PyObject *const *args, Py_ssize_t nargs) {
+PyObject *check_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError, "check_edges() takes edges and a vertex set");
         return NULL;
     }
-    const EdgeLayout &L = layout_of(capsule);
+    if (edge_layout == NULL)
+        return unbound("check_edges");
+    const EdgeLayout &L = *edge_layout;
     PyObject *edges = args[0], *vset = args[1];
     if (!(PyTuple_CheckExact(edges) || PyList_CheckExact(edges)) || !PyAnySet_Check(vset))
         Py_RETURN_NONE;
@@ -577,36 +578,27 @@ PyObject *check_edges(PyObject *capsule, PyObject *const *args, Py_ssize_t nargs
     }
 }
 
-PyMethodDef make_edges_def = {
-    "make_edges", (PyCFunction)(void (*)(void))make_edges, METH_FASTCALL,
-    "make_edges(ids, heads, tails[, kinds, labels, interiors]) -> list of Edge; a column "
-    "given as None gives each edge that field's default."};
-PyMethodDef check_edges_def = {
-    "check_edges", (PyCFunction)(void (*)(void))check_edges, METH_FASTCALL,
-    "check_edges(edges, vertex_set) -> (edges sorted by id, every check passed), or None "
-    "for input the kernel does not take."};
-
 // The offset of Edge's slot `name`, or -1 with TypeError set unless it is a
 // writable object slot of `cls` itself.
 Py_ssize_t slot_offset(PyTypeObject *cls, const char *name) {
     PyObject *descr = PyDict_GetItemString(cls->tp_dict, name);  // borrowed
     if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type) ||
         ((PyDescrObject *)descr)->d_type != cls) {
-        PyErr_Format(PyExc_TypeError, "edge_kernels(): %s.%s is not a slot", cls->tp_name, name);
+        PyErr_Format(PyExc_TypeError, "bind_edge(): %s.%s is not a slot", cls->tp_name, name);
         return -1;
     }
     PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
     if (member->type != T_OBJECT_EX || member->flags & READONLY) {
-        PyErr_Format(PyExc_TypeError, "edge_kernels(): %s.%s is not a writable object slot",
+        PyErr_Format(PyExc_TypeError, "bind_edge(): %s.%s is not a writable object slot",
                      cls->tp_name, name);
         return -1;
     }
     return member->offset;
 }
 
-PyObject *edge_kernels(PyObject *module, PyObject *arg) {
+PyObject *bind_edge(PyObject *, PyObject *arg) {
     if (!PyType_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "edge_kernels() takes the Edge class");
+        PyErr_SetString(PyExc_TypeError, "bind_edge() takes the Edge class");
         return NULL;
     }
     PyTypeObject *cls = (PyTypeObject *)arg;
@@ -631,19 +623,21 @@ PyObject *edge_kernels(PyObject *module, PyObject *arg) {
     }
     if (!same) {
         PyErr_Format(PyExc_TypeError,
-                     "edge_kernels(): %s is not a slotted dataclass of exactly the fields "
+                     "bind_edge(): %s is not a slotted dataclass of exactly the fields "
                      "id, head, tail, kind, label, interior",
                      cls->tp_name);
         return NULL;
     }
-    EdgeLayout *layout = new (std::nothrow) EdgeLayout;
-    if (layout == NULL)
-        return PyErr_NoMemory();
-    Ref capsule(PyCapsule_New(layout, LAYOUT, free_layout));
-    if (capsule.p == NULL) {
-        delete layout;
+    if (edge_layout) {
+        if (edge_layout->cls == cls)
+            Py_RETURN_NONE;
+        PyErr_Format(PyExc_TypeError, "bind_edge(): %s is bound already",
+                     edge_layout->cls->tp_name);
         return NULL;
     }
+    std::unique_ptr<EdgeLayout> layout(new (std::nothrow) EdgeLayout);
+    if (!layout)
+        return PyErr_NoMemory();
     Py_INCREF(cls);
     layout->cls = cls;
     for (int f = 0; f < N_FIELDS; f++)
@@ -655,23 +649,10 @@ PyObject *edge_kernels(PyObject *module, PyObject *arg) {
     layout->no_interior = PyTuple_New(0);
     if (!layout->real || !layout->virtual_ || !layout->no_label || !layout->no_interior)
         return NULL;
-    PyObject *mod = PyModule_GetNameObject(module);
-    if (mod == NULL)
-        return NULL;
-    PyObject *make = PyCFunction_NewEx(&make_edges_def, capsule.p, mod);
-    PyObject *check = PyCFunction_NewEx(&check_edges_def, capsule.p, mod);
-    Py_DECREF(mod);
-    if (make == NULL || check == NULL) {
-        Py_XDECREF(make);
-        Py_XDECREF(check);
-        return NULL;
-    }
-    PyObject *previous = last_layout;
-    Py_INCREF(capsule.p);
-    last_layout = capsule.p;
-    Py_XDECREF(previous);
-    return Py_BuildValue("(NN)", make, check);
+    edge_layout = layout.release();
+    Py_RETURN_NONE;
 }
+
 // -- the rank engine ---------------------------------------------------------
 
 typedef long long i64;
@@ -1065,7 +1046,6 @@ struct ModelData {
     std::vector<int> first;           // head v's edges: first[v] .. first[v + 1] - 1
     std::vector<int> tail_first;      // edge e's tail: tail_first[e] .. tail_first[e + 1] - 1
     std::vector<int> tails;           // each tail in its given order
-    std::vector<int> sorted_tails;    // each tail sorted
     std::vector<int> interior_first;  // edge e's interior, likewise
     std::vector<int> interiors;       // ids of distinct interior names
     int interior_names = 0;
@@ -1125,19 +1105,14 @@ int read_names(PyObject *seq, PyObject *index, bool add, std::vector<int> &out,
 }
 
 // Copies the ranges [ends[k], ends[k + 1]) of xs, for k = order[0], ...,
-// to out, with their new ends in first; with `sorted` each range sorted.
+// to out, with their new ends in first.
 void gather(const std::vector<int> &xs, const std::vector<size_t> &ends,
-            const std::vector<int> &order, bool sorted, std::vector<int> &out,
-            std::vector<int> *first) {
+            const std::vector<int> &order, std::vector<int> &out, std::vector<int> &first) {
     out.reserve(xs.size());
     for (int k : order) {
-        size_t begin = out.size();
         out.insert(out.end(), xs.begin() + (ptrdiff_t)ends[k],
                    xs.begin() + (ptrdiff_t)ends[k + 1]);
-        if (sorted)
-            std::sort(out.begin() + (ptrdiff_t)begin, out.end());
-        if (first)
-            first->push_back((int)out.size());
+        first.push_back((int)out.size());
     }
 }
 
@@ -1150,11 +1125,7 @@ PyObject *build_model(PyObject *decl) {
         return NULL;
     Ref names(PySequence_Tuple(names_attr.p)), edges(PySequence_Tuple(edges_attr.p));
     Ref index(PyDict_New()), interior_index(PyDict_New());
-    Ref s_id(PyUnicode_InternFromString("id")), s_head(PyUnicode_InternFromString("head"));
-    Ref s_tail(PyUnicode_InternFromString("tail"));
-    Ref s_interior(PyUnicode_InternFromString("interior"));
-    if (!names.p || !edges.p || !index.p || !interior_index.p || !s_id.p || !s_head.p ||
-        !s_tail.p || !s_interior.p)
+    if (!names.p || !edges.p || !index.p || !interior_index.p)
         return NULL;
     Py_ssize_t n = PyTuple_GET_SIZE(names.p), m = PyTuple_GET_SIZE(edges.p);
     if (n >= INT_MAX || m >= INT_MAX) {
@@ -1187,12 +1158,12 @@ PyObject *build_model(PyObject *decl) {
     std::vector<size_t> tail_ends{0}, interior_ends{0};
     for (Py_ssize_t k = 0; k < m; k++) {
         PyObject *e = PyTuple_GET_ITEM(edges.p, k);
-        PyObject *id = edge_field(e, ID_F, s_id.p);
+        PyObject *id = edge_field(e, ID_F);
         if (!id)
             return NULL;
         PyTuple_SET_ITEM(ids.p, k, id);
-        Ref head(edge_field(e, HEAD_F, s_head.p)), tail(edge_field(e, TAIL_F, s_tail.p));
-        Ref interior(edge_field(e, INTERIOR_F, s_interior.p));
+        Ref head(edge_field(e, HEAD_F)), tail(edge_field(e, TAIL_F));
+        Ref interior(edge_field(e, INTERIOR_F));
         if (!head.p || !tail.p || !interior.p || index_of(index.p, head.p, false, &heads[k]) < 0 ||
             read_names(tail.p, index.p, false, tails, tail_ends) < 0 ||
             read_names(interior.p, interior_index.p, true, interiors, interior_ends) < 0)
@@ -1223,9 +1194,8 @@ PyObject *build_model(PyObject *decl) {
     }
     d->tail_first.assign(1, 0);
     d->interior_first.assign(1, 0);
-    gather(tails, tail_ends, order, false, d->tails, &d->tail_first);
-    gather(tails, tail_ends, order, true, d->sorted_tails, NULL);
-    gather(interiors, interior_ends, order, false, d->interiors, &d->interior_first);
+    gather(tails, tail_ends, order, d->tails, d->tail_first);
+    gather(interiors, interior_ends, order, d->interiors, d->interior_first);
     Model *model = PyObject_New(Model, &ModelType);
     if (!model)
         return NULL;
@@ -1361,6 +1331,7 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
         if (!records.p)
             return NULL;
         std::vector<char> covered((size_t)md.interior_names, 0);
+        std::vector<int> tail;  // the chosen edge's tail, sorted
         i64 moves = 0, interior_covered = 0;
         int ending;  // engine.ENDINGS
         while (true) {
@@ -1377,8 +1348,11 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
                 break;
             }
             int e = md.first[cur] + k;
-            const int *tail = &md.sorted_tails[md.tail_first[e]];
-            int width = md.tail_first[e + 1] - md.tail_first[e], v = tail[0];
+            // Index order is name order, so this is the tail sorted by name.
+            tail.assign(md.tails.begin() + md.tail_first[e],
+                        md.tails.begin() + md.tail_first[e + 1]);
+            std::sort(tail.begin(), tail.end());
+            int width = (int)tail.size(), v = tail[0];
             if (choice == Py_None) {
                 // The first marked tail vertex of highest rank, else the first.
                 i64 best = 0;
@@ -1394,7 +1368,7 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
                         v = tail[j];
                     }
                 }
-            } else if (width > 1 && draw(choice, names, tail, width, &v) < 0) {
+            } else if (width > 1 && draw(choice, names, tail.data(), width, &v) < 0) {
                 return NULL;
             }
             bool newly = !s.vmarked[dense[v]];
@@ -1534,8 +1508,15 @@ PyMethodDef native_methods[] = {
     {"scan_plain", scan_plain, METH_O,
      "scan_plain(text) -> (vertices, ids, heads, tails, others), or None for a text "
      "that is not ASCII or has a line boundary other than \\n."},
-    {"edge_kernels", edge_kernels, METH_O,
-     "edge_kernels(Edge) -> (make_edges, check_edges), bound to Edge's slots."},
+    {"bind_edge", bind_edge, METH_O,
+     "bind_edge(Edge): check Edge's layout and bind make_edges, check_edges and "
+     "compile_model to its slots, once."},
+    {"make_edges", (PyCFunction)(void (*)(void))make_edges, METH_FASTCALL,
+     "make_edges(ids, heads, tails[, kinds, labels, interiors]) -> list of Edge; a column "
+     "given as None gives each edge that field's default."},
+    {"check_edges", (PyCFunction)(void (*)(void))check_edges, METH_FASTCALL,
+     "check_edges(edges, vertex_set) -> (edges sorted by id, every check passed), or None "
+     "for input the kernel does not take."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -13,7 +13,6 @@ import platform
 import statistics
 import time
 import timeit
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import model, ranks
@@ -24,26 +23,9 @@ from .providers import gen_random_bounded_degree
 from .ranks import get_engine_class
 
 
-@dataclass
-class ScalingRow:
-    n: int
-    seed: int
-    marked_E: int
-    max_rank_R: int
-    live_size_H: int
-    work: int
-    moves: int
-    seconds: float
-    terminated: str
-    parse_s: float
-
-    @property
-    def budget(self) -> int:
-        return self.marked_E + max(1, self.max_rank_R) * self.live_size_H
-
-    @property
-    def ratio(self) -> float:
-        return self.work / self.budget
+def _budget(row):
+    """E + R*H' of a row, with R taken as at least 1."""
+    return row["E"] + max(1, row["R"]) * row["H_prime"]
 
 
 # Sessions timed per row. One timing moves by about 20% from one process to
@@ -68,11 +50,11 @@ def timed_parse(text):
 def measure_session(n, out_degree=3, fanout=2, seed=1, backends=(None,)):
     """Parse the text of the row's seeded model REPEATS times, then, for each
     backend, play the row's seeded session REPEATS times on the parsed model,
-    each with a fresh adversary. Returns one row per backend, with the median
-    times; every row carries the one `parse_s`. The parse equals the
-    generated model, whose tails are sorted. The model, its indexes and its
-    integer copy for the compiled loop are built outside the session timer,
-    so every repeat does the same work."""
+    each with a fresh adversary. Returns one row per backend, as the dict
+    `bench --json` writes, with the median times; every row carries the one
+    `parse_s`. The parse equals the generated model, whose tails are sorted.
+    The model, its indexes and its integer copy for the compiled loop are
+    built outside the session timer, so every repeat does the same work."""
     text = serialize_model(gen_random_bounded_degree(n, out_degree, fanout, seed))
     decl, parse_s = timed_parse(text)
     decl.by_head, decl.by_id  # index the model now, outside the timer
@@ -88,12 +70,11 @@ def measure_session(n, out_degree=3, fanout=2, seed=1, backends=(None,)):
             _, stats = run_session(decl, adversary, max_moves=60 * n, seed=seed,
                                    backend=backend)
             times.append(time.perf_counter() - t0)
-        w = stats.work
-        rows.append(ScalingRow(n=n, seed=seed, marked_E=stats.states_marked,
-                               max_rank_R=stats.max_rank_R,
-                               live_size_H=w.live_size_H_prime, work=w.work,
-                               moves=stats.moves, seconds=statistics.median(times),
-                               terminated=stats.terminated, parse_s=parse_s))
+        row = {"n": n, "seed": seed, "E": stats.states_marked, "R": stats.max_rank_R,
+               "H_prime": stats.work.live_size_H_prime, "work": stats.work.work}
+        row.update(ratio=row["work"] / _budget(row), seconds=statistics.median(times),
+                   moves=stats.moves, terminated=stats.terminated, parse_s=parse_s)
+        rows.append(row)
     return rows
 
 
@@ -127,16 +108,15 @@ def work_fit(rows):
     """Fitted constant c with work <= c * (E + R*H') on every row, plus the
     `_lstsq` fit of log work against log budget (a slope around or below 1
     means the bound scales)."""
-    c = max(r.ratio for r in rows)
-    return c, _lstsq([math.log(r.budget) for r in rows],
-                     [math.log(max(1, r.work)) for r in rows])
+    c = max(r["ratio"] for r in rows)
+    return c, _lstsq([math.log(_budget(r)) for r in rows],
+                     [math.log(max(1, r["work"])) for r in rows])
 
 
 def rank_growth_fit(rows):
     """Least-squares fit of R against log2(E); returns (slope, intercept,
     R^2), or None when E does not vary."""
-    return _lstsq([math.log2(max(2, r.marked_E)) for r in rows],
-                  [r.max_rank_R for r in rows])
+    return _lstsq([math.log2(max(2, r["E"])) for r in rows], [r["R"] for r in rows])
 
 
 def _fit_json(fit):
@@ -157,10 +137,7 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
     for backend, rows in zip(backends, per_backend):
         c, fit = work_fit(rows)
         result = results[get_engine_class(backend)().backend] = {
-            "rows": [{"n": r.n, "seed": r.seed, "E": r.marked_E, "R": r.max_rank_R,
-                      "H_prime": r.live_size_H, "work": r.work, "ratio": r.ratio,
-                      "seconds": r.seconds, "moves": r.moves,
-                      "terminated": r.terminated, "parse_s": r.parse_s} for r in rows],
+            "rows": rows,
             "work_fit": {"c": c, "log_log": _fit_json(fit)},
             "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
         }

@@ -225,7 +225,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
     Deterministic given the model, the adversary and its seed. Returns the
     full move log and the session statistics.
     """
-    if max_moves < 1:
+    if not max_moves >= 1:  # NaN included, before either loop is chosen
         raise SessionError("max_moves must be >= 1")
     # The compiled loop, when the call the Python loop would make to the
     # adversary is a built-in response, bound to this adversary.

@@ -33,8 +33,10 @@ that is used when the extension was built (`compiled_make_edges`,
   loop, `_edge_problems`, run to name every problem.
 
 This module is the one place that imports the compiled extension,
-`hypergame._native`, and checks it; `ranks` takes its `CompiledRankEngine`
-from `_native` here, which is None when the package runs pure.
+`hypergame._native`. Its `PROTOCOL` is the one check made of it; the module
+binds the two kernels to `Edge` with `_native.bind_edge(Edge)`. `ranks`
+takes its `CompiledRankEngine` from `_native` here, which is None when the
+package runs pure.
 """
 
 from __future__ import annotations
@@ -60,9 +62,8 @@ _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex
 
 # The version of `_native.cpp`'s interface the package speaks. An extension
 # of another version, such as one an older in-place build left in src/, is
-# not used, nor one whose `edge_kernels` gives other than two kernels: the
-# whole package runs pure, as when nothing was built.
-NATIVE_PROTOCOL = 2
+# not used: the whole package runs pure, as when nothing was built.
+NATIVE_PROTOCOL = 3
 
 try:
     from . import _native
@@ -253,11 +254,11 @@ def _edge_problems(edges, vset):
             yield f"ReservedVertex({VIRTUAL}): interior of edge {e.id}"
 
 
-_kernels = _native.edge_kernels(Edge) if _native else None
-if type(_kernels) is not tuple or len(_kernels) != 2:
-    _native, _kernels = None, (None, None)
+if _native:
+    _native.bind_edge(Edge)
 compiled_scan_plain = _native.scan_plain if _native else None
-compiled_make_edges, compiled_check_edges = _kernels
+compiled_make_edges = _native.make_edges if _native else None
+compiled_check_edges = _native.check_edges if _native else None
 
 
 def _check_id(token, line=None):

@@ -27,8 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 NO_COMPILER = "no C++ compiler"
 # None once the compiled backend is registered; else why it is not.
 _COMPILED_MISSING = pytest.StashKey[str | None]()
-# The compiled edge kernels as built, unchecked: (make_edges, check_edges).
-_EDGE_KERNELS = pytest.StashKey[tuple]()
 # The extension module built, or None when none was.
 BUILT = pytest.StashKey[object]()
 
@@ -48,7 +46,7 @@ def _build_compiled(tmp: Path, config) -> str | None:
     its move loop, checked by `_loops_agree`, as
     hypergame.engine.play_compiled, the line scanner, checked by
     `_scanners_agree`, as hypergame.model.compiled_scan_plain, and the edge
-    kernels, checked by `_builders_agree`, as
+    kernels, bound to Edge and checked by `_builders_agree`, as
     hypergame.model.compiled_make_edges and compiled_check_edges. Returns
     None on success, else the reason the compiled backend is missing."""
     config.stash[BUILT] = None
@@ -69,10 +67,10 @@ def _build_compiled(tmp: Path, config) -> str | None:
     hypergame.ranks.CompiledRankEngine = native.CompiledRankEngine
     hypergame.engine.play_compiled = _loops_agree(hypergame.engine.play_compiled)
     hypergame.model.compiled_scan_plain = _scanners_agree(native.scan_plain)
-    kernels = native.edge_kernels(Edge)
-    config.stash[_EDGE_KERNELS] = kernels
+    native.bind_edge(Edge)
     (hypergame.model.compiled_make_edges,
-     hypergame.model.compiled_check_edges) = _builders_agree(*kernels)
+     hypergame.model.compiled_check_edges) = _builders_agree(native.make_edges,
+                                                             native.check_edges)
     return None
 
 
@@ -239,12 +237,12 @@ def builder(request, monkeypatch):
     """The edge kernels this test builds and checks edges with: the pure
     ones, or the compiled ones as built, not checked against the pure ones;
     the compiled ones skip without a C++ compiler."""
-    kernels = (None, None)
+    built = None
     if request.param == "compiled":
         require_compiled(request.config)
-        kernels = request.config.stash[_EDGE_KERNELS]
-    monkeypatch.setattr(hypergame.model, "compiled_make_edges", kernels[0])
-    monkeypatch.setattr(hypergame.model, "compiled_check_edges", kernels[1])
+        built = request.config.stash[BUILT]
+    monkeypatch.setattr(hypergame.model, "compiled_make_edges", built and built.make_edges)
+    monkeypatch.setattr(hypergame.model, "compiled_check_edges", built and built.check_edges)
     return request.param
 
 

@@ -48,7 +48,7 @@ PROTOCOL = int(re.findall(r"^NATIVE_PROTOCOL = (\d+)$", (SRC / "model.py").read_
 # The two extensions `_native` replaces, each with what the package took
 # from it; all of it now comes from the one module, at its one protocol.
 FORMER = {
-    "hypergame._scan": ("scan_plain", "edge_kernels"),
+    "hypergame._scan": ("scan_plain", "bind_edge", "make_edges", "check_edges"),
     "hypergame.ranks._core": ("CompiledRankEngine",),
 }
 
@@ -67,18 +67,21 @@ def test_extension_and_package_speak_one_protocol(names, request):
         assert all(callable(getattr(built, name)) for name in names)
 
 
-# Fake extension modules, each (name, version, number of kernels its
-# edge_kernels gives); a version of None makes the import of `name` fail.
-# Were the package to use a fake, its scanner, edge kernels or engine would
-# not be None.
+# Fake extension modules, each (name, version, names of its edge
+# functions); a version of None makes the import of `name` fail. Were the
+# package to use a fake, its scanner, edge kernels or engine would not be
+# None, or, for a fake without `bind_edge`, its import would fail.
+BIND = ("bind_edge", "make_edges", "check_edges")  # since protocol 3
+KERNELS = ("edge_kernels",)  # protocols 1 and 2: a (make_edges, check_edges) pair
 STALE_BUILD = """
 import sys, types
-for name, version, kernels in {fakes!r}:
+for name, version, functions in {fakes!r}:
     sys.modules[name] = fake = None if version is None else types.ModuleType(name)
     if fake:
         fake.PROTOCOL, fake.CompiledRankEngine = version, object
         fake.scan_plain = lambda text: None
-        fake.edge_kernels = lambda Edge, n=kernels: (len,) * n
+        for function in functions:
+            setattr(fake, function, lambda *args: (len, len))
 
 import hypergame
 from hypergame import engine, model, ranks
@@ -102,12 +105,13 @@ for source in (decl, hypergame.DeclProvider(decl)):
 print("pure")
 """
 STALE = {
-    "other-versions": [(NAME, PROTOCOL + 1, 2)],
-    "other-kernel-shape": [(NAME, PROTOCOL, 3)],
+    "other-versions": [(NAME, PROTOCOL + 1, BIND)],
+    # A build of the interface before `bind_edge`.
+    "former-protocol": [(NAME, 2, KERNELS)],
     # No `_native`, and the two modules that builds of protocol 1 made left
     # in place: `*.so` is not tracked, so they outlive a checkout.
-    "leftover-old-build": [(NAME, None, 0), ("hypergame._scan", 1, 2),
-                           ("hypergame.ranks._core", 1, 2)],
+    "leftover-old-build": [(NAME, None, ()), ("hypergame._scan", 1, KERNELS),
+                           ("hypergame.ranks._core", 1, ())],
 }
 
 

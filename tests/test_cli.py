@@ -533,7 +533,7 @@ class TestBench:
         monkeypatch.setattr(bench, "run_session", run_session)
         monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
         [row] = bench.measure_session(8, seed=1, backends=["pure"])
-        assert row.seconds == 3.0
+        assert row["seconds"] == 3.0
         assert len(adversaries) == len({id(a) for a in adversaries}) == bench.REPEATS == 3
 
     def test_row_parse_s_times_the_model_text(self, monkeypatch):
@@ -551,7 +551,7 @@ class TestBench:
         [row] = bench.measure_session(8, seed=1, backends=["pure"])
         decl = gen_random_bounded_degree(8, 3, 2, 1)
         assert texts == [serialize_model(decl)] * bench.REPEATS
-        assert 0 < row.parse_s
+        assert 0 < row["parse_s"]
 
     def test_json_names_the_pure_scanner(self, monkeypatch, capsys):
         import hypergame.bench as bench

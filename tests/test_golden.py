@@ -10,11 +10,13 @@ forces flushes mid-run, and hashes its ranks and counters. The declaration
 layer is pinned too: the serialized grid models, `hypergame rank` output on
 the fixtures, and the exact text of each invalid-declaration error. So is
 the parser: the exact error for malformed lines and the serialized parse of
-texts that use its whitespace, comment, label and keyword rules. So is the
-CLI: `run` on the fixtures, eager and lazy, against each of RandomFair, the
-Avoider and a script; `solve` on them; and `bench --compare-backends`, less
-its timings. A change that alters any of these outputs on purpose must say
-so and update GOLDEN.
+texts that use its whitespace, comment, label and keyword rules, and the
+outcomes of 600 random texts on either scanner and either edge builder. So
+is the CLI: `run` on the fixtures, eager and lazy, against each of
+RandomFair, the Avoider and a script; `run` on a generated model with
+`--transform`, `--lazy` and `--repeat`, and cut by `--max-moves`; `solve`
+on the fixtures; and `bench --compare-backends`, less its timings. A change
+that alters any of these outputs on purpose must say so and update GOLDEN.
 """
 
 import functools
@@ -36,6 +38,7 @@ from hypergame.ranks import RankTable
 from hypergame.transforms import apply_transforms
 
 from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, require_compiled
+from test_model import _random_text
 
 MODELS = ["random1", "random2", "random3", "lostbase"]
 TRANSFORMS = ["none", "branch-coverage"]
@@ -154,6 +157,15 @@ GOLDEN = {
         "8f018125318172164234da5ea6e6f07d341afa841120e2fa377d4fad53db1d0e",
     "cli-bench":
         "9ad190ebc805e5f6ba82e8f2bb743343424061eb52ea3832005285834055c899",
+    # `run` on random1, on either backend
+    "cli-run-random1-coverage-lazy-repeat":
+        "d529e9461f4f26f246b35f261d2b8943bc4a221909c8ef3ce31518bf65cb0c38",
+    "cli-run-random1-move-cap":
+        "db38f6f47c8fceb84186272ec7613ff2c29e2f3dcfda01d89324d365608c3e3d",
+    # the parse outcomes of test_model's 600 seed-15 random texts, on
+    # either scanner and either builder
+    "parse-random-texts":
+        "0c9c42e466f23cef0bf970d2ae755de00f378b65a3bf485fb3465db760cbc5a6",
 }
 
 
@@ -395,6 +407,21 @@ def test_parsed_model_is_pinned(case):
     assert hashlib.sha256(out.encode()).hexdigest() == PARSED[case]
 
 
+def test_random_text_parses_are_pinned(scanner, builder):
+    # The texts and strict flags of test_random_texts_match_the_per_line_parser.
+    rng = random.Random(15)
+    outcomes = []
+    for _ in range(600):
+        text = _random_text(rng)
+        strict = rng.random() < 0.3
+        try:
+            outcomes.append(repr(parse_model(text, strict_vertices=strict)))
+        except ModelError as exc:
+            outcomes.append(str(exc))
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == GOLDEN["parse-random-texts"]
+
+
 # -- the CLI ------------------------------------------------------------------
 
 FIXTURES = {"G1": G1_TEXT, "G2": G2_TEXT, "G3": G3_TEXT}
@@ -427,6 +454,24 @@ def test_run_command_is_pinned(case, backend, tmp_path, monkeypatch, capsys):
     argv += ["--script", "script.txt"] if adversary == "script" else []
     digest = cli_digest(argv, capsys, ["trace.tsv", "stats.json"])
     assert digest == GOLDEN["cli-run-" + "-".join(case)]
+
+
+# `run` on a generated model: coverage played lazily over several sessions,
+# and a session cut by the move cap.
+RANDOM_RUNS = {
+    "coverage-lazy-repeat": ["--transform", "branch-coverage", "--lazy", "--repeat", "3",
+                             "--stats", "stats.json"],
+    "move-cap": ["--max-moves", "5", "--trace", "trace.tsv", "--stats", "stats.json"],
+}
+
+
+@pytest.mark.parametrize("case", RANDOM_RUNS)
+def test_run_on_a_generated_model_is_pinned(case, backend, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("model.hg").write_text(serialize_model(_decl("random1", "none")))
+    argv = ["run", "model.hg", "--backend", backend, *RANDOM_RUNS[case]]
+    digest = cli_digest(argv, capsys, ["trace.tsv", "stats.json"])
+    assert digest == GOLDEN["cli-run-random1-" + case]
 
 
 @pytest.mark.parametrize("model", FIXTURES)

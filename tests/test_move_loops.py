@@ -14,10 +14,12 @@ import pytest
 
 import hypergame.engine
 import hypergame.ranks.table
-from hypergame import DeclProvider, Edge, apply_transforms, parse_model, serialize_model
+from hypergame import (DeclProvider, Edge, apply_transforms, gen_random_bounded_degree,
+                       parse_model, serialize_model)
 from hypergame.adversaries import Avoider, RandomFair, Scripted, SubsetSystem
 from hypergame.cli import main
-from hypergame.engine import ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON, run_session
+from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON, SessionError,
+                              run_session)
 
 from conftest import gen_strongly_connected, lost_base_decl, random_decl, require_compiled
 
@@ -144,6 +146,16 @@ def test_move_cap(model, compiled_sessions):
         assert stats.moves == len(transcript) == math.ceil(min(cap, full.moves))
         assert stats.terminated == (MOVE_CAP if cap < full.moves else full.terminated)
     assert len(compiled_sessions) == 9
+
+
+@pytest.mark.parametrize("cap", [float("nan"), 0, 0.5, -1, float("-inf")])
+def test_a_cap_below_one_is_refused_on_either_loop(cap, backend):
+    # Refused before a loop is chosen: the Python loop used to play on past
+    # a NaN cap, and the compiled one to fail converting it to an int.
+    decl = gen_random_bounded_degree(64, 3, 2, 1)
+    for adversary in (RandomFair(1), Avoider()):
+        with pytest.raises(SessionError, match="^max_moves must be >= 1$"):
+            run_session(decl, adversary, max_moves=cap, backend=backend)
 
 
 def test_cli_move_cap_exit_4(tmp_path, capsys, compiled_sessions):
