@@ -10,9 +10,10 @@ A session runs as `hypergame run` runs it: `parse_model`, then
 `apply_transforms`, then `run_session` on the declaration (eager) or on a
 `DeclProvider` (lazy) against an adversary from `make_adversary`;
 `format_trace` and `format_stats` render the result. In the Python move
-loop the session's `RankTable(source)` is the one reader of the
-declaration's edges and the one place that tells eager from lazy play:
-each `apply_marking(v)` takes v's edges from the declaration's `by_head`.
+loop the session is a `GameState(source)`, a `RankTable` that also holds
+the game position. The table is the one reader of the declaration's edges
+and the one place that tells eager from lazy play: each
+`apply_marking(v)` takes v's edges from the declaration's `by_head`.
 For the built-in adversaries on the compiled engine, the compiled core
 plays the whole session on an integer copy of the declaration instead. `hypergame rank` prints a
 position's ranks from the same table, so it runs the session's rank code.

@@ -54,7 +54,7 @@ class Avoider:
         # of equal keys: the first unreachable vertex, else the smallest id
         # of highest rank. The key is the rank alone, so that a tie never
         # compares the edges.
-        ensure = gs.table.ensure_settled
+        ensure = gs.ensure_settled
         return max(marked, key=lambda t: ensure(t)[0])
 
 

@@ -2,11 +2,12 @@
 responses, termination detection, and transcript/stats emission.
 
 A session plays one `ModelDecl`, eagerly, or lazily when it comes wrapped
-in a `DeclProvider`. It looks a stimulated edge up in the declaration's
-`by_id` index; its `RankTable` plays the declaration, holding ranks, dense
-ids and each marked vertex's edges, which it alone takes from `by_head`.
-One `ensure_settled` call per move gives the new state's rank and the edge
-the tester will stimulate there.
+in a `DeclProvider`. Its `GameState` is a `RankTable` over the declaration,
+which holds ranks, dense ids and each marked vertex's edges, taken from
+`by_head` by the table alone; the game state adds only the position. It
+looks a stimulated edge up in the declaration's `by_id` index. One
+`ensure_settled` call per move gives the new state's rank and the edge the
+tester will stimulate there.
 
 A session stops in exactly one of three ways: every known state is marked,
 the current state is unreachable (the system can avoid all further
@@ -28,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Set
 from dataclasses import dataclass, field
 
 from . import ranks
@@ -84,7 +84,6 @@ class SessionStats:
     interior_total: int = 0
     interior_covered: int = 0
     moves: int = 0
-    max_rank_R: int = 0
     work: WorkStats = field(default_factory=WorkStats)
     terminated: str | None = None
     lazy: bool = False
@@ -97,6 +96,10 @@ class SessionStats:
     @property
     def real_marked(self) -> int:
         return self.states_marked - self.virtual_marked
+
+    @property
+    def max_rank_R(self) -> int:
+        return self.work.max_rank_R
 
     def to_json(self) -> dict:
         w = self.work
@@ -119,40 +122,35 @@ class SessionStats:
         }
 
 
-class GameState:
-    """One testing-game position with its rank table and statistics."""
+class GameState(RankTable):
+    """One testing-game position: the rank table of the session's
+    declaration, plus the current state, the transcript, the covered
+    interiors, the ending, and the current state's rank and least edge."""
 
     def __init__(self, source, backend=None):
         """The starting position: the initial vertex marked and current, its
         edges live, its rank settled. source: a declaration, which is played
         eagerly, or a `DeclProvider`, whose declaration is played lazily;
         the table tells them apart."""
-        self.table = table = RankTable(source, backend=backend)
-        self.decl = decl = table.decl
-        self.by_id = decl.by_id  # read per move; cheaper than the cached property
-        self.lazy = table.lazy
-        self.current = decl.initial
-        self.moves = 0
+        super().__init__(source, backend=backend)
+        self.by_id = self.decl.by_id  # read per move; cheaper than the cached property
+        self.current = self.decl.initial
         self.transcript: list[MoveRecord] = []
         self.interior_covered: set[str] = set()
         self.terminated: str | None = None
         # The current state's rank and least-rank edge; set per move.
-        self.rank, self.least = self.table.ensure_settled(self.current)
+        self.rank, self.least = self.ensure_settled(self.current)
 
     # -- accessors -----------------------------------------------------------
 
-    @property
-    def marked(self) -> Set[str]:
-        return self.table.marked
-
     def states_total(self) -> int:
-        return len(self.table.vid)
+        return len(self.vid)
 
     def edge(self, eid: str):
         """The live edge `eid`: one whose head is marked. KeyError if there
         is none."""
         e = self.by_id[eid]
-        if e.head not in self.table.marked:
+        if e.head not in self.out:
             raise KeyError(eid)
         return e
 
@@ -179,39 +177,34 @@ class GameState:
         if v not in e.tail:
             raise AdversaryProtocolError(
                 f"adversary answered {v!r} to {eid}, legal: {sorted(e.tail)}")
-        table = self.table
-        newly = v not in table.out
-        self.moves += 1
+        newly = v not in self.out
         rank_before = self.rank
-        self.transcript.append(
-            MoveRecord(self.moves, self.current, eid, v, newly,
-                       rank_before if rank_before != UNREACHABLE else -1)
-        )
+        transcript = self.transcript
+        transcript.append(MoveRecord(len(transcript) + 1, self.current, eid, v, newly,
+                                     rank_before if rank_before != UNREACHABLE else -1))
         if newly:
-            table.apply_marking(v)
+            self.apply_marking(v)
         if e.interior:
             self.interior_covered.update(e.interior)
         self.current = v
-        self.rank, self.least = table.ensure_settled(v)
+        self.rank, self.least = self.ensure_settled(v)
 
     # -- reporting -------------------------------------------------------------
 
     def interior_total(self) -> int:
         # An eager session's live edges are a subset of its declaration's.
-        edges = self.table.live_edge_objects() if self.lazy else self.decl.edges
+        edges = self.live_edge_objects() if self.lazy else self.decl.edges
         return len({i for e in edges for i in e.interior})
 
     def stats(self, seed=None) -> SessionStats:
-        w = self.table.snapshot_work()
         return SessionStats(
             states_total=self.states_total(),
             states_marked=len(self.marked),
             virtual_marked=len(self.marked & self.decl.virtual_vertices),
             interior_total=self.interior_total(),
             interior_covered=len(self.interior_covered),
-            moves=self.moves,
-            max_rank_R=w.max_rank_R,
-            work=w,
+            moves=len(self.transcript),
+            work=WorkStats.of(self.eng),
             terminated=self.terminated,
             lazy=self.lazy,
             seed=seed,
@@ -235,7 +228,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
             and rank_table.get_engine_class(backend) is ranks.CompiledRankEngine):
         return play_compiled(source, adversary, draws, max_moves, seed)
     gs = GameState(source, backend=backend)
-    eng = gs.table.eng
+    eng, transcript = gs.eng, gs.transcript
     while True:
         # The table interns every vertex it knows into the engine. The
         # current state is always marked, so it has no tester's edge exactly
@@ -246,12 +239,12 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
         if gs.least is None:
             gs.terminated = UNREACHABLE_REASON
             break
-        if gs.moves >= max_moves:
+        if len(transcript) >= max_moves:
             gs.terminated = MOVE_CAP
             break
         eid = gs.tester_choose()
         gs.apply_response(eid, respond(gs, eid))
-    return gs.transcript, gs.stats(seed=seed)
+    return transcript, gs.stats(seed=seed)
 
 
 def compiled_model(decl):
@@ -276,13 +269,11 @@ def play_compiled(source, adversary, draws, max_moves, seed):
     cap = math.ceil(min(max_moves, sys.maxsize))
     transcript, ending, states, virtual_marked, interior_total, interior_covered = eng.play(
         compiled_model(decl), MoveRecord, cap, lazy, adversary.rng.choice if draws else None)
-    work = WorkStats.of(eng)
     return transcript, SessionStats(
         states_total=states, states_marked=states - eng.unmarked,
         virtual_marked=virtual_marked, interior_total=interior_total,
         interior_covered=interior_covered, moves=len(transcript),
-        max_rank_R=work.max_rank_R, work=work, terminated=ENDINGS[ending], lazy=lazy,
-        seed=seed)
+        work=WorkStats.of(eng), terminated=ENDINGS[ending], lazy=lazy, seed=seed)
 
 
 def format_trace(transcript) -> str:

@@ -9,8 +9,9 @@ vertex's declared edges live, so the table takes them from
 `ModelDecl.by_head`, in id order, and hands them to the engine in one
 `mark` call. It keeps, per marked vertex, those edges in that order, so the
 position the engine's `ensure` returns for the tester's edge indexes them;
-it copies nothing else of the declaration. One table is bound to one
-session and is mutated single-threaded.
+it copies nothing else of the declaration. A session's `engine.GameState`
+is a table that also holds the game position; `hypergame rank` uses a bare
+table. A table is mutated single-threaded.
 """
 
 from __future__ import annotations
@@ -109,6 +110,3 @@ class RankTable:
         if k >= 0:
             return r, self.out[v][k]
         return (UNREACHABLE if r >= UNREACH_INT else r), None
-
-    def snapshot_work(self) -> WorkStats:
-        return WorkStats.of(self.eng)

@@ -9,7 +9,7 @@ from hypergame.adversaries import (AdversaryConfigError, Avoider, RandomFair,
 from hypergame.engine import GameState, format_stats, format_trace, run_session
 from hypergame.model import parse_model
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
-from hypergame.ranks import UNREACHABLE
+from hypergame.ranks import UNREACHABLE, WorkStats
 
 from conftest import gen_strongly_connected, incident_ids, oracle_ranks, random_decl
 
@@ -43,8 +43,7 @@ class ReferenceAvoider:
 
     def respond(self, gs, eid):
         tail = sorted(gs.edge(eid).tail)
-        vrank, _ = oracle_ranks(gs.table.vid,
-                                gs.table.live_edge_objects(), gs.marked,
+        vrank, _ = oracle_ranks(gs.vid, gs.live_edge_objects(), gs.marked,
                                 include_dead=False)
         unreachable = [t for t in tail if vrank[t] == UNREACHABLE]
         if unreachable:
@@ -91,19 +90,19 @@ class TestAvoiderMatchesReference:
             decl = random_decl(rng)
             gs = GameState(decl, backend=backend)
             for _ in range(rng.randint(0, 10)):
-                choices = incident_ids(gs.table, gs.current)
+                choices = incident_ids(gs, gs.current)
                 if not choices:
                     break
                 eid = rng.choice(choices)
                 gs.apply_response(eid, rng.choice(gs.edge(eid).tail))
             ref = ReferenceAvoider()
-            for eid in [e.id for e in gs.table.live_edge_objects()]:
+            for eid in [e.id for e in gs.live_edge_objects()]:
                 want = ref.respond(gs, eid)
-                before = gs.table.snapshot_work().work
+                before = WorkStats.of(gs.eng).work
                 assert Avoider().respond(gs, eid) == want
-                drained += gs.table.snapshot_work().work > before
+                drained += WorkStats.of(gs.eng).work > before
                 answers += 1
-                unreachable += gs.table.ensure_settled(want)[0] == UNREACHABLE
+                unreachable += gs.ensure_settled(want)[0] == UNREACHABLE
         assert answers > 300 and unreachable > 30 and drained > 10
 
     def test_reused_instance_plays_like_fresh(self):
@@ -150,7 +149,7 @@ class TestAvoider:
         gs = GameState(decl)
         gs.apply_response("x", "dead")
         gs.apply_response("back", "dead2")
-        vr, _ = oracle_ranks(decl.vertices, gs.table.live_edge_objects(),
+        vr, _ = oracle_ranks(decl.vertices, gs.live_edge_objects(),
                              gs.marked, include_dead=False)
         assert vr["dead"] == UNREACHABLE and vr["far"] == 1
         assert Avoider().respond(gs, "x") == "dead"
@@ -171,7 +170,7 @@ class TestAvoider:
         gs2 = GameState(decl)
         gs2.apply_response("x", "a")
         gs2 = _mark_via(gs2, decl)
-        vr, _ = oracle_ranks(decl.vertices, gs2.table.live_edge_objects(),
+        vr, _ = oracle_ranks(decl.vertices, gs2.live_edge_objects(),
                              gs2.marked, include_dead=False)
         adv = Avoider()
         if vr["a"] != UNREACHABLE and vr["b"] != UNREACHABLE:
@@ -191,11 +190,11 @@ class TestAvoider:
             gs = GameState(decl)
             for mv in transcript:
                 gs.apply_response(mv.edge, mv.response)
-            vr, _ = oracle_ranks(decl.vertices, gs.table.live_edge_objects(),
+            vr, _ = oracle_ranks(decl.vertices, gs.live_edge_objects(),
                                  gs.marked, include_dead=False)
             assert vr[gs.current] == UNREACHABLE
             adv = Avoider()
-            for eid in incident_ids(gs.table, gs.current):
+            for eid in incident_ids(gs, gs.current):
                 answer = adv.respond(gs, eid)
                 assert vr[answer] == UNREACHABLE
                 checked += 1
@@ -205,7 +204,7 @@ class TestAvoider:
 def _mark_via(gs, decl):
     """Drive gs with a fair adversary until b is marked or the session ends."""
     adv = RandomFair(0)
-    while not gs.is_terminal() and gs.table.eng.unmarked and "b" not in gs.marked:
+    while not gs.is_terminal() and gs.eng.unmarked and "b" not in gs.marked:
         eid = gs.tester_choose()
         gs.apply_response(eid, adv.respond(gs, eid))
     return gs

@@ -92,11 +92,11 @@ assert (model.compiled_scan_plain, model.compiled_make_edges,
         model.compiled_check_edges) == (None, None, None)
 engine.play_compiled = None  # the compiled loop is never called
 tables = []
-class Recorded(engine.RankTable):
+class Recorded(engine.GameState):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         tables.append(self)
-engine.RankTable = Recorded
+engine.GameState = Recorded
 decl = hypergame.gen_random_bounded_degree(64, 3, 2, 1)
 for source in (decl, hypergame.DeclProvider(decl)):
     for adversary in (hypergame.RandomFair(1), hypergame.Avoider()):

@@ -11,7 +11,7 @@ import hypergame.ranks
 from hypergame.cli import main
 from hypergame.model import ModelDecl, serialize_model
 from hypergame.providers import gen_random_bounded_degree
-from hypergame.ranks import UNREACHABLE, RankTable
+from hypergame.ranks import UNREACHABLE, RankTable, WorkStats
 
 from conftest import (G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, oracle_ranks,
                       random_decl, require_compiled)
@@ -162,7 +162,7 @@ class TestRankMatchesOracle:
             order = order[:-1]
             want = oracle_rank_text(decl, order)
             assert rank(decl, order) == want
-            assert tables[-1].snapshot_work().flushes >= 1
+            assert WorkStats.of(tables[-1].eng).flushes >= 1
             rng.shuffle(order)
             assert rank(decl, order) == want
 
@@ -320,6 +320,26 @@ class TestConfigErrorsExit2:
         assert main(["run", g1_path, "--adversary", "subset",
                      "--allowed", str(allowed)]) == 2
         assert self._one_line_error(capsys, needle) == ""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["rank", "--after-mark", "s0"], "--after-mark: 's0' already marked"),
+        (["run", "--adversary", "subset"],
+         "--allowed FILE is required for the subset adversary"),
+        (["run", "--adversary", "script"],
+         "--script FILE is required for the script adversary"),
+        (["run", "--max-moves", "0"], "--max-moves must be >= 1"),
+        (["run", "--repeat", "0"], "--repeat must be >= 1"),
+        (["run", "--adversary", "subset", "--allowed", "empty.txt"],
+         "line 1: empty allowed set"),
+    ], ids=["marked-twice", "no-allowed-file", "no-script-file", "max-moves-0", "repeat-0",
+            "empty-allowed-set"])
+    def test_bad_option_exact_error(self, argv, error, g1_path, tmp_path, monkeypatch,
+                                    capsys):
+        (tmp_path / "empty.txt").write_text("edge a:\n")
+        monkeypatch.chdir(tmp_path)
+        command, *options = argv
+        assert main([command, g1_path, *options]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_compiled_backend_not_built(self, g1_path, monkeypatch, capsys):
         monkeypatch.setattr(hypergame.ranks, "CompiledRankEngine", None)

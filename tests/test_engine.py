@@ -36,9 +36,9 @@ class TestStart:
         assert not gs.is_terminal()
         # Only the initial vertex's edge is live; b and c stay dead until
         # their heads are marked, and s1, s2 hold rank 1 by their markers.
-        assert incident_ids(gs.table, "s0") == ["a"]
-        assert [e.id for e in gs.table.live_edge_objects()] == ["a"]
-        assert gs.table.ensure_settled("s1") == gs.table.ensure_settled("s2") == (1, None)
+        assert incident_ids(gs, "s0") == ["a"]
+        assert [e.id for e in gs.live_edge_objects()] == ["a"]
+        assert gs.ensure_settled("s1") == gs.ensure_settled("s2") == (1, None)
 
     def test_single_vertex_model(self):
         gs = GameState(parse_model("initial s0\n"))
@@ -69,7 +69,7 @@ class TestTesterChoose:
         assert gs.tester_choose() == "pm"
         gs.apply_response("pm", "m2")
         gs.apply_response("z", "s0")  # legal non-strategy move back home
-        _, edges = snapshot_ranks(gs.table)
+        _, edges = snapshot_ranks(gs)
         ranks = {e: edges[e][0] for e in ("p", "q", "r")}
         assert ranks == {"p": 3, "q": 1, "r": 1}
         assert gs.tester_choose() == "q"  # ties {q, r} at rank 1 break by id
@@ -85,9 +85,9 @@ class TestTesterChoose:
         # state has rank(state) - 1.
         gs = GameState(g1, backend="pure")
         assert (gs.rank, gs.least.id) == (2, "a")
-        gs.table.eng.estored[0] = 5  # edge a, rank 1, now reads 5
+        gs.eng.estored[0] = 5  # edge a, rank 1, now reads 5
         with pytest.raises(AssertionError, match="no out-edge of vertex 0 has rank 1"):
-            gs.table.ensure_settled("s0")
+            gs.ensure_settled("s0")
 
 
 class TestApplyResponse:
@@ -103,7 +103,7 @@ class TestApplyResponse:
         gs.apply_response("e1", "s1")
         gs.apply_response("e2", "s2")
         assert gs.stats().coverage == 3
-        assert gs.table.eng.unmarked == 0
+        assert gs.eng.unmarked == 0
         assert gs.is_terminal()
 
     def test_revisit_decreases_rank_without_marking(self):
@@ -144,7 +144,7 @@ class TestApplyResponse:
         for eid in ("c", "zz"):
             with pytest.raises(KeyError, match=eid):
                 gs.edge(eid)
-        assert (gs.current, gs.moves) == ("s1", 1)
+        assert (gs.current, len(gs.transcript)) == ("s1", 1)
 
 
 class TestRunSession:

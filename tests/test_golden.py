@@ -34,7 +34,7 @@ from hypergame.engine import format_stats, format_trace, run_session
 from hypergame.model import (Edge, ModelDecl, ModelError, build_game_graph,
                              parse_model, serialize_model)
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
-from hypergame.ranks import RankTable
+from hypergame.ranks import RankTable, WorkStats
 from hypergame.transforms import apply_transforms
 
 from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, require_compiled
@@ -202,7 +202,7 @@ def flush_digest(backend):
     for v in order:
         table.apply_marking(v)
         lines.append(repr([table.ensure_settled(u)[0] for u in probe]))
-    work = table.snapshot_work()
+    work = WorkStats.of(table.eng)
     assert work.flushes >= 1
     text = "\n".join(lines) + repr(work)
     return hashlib.sha256(text.encode()).hexdigest()

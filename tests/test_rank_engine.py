@@ -7,9 +7,10 @@ import pytest
 import hypergame.engine
 import hypergame.ranks
 from hypergame.adversaries import Avoider, RandomFair
-from hypergame.engine import format_stats, format_trace, run_session
+from hypergame.engine import GameState, format_stats, format_trace, run_session
+from hypergame.model import Edge, ModelDecl
 from hypergame.providers import DeclProvider, gen_random_bounded_degree
-from hypergame.ranks import RankTable, UNREACHABLE, get_engine_class
+from hypergame.ranks import RankTable, UNREACHABLE, WorkStats, get_engine_class
 from hypergame.ranks.pure import UNREACH_INT, PureRankEngine
 
 from conftest import (lost_base_decl, oracle_ranks, random_decl, require_compiled,
@@ -43,7 +44,6 @@ class TestBatch:
         assert edges["a"] == (1, True)
 
     def test_no_base_case(self, backend):
-        from hypergame.model import Edge, ModelDecl
         decl = ModelDecl(initial="s0", vertices=("s0", "s1"),
                          edges=(Edge("a", "s0", ("s1",)), Edge("b", "s1", ("s0",))))
         t = make_table(decl, backend)
@@ -72,9 +72,9 @@ class TestEnsureSettled:
     def test_repeat_call_is_free(self, g1, backend):
         t = make_table(g1, backend)
         assert t.ensure_settled("s0")[0] == 2
-        before = t.snapshot_work().relaxations
+        before = WorkStats.of(t.eng).relaxations
         assert t.ensure_settled("s0")[0] == 2
-        assert t.snapshot_work().relaxations == before
+        assert WorkStats.of(t.eng).relaxations == before
 
     def test_marking_sink_gives_unreachable(self, g2, backend):
         t = make_table(g2, backend)
@@ -146,16 +146,16 @@ def test_table_keeps_each_marked_vertex_edges(backend, monkeypatch):
     # The table takes a vertex's edges from the declaration once, when it
     # marks the vertex: the initial vertex first, then each newly marked
     # answer in move order. perfbench's ranks.table.mark calls count these.
-    # The adversaries override `respond`, so each session builds one table
-    # of its own: the compiled loop builds none.
+    # The adversaries override `respond`, so each session is a `GameState`,
+    # a table of its own: the compiled loop builds none.
     tables = []
 
-    class Recorded(RankTable):
+    class Recorded(GameState):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             tables.append(self)
 
-    monkeypatch.setattr(hypergame.engine, "RankTable", Recorded)
+    monkeypatch.setattr(hypergame.engine, "GameState", Recorded)
     rng = random.Random(5)
     models = [random_decl(rng) for _ in range(20)]
     models.append(gen_random_bounded_degree(256, 3, 2, 1))
@@ -182,7 +182,7 @@ def test_table_keeps_each_marked_vertex_edges(backend, monkeypatch):
 class TestWorkStats:
     def test_fresh_table_counters(self, g1, backend):
         t = make_table(g1, backend)
-        w = t.snapshot_work()
+        w = WorkStats.of(t.eng)
         assert w.relaxations == 0 and w.queue_ops == 0 and w.markings_E == 0
         # marker edges (2 unmarked vertices) + edge a (head + 2 tails)
         assert w.live_size_H_prime == 2 + 3
@@ -191,16 +191,16 @@ class TestWorkStats:
         t = make_table(g2, backend)
         t.apply_marking("s1")
         t.apply_marking("s2")
-        assert t.snapshot_work().markings_E == 2
+        assert WorkStats.of(t.eng).markings_E == 2
 
     def test_counters_nondecreasing(self, g1, backend):
         t = make_table(g1, backend)
-        seen = [t.snapshot_work()]
+        seen = [WorkStats.of(t.eng)]
         t.ensure_settled("s0")
-        seen.append(t.snapshot_work())
+        seen.append(WorkStats.of(t.eng))
         t.apply_marking("s2")
         t.ensure_settled("s2")
-        seen.append(t.snapshot_work())
+        seen.append(WorkStats.of(t.eng))
         for a, b in zip(seen, seen[1:]):
             assert b.relaxations >= a.relaxations
             assert b.queue_ops >= a.queue_ops
@@ -274,7 +274,7 @@ def test_unreachable_flush_matches_oracle(backend):
     for _ in range(10):
         decl, order = lost_base_decl(rng)
         t = drive_and_check(decl, backend, rng, order=order)
-        assert t.snapshot_work().flushes >= 1
+        assert WorkStats.of(t.eng).flushes >= 1
 
 
 def test_finite_ranks_stay_within_marked_plus_one(backend):
@@ -333,10 +333,103 @@ def test_flush_fires_once_the_call_has_spent_its_budget(backend):
             for u in decl.vertices:
                 segment.update(start=work(), checks=[],
                                budget=pure.live_size + len(pure.vstored) + 64)
-                got = [(t.ensure_settled(u), t.snapshot_work()) for t in tables]
+                got = [(t.ensure_settled(u), WorkStats.of(t.eng)) for t in tables]
                 assert got == got[:1] * len(got)
         flushes += pure.flushes
     assert flushes >= 6
+
+
+def ring_chain_decl(rings, length, chain):
+    """`lost_base_decl`'s rings, each of `length` states, plus a chain that
+    keeps s0 reachable once the rings lose the base `c`.
+
+    s0 enters ring 0 at r00_1, its state of highest rank, and also starts
+    the chain s0 -> p0 -> ... -> p{chain-1} -> u. The spare states `z` and
+    `u` are never marked. Returns the declaration and its ring states, then
+    its chain states.
+    """
+    edges = []
+    ring_states = []
+    for i in range(rings):
+        ring = [f"r{i:02d}_{j}" for j in range(length)]
+        for j, v in enumerate(ring):
+            edges.append(Edge(f"e{i:02d}_{j}", v, (ring[(j + 1) % length],)))
+        edges.append(Edge(f"e{i:02d}_c", ring[0], ("c",)))
+        ring_states += ring
+    edges.append(Edge("e_s0", "s0", ("r00_1",)))
+    path = ["s0", *(f"p{i}" for i in range(chain)), "u"]
+    edges += [Edge(f"e_{t}", h, (t,)) for h, t in zip(path, path[1:])]
+    states = ring_states + path[1:-1]
+    decl = ModelDecl(initial="s0", vertices=("s0", "c", "z", "u", *states), edges=tuple(edges))
+    return decl, states
+
+
+def watch_rare_branches(eng):
+    """Count, on a pure engine, the stale queue entries `_step` pops and the
+    clean heads that an unreachable flush puts back into the queue."""
+    seen = {"stale pops": 0, "re-dirtied": 0}
+
+    def step(real=eng._step):
+        key, y = eng.heap[0]
+        seen["stale pops"] += not eng.vdirty[y] or key != eng.vstored[y]
+        real()
+
+    def flush(real=eng._flush_unreachable):
+        clean = [not d for d in eng.vdirty]
+        real()
+        seen["re-dirtied"] += sum(c and d for c, d in zip(clean, eng.vdirty))
+
+    eng._step, eng._flush_unreachable = step, flush
+    return seen
+
+
+def stale_pop_plan():
+    # Rings lose their base while only s0 is queried: the rank creep runs
+    # into a flush, and the flushed vertices' entries stay in the queue
+    # until `_step` pops them while the queried vertex is dirty.
+    decl, order = ring_chain_decl(4, 3, 8)
+    random.Random(0).shuffle(order)
+    return decl, [(v, ["s0"]) for v in order] + [("c", [])]
+
+
+def re_dirty_plan():
+    # Marking c leaves the rings without support. The flush makes e_s0
+    # unreachable while it still holds s0's least value, so s0, clean and
+    # reachable through the chain, goes back into the queue.
+    decl, order = ring_chain_decl(48, 10, 12)
+    return decl, [(v, []) for v in order[:-1]] + [(order[-1], None), ("c", ["r00_0"])]
+
+
+@pytest.mark.parametrize("plan, branch", [(stale_pop_plan, "stale pops"),
+                                          (re_dirty_plan, "re-dirtied")],
+                         ids=["stale-pop", "re-dirty"])
+def test_rare_engine_branches_match_the_oracle(plan, branch, backend):
+    # Each plan marks a vertex, then settles the listed vertices (None:
+    # every vertex, in id order), on an eager table per backend; at the
+    # end every vertex is settled.
+    decl, steps = plan()
+    tables = [make_table(decl, b) for b in dict.fromkeys(("pure", backend))]
+    seen = watch_rare_branches(tables[0].eng)
+    every = list(tables[0].vid)
+    marked = {decl.initial}
+
+    def settle(queries):
+        vr, er = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=False)
+        for u in queries:
+            got = [t.ensure_settled(u) for t in tables]
+            assert got == got[:1] * len(got)
+            rank, edge = got[0]
+            assert rank == vr[u], (u, rank, vr[u])
+            assert edge is None or er[edge.id] == rank - 1
+
+    for v, queries in steps:
+        for t in tables:
+            t.apply_marking(v)
+        marked.add(v)
+        settle(every if queries is None else queries)
+    settle(every)
+    assert seen[branch] >= 1
+    assert len({repr((WorkStats.of(t.eng), t.eng.snapshot())) for t in tables}) == 1
 
 
 def test_backends_agree_exactly(request):
@@ -355,7 +448,7 @@ def test_backends_agree_exactly(request):
             for v in order:
                 t.apply_marking(v)
                 trace.append(tuple(t.ensure_settled(u) for u in decl.vertices))
-            results.append((trace, t.snapshot_work()))
+            results.append((trace, WorkStats.of(t.eng)))
         assert results[0] == results[1]
     assert results[0][1].flushes >= 1  # the last case is a lost-base model
 
@@ -547,7 +640,6 @@ def test_bucket_queue_keeps_the_heap_order(request):
     # A lost base beside a chain of 40 states: draining to the chain's top
     # overruns the work budget while the lost region creeps, so that
     # ensure call flushes, which leaves stale entries, and then drains on.
-    from hypergame.model import Edge, ModelDecl
     decl, order = lost_base_decl(random.Random(31))
     chain = [f"p{i:02d}" for i in range(40)] + ["z"]
     decl = ModelDecl(decl.initial, decl.vertices + tuple(chain[:-1]),

@@ -4,7 +4,7 @@ import pytest
 
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import GameState, run_session
-from hypergame.model import Edge, ModelDecl, parse_model
+from hypergame.model import Edge, ModelDecl, parse_model, serialize_model
 from hypergame.ranks import UNREACHABLE
 from hypergame.transforms import (apply_transforms, branch_coverage_transform,
                                   break_self_loops, compress_chains,
@@ -235,3 +235,18 @@ class TestComposition:
         assert out.vertices == ("c.E", "s0", "s3")
         assert out.virtual_vertices == {"c.E"}
         assert pm(sm(out)) == out
+
+
+@pytest.mark.parametrize("name,text,edge,fresh", [
+    ("edge-coverage",
+     "initial s0\nedge e s0 -> e.E s1\nedge f e.E -> s0\nedge g s1 -> s0\n", "e", "e.E.2"),
+    ("break-self-loops", "initial s0\nvertex s0.L.e\nedge e s0 -> s0 s1\n", "e", "s0.L.e.2"),
+], ids=["edge-coverage", "break-self-loops"])
+def test_fresh_ids_skip_taken_names(name, text, edge, fresh):
+    # The dotted candidate for the vertex that `edge` now leads to names a
+    # vertex already, so the new vertex takes the first free numeric suffix.
+    decl = parse_model(text)
+    out, report = apply_transforms(decl, [name])
+    assert fresh in report.added_vertices and fresh not in decl.vertex_set
+    assert out.by_id[edge].tail == (fresh,)
+    assert parse_model(serialize_model(out)) == out
