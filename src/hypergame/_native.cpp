@@ -61,15 +61,22 @@
 // play() plays one whole session of engine.run_session on a fresh engine,
 // RandomFair's or the Avoider's: it interns tails in RankTable's order and
 // calls the mark and ensure internals in the order of the Python loop, the
-// Avoider's lookups of marked tail vertices included, and it draws
-// RandomFair's answers with the adversary's own rng.choice on the tail
-// sorted by name. So ids, pop order, counters, transcripts and rng states
-// equal the Python loop's, which is the reference.
+// Avoider's lookups of marked tail vertices included. It draws RandomFair's
+// answers from the tail sorted by name as random.Random.choice makes them,
+// with getrandbits, the adversary's rng's own; engine.run_session sends it
+// only an rng of exactly that class, whose choice rests on getrandbits. It
+// builds each MoveRecord as make_edges builds an Edge: after checking the
+// class's layout once per call, as bind_edge does, it allocates each record
+// and fills its slots. So ids, pop order, counters, transcripts and rng
+// states equal the Python loop's, which is the reference.
 //
 // Both queues pop (key, vertex) entries in increasing order, keeping stale
 // and repeated ones, so they count the same queue ops. Keys are finite
 // stored ranks, 1 .. |marked| + 1: this one is a bucket queue indexed by
-// key (R. Dial, CACM 12(11), 1969).
+// key (R. Dial, CACM 12(11), 1969). Each bucket is an unordered vector that
+// is sorted once when the cursor reaches it and drained from its end, so
+// no bucket needs a heap: during a drain, pushes land only above the
+// cursor.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -88,7 +95,7 @@
 
 namespace {
 
-const int PROTOCOL = 3;  // model.NATIVE_PROTOCOL
+const int PROTOCOL = 4;  // model.NATIVE_PROTOCOL
 
 // Owns one reference; releases it on every exit path, C++ exceptions too.
 struct Ref {
@@ -578,32 +585,35 @@ PyObject *check_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
     }
 }
 
-// The offset of Edge's slot `name`, or -1 with TypeError set unless it is a
-// writable object slot of `cls` itself.
-Py_ssize_t slot_offset(PyTypeObject *cls, const char *name) {
+// The offset of cls's slot `name`, or -1 with TypeError set, naming
+// caller, unless it is a writable object slot of `cls` itself.
+Py_ssize_t slot_offset(PyTypeObject *cls, const char *name, const char *caller) {
     PyObject *descr = PyDict_GetItemString(cls->tp_dict, name);  // borrowed
     if (descr == NULL || !Py_IS_TYPE(descr, &PyMemberDescr_Type) ||
         ((PyDescrObject *)descr)->d_type != cls) {
-        PyErr_Format(PyExc_TypeError, "bind_edge(): %s.%s is not a slot", cls->tp_name, name);
+        PyErr_Format(PyExc_TypeError, "%s(): %s.%s is not a slot", caller, cls->tp_name, name);
         return -1;
     }
     PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
     if (member->type != T_OBJECT_EX || member->flags & READONLY) {
-        PyErr_Format(PyExc_TypeError, "bind_edge(): %s.%s is not a writable object slot",
+        PyErr_Format(PyExc_TypeError, "%s(): %s.%s is not a writable object slot", caller,
                      cls->tp_name, name);
         return -1;
     }
     return member->offset;
 }
 
-PyObject *bind_edge(PyObject *, PyObject *arg) {
+// Checks that `arg` is a slotted dataclass of exactly the N_FIELDS fields
+// `names`, in order, as object slots and nothing else, so that a filled
+// slot is a whole instance, and stores the slots' offsets. Returns the
+// class, or NULL with TypeError set, naming caller and the class it takes.
+PyTypeObject *slot_layout(PyObject *arg, const char *caller, const char *takes,
+                          const char *const *names, Py_ssize_t *offsets) {
     if (!PyType_Check(arg)) {
-        PyErr_SetString(PyExc_TypeError, "bind_edge() takes the Edge class");
+        PyErr_Format(PyExc_TypeError, "%s() takes the %s class", caller, takes);
         return NULL;
     }
     PyTypeObject *cls = (PyTypeObject *)arg;
-    // Exactly the six fields, in order, as object slots and nothing else: a
-    // filled slot is then a whole edge.
     Ref fields(PyObject_GetAttrString(arg, "__dataclass_fields__"));
     if (fields.p == NULL) {
         if (!PyErr_ExceptionMatches(PyExc_AttributeError))
@@ -611,23 +621,35 @@ PyObject *bind_edge(PyObject *, PyObject *arg) {
         PyErr_Clear();
         fields.p = PyDict_New();
     }
-    Ref names(fields.p ? PySequence_List(fields.p) : NULL);
-    if (names.p == NULL)
+    Ref listed(fields.p ? PySequence_List(fields.p) : NULL);
+    if (listed.p == NULL)
         return NULL;
-    bool same = PyList_GET_SIZE(names.p) == N_FIELDS && cls->tp_base == &PyBaseObject_Type &&
+    bool same = PyList_GET_SIZE(listed.p) == N_FIELDS && cls->tp_base == &PyBaseObject_Type &&
                 cls->tp_dictoffset == 0 && cls->tp_itemsize == 0 &&
                 cls->tp_basicsize == (Py_ssize_t)(sizeof(PyObject) + N_FIELDS * sizeof(PyObject *));
     for (int f = 0; same && f < N_FIELDS; f++) {
-        PyObject *name = PyList_GET_ITEM(names.p, f);
-        same = PyUnicode_Check(name) && PyUnicode_CompareWithASCIIString(name, FIELDS[f]) == 0;
+        PyObject *name = PyList_GET_ITEM(listed.p, f);
+        same = PyUnicode_Check(name) && PyUnicode_CompareWithASCIIString(name, names[f]) == 0;
     }
     if (!same) {
         PyErr_Format(PyExc_TypeError,
-                     "bind_edge(): %s is not a slotted dataclass of exactly the fields "
-                     "id, head, tail, kind, label, interior",
-                     cls->tp_name);
+                     "%s(): %s is not a slotted dataclass of exactly the fields "
+                     "%s, %s, %s, %s, %s, %s",
+                     caller, cls->tp_name, names[0], names[1], names[2], names[3], names[4],
+                     names[5]);
         return NULL;
     }
+    for (int f = 0; f < N_FIELDS; f++)
+        if ((offsets[f] = slot_offset(cls, names[f], caller)) < 0)
+            return NULL;
+    return cls;
+}
+
+PyObject *bind_edge(PyObject *, PyObject *arg) {
+    Py_ssize_t offsets[N_FIELDS];
+    PyTypeObject *cls = slot_layout(arg, "bind_edge", "Edge", FIELDS, offsets);
+    if (cls == NULL)
+        return NULL;
     if (edge_layout) {
         if (edge_layout->cls == cls)
             Py_RETURN_NONE;
@@ -640,9 +662,7 @@ PyObject *bind_edge(PyObject *, PyObject *arg) {
         return PyErr_NoMemory();
     Py_INCREF(cls);
     layout->cls = cls;
-    for (int f = 0; f < N_FIELDS; f++)
-        if ((layout->offset[f] = slot_offset(cls, FIELDS[f])) < 0)
-            return NULL;
+    std::copy(offsets, offsets + N_FIELDS, layout->offset);
     layout->real = PyUnicode_InternFromString("real");
     layout->virtual_ = PyUnicode_InternFromString("virtual");
     layout->no_label = PyUnicode_New(0, 0);
@@ -659,31 +679,48 @@ typedef long long i64;
 
 const i64 UNREACH = (i64)1 << 62;  // ranks.pure.UNREACH_INT
 
-// One min-heap of vertex ids per key; the cursor is at or below the least
-// key with an entry.
+// One bucket of vertex ids per key; the cursor is at or below the least key
+// with an entry. A bucket is appended to, and sorted once, descending, when
+// top() reaches it, so pops come off its back in vertex order. A push into
+// the sorted bucket at the cursor keeps it sorted; a push anywhere else
+// appends, and a sorted bucket it lands in is sorted again when reached.
+// Within a drain every push goes above the cursor: only a mark and the
+// flush push lower.
 struct Queue {
-    std::vector<std::vector<int>> buckets;
+    struct Bucket {
+        std::vector<int> ids;
+        bool sorted = false;
+    };
+    std::vector<Bucket> buckets;
     size_t cursor = 0, count = 0;
     void push(i64 key, int v) {
         size_t k = (size_t)key;
         if (k >= buckets.size())
             buckets.resize(k + 1);
-        buckets[k].push_back(v);
-        std::push_heap(buckets[k].begin(), buckets[k].end(), std::greater<int>());
+        Bucket &b = buckets[k];
+        if (b.sorted && k == cursor) {
+            b.ids.insert(std::upper_bound(b.ids.begin(), b.ids.end(), v, std::greater<int>()), v);
+        } else {
+            b.ids.push_back(v);
+            b.sorted = false;
+        }
         cursor = std::min(cursor, k);
         count++;
     }
     // The least entry's key, with its vertex in v; the queue is not empty.
     i64 top(int &v) {
-        while (buckets[cursor].empty())
+        while (buckets[cursor].ids.empty())
             cursor++;
-        v = buckets[cursor].front();
+        Bucket &b = buckets[cursor];
+        if (!b.sorted) {
+            std::sort(b.ids.begin(), b.ids.end(), std::greater<int>());
+            b.sorted = true;
+        }
+        v = b.ids.back();
         return (i64)cursor;
     }
     void pop() {  // the entry top() gave
-        std::vector<int> &b = buckets[cursor];
-        std::pop_heap(b.begin(), b.end(), std::greater<int>());
-        b.pop_back();
+        buckets[cursor].ids.pop_back();
         count--;
     }
 };
@@ -1227,32 +1264,38 @@ int mark_model_vertex(Engine *self, const ModelData &md, std::vector<int> &dense
     return 0;
 }
 
-// RandomFair.respond's draw: choice(list of the tail's names, sorted),
-// mapped back to the model vertex whose name it returns.
-int draw(PyObject *choice, PyObject *names, const int *tail, int width, int *v) {
-    Ref list(PyList_New(width));
-    if (!list.p)
+// RandomFair.respond's draw from a tail of width >= 2, as random.Random.choice
+// makes it with getrandbits: with k the bit length of width, getrandbits(k)
+// until the result is below width. Sets *j to the result, the position in
+// the sorted tail.
+int draw(PyObject *getrandbits, int width, int *j) {
+    int k = 0;
+    for (int w = width; w; w >>= 1)
+        k++;
+    Ref bits(PyLong_FromLong(k));
+    if (!bits.p)
         return -1;
-    for (int j = 0; j < width; j++) {
-        PyObject *name = PyTuple_GET_ITEM(names, tail[j]);
-        Py_INCREF(name);
-        PyList_SET_ITEM(list.p, j, name);
-    }
-    Ref got(PyObject_CallOneArg(choice, list.p));
-    if (!got.p)
-        return -1;
-    for (int j = 0; j < width; j++) {
-        int eq = PyObject_RichCompareBool(PyTuple_GET_ITEM(names, tail[j]), got.p, Py_EQ);
-        if (eq < 0)
+    while (true) {
+        Ref got(PyObject_CallOneArg(getrandbits, bits.p));
+        if (!got.p)
             return -1;
-        if (eq) {
-            *v = tail[j];
+        long r = PyLong_AsLong(got.p);
+        if (r == -1 && PyErr_Occurred())
+            return -1;
+        if (r < 0) {
+            PyErr_Format(PyExc_ValueError, "getrandbits() answered %ld", r);
+            return -1;
+        }
+        if (r < width) {
+            *j = (int)r;
             return 0;
         }
     }
-    PyErr_Format(PyExc_ValueError, "choice() answered %R, which is not in the tail", got.p);
-    return -1;
 }
+
+// engine.MoveRecord's fields, in order.
+const char *const RECORD_FIELDS[N_FIELDS] = {"index",    "source",       "edge",
+                                             "response", "newly_marked", "rank_before"};
 
 // -- methods -------------------------------------------------------------------
 
@@ -1294,14 +1337,20 @@ PyObject *Engine_ensure(Engine *self, PyObject *arg) {
 }
 
 // The session of RankTable and engine.run_session's move loop on model,
-// with RandomFair.respond's draws through `choice` (its rng.choice), or,
-// when choice is None, Avoider.respond's answers. See Engine_methods.
+// with RandomFair.respond's draws through `getrandbits` (its rng's), or,
+// when getrandbits is None, Avoider.respond's answers. Each record is an
+// instance of `record`, allocated and its slots filled here. See
+// Engine_methods.
 PyObject *Engine_play(Engine *self, PyObject *args) {
     return guarded(self, [&]() -> PyObject * {
-        PyObject *model, *record, *cap, *choice;
+        PyObject *model, *record, *cap, *getrandbits;
         int lazy;
         if (!PyArg_ParseTuple(args, "O!OOpO:play", &ModelType, &model, &record, &cap, &lazy,
-                              &choice))
+                              &getrandbits))
+            return NULL;
+        Py_ssize_t offset[N_FIELDS];
+        PyTypeObject *cls = slot_layout(record, "play", "MoveRecord", RECORD_FIELDS, offset);
+        if (cls == NULL)
             return NULL;
         long long max_moves = PyLong_AsLongLong(cap);
         if (max_moves == -1 && PyErr_Occurred())
@@ -1353,7 +1402,7 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
                         md.tails.begin() + md.tail_first[e + 1]);
             std::sort(tail.begin(), tail.end());
             int width = (int)tail.size(), v = tail[0];
-            if (choice == Py_None) {
+            if (getrandbits == Py_None) {
                 // The first marked tail vertex of highest rank, else the first.
                 i64 best = 0;
                 for (int j = 0; j < width; j++) {
@@ -1368,21 +1417,25 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
                         v = tail[j];
                     }
                 }
-            } else if (width > 1 && draw(choice, names, tail.data(), width, &v) < 0) {
-                return NULL;
+            } else if (width > 1) {
+                int j;
+                if (draw(getrandbits, width, &j) < 0)
+                    return NULL;
+                v = tail[j];
             }
             bool newly = !s.vmarked[dense[v]];
-            Ref index(PyLong_FromLongLong(++moves)), rank(PyLong_FromLongLong(r));
-            if (!index.p || !rank.p)
+            Ref move(cls->tp_alloc(cls, 0));
+            if (!move.p)
                 return NULL;
-            PyObject *fields[6] = {index.p,
-                                   PyTuple_GET_ITEM(names, cur),
-                                   PyTuple_GET_ITEM(edge_ids, e),
-                                   PyTuple_GET_ITEM(names, v),
-                                   newly ? Py_True : Py_False,
-                                   rank.p};
-            Ref move(PyObject_Vectorcall(record, fields, 6, NULL));
-            if (!move.p || PyList_Append(records.p, move.p) < 0)
+            PyObject *fields[N_FIELDS] = {PyLong_FromLongLong(++moves),
+                                          Py_NewRef(PyTuple_GET_ITEM(names, cur)),
+                                          Py_NewRef(PyTuple_GET_ITEM(edge_ids, e)),
+                                          Py_NewRef(PyTuple_GET_ITEM(names, v)),
+                                          PyBool_FromLong(newly),
+                                          PyLong_FromLongLong(r)};
+            for (int f = 0; f < N_FIELDS; f++)  // a NULL slot is unset
+                *(PyObject **)((char *)move.p + offset[f]) = fields[f];
+            if (!fields[0] || !fields[5] || PyList_Append(records.p, move.p) < 0)
                 return NULL;
             if (newly && mark_model_vertex(self, md, dense, v) < 0)
                 return NULL;
@@ -1483,9 +1536,10 @@ PyMethodDef Engine_methods[] = {
     METHOD(compile_model, METH_O | METH_STATIC,
            "compile_model(decl) -> the declaration on integers, for play()."),
     METHOD(play, METH_VARARGS,
-           "play(model, record, max_moves, lazy, choice) -> (records, ending, vertices, "
+           "play(model, record, max_moves, lazy, getrandbits) -> (records, ending, vertices, "
            "virtual_marked, interior_total, interior_covered): a whole session on this "
-           "fresh engine, RandomFair's with choice its rng.choice, else the Avoider's."),
+           "fresh engine, RandomFair's with getrandbits its rng.getrandbits, else the "
+           "Avoider's; record is the MoveRecord class."),
     {NULL, NULL, 0, NULL},
 };
 

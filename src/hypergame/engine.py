@@ -18,16 +18,20 @@ coverage), or the move budget ran out.
 an engine of exactly the compiled class, against an adversary whose
 `respond` is `RandomFair.respond` or `Avoider.respond` as `adversaries.py`
 defines them, the compiled core plays the whole session (`play_compiled`).
-It keeps the Python loop's order of engine calls, ids and rng draws, so
-both give the same transcript, stats and adversary state. An overriding
-or patched `respond`, any other adversary, the pure engine and an engine
-subclass take the Python loop.
+A RandomFair's rng must then be exactly a `random.Random`, with none of
+the methods its `choice` rests on set on the instance: the compiled core
+makes each draw as `random.Random.choice` does, through the rng's
+`getrandbits`. It keeps the Python loop's order of engine calls, ids and
+rng draws, so both give the same transcript, stats and adversary state.
+An overriding or patched `respond`, any other rng, any other adversary,
+the pure engine and an engine subclass take the Python loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 
@@ -44,8 +48,19 @@ MOVE_CAP = "move_cap"
 # The endings by the number the compiled loop gives them.
 ENDINGS = (ALL_MARKED, UNREACHABLE_REASON, MOVE_CAP)
 # The responses the compiled loop plays, as defined, each with whether it
-# draws from the adversary's rng.
+# draws from the adversary's rng; one that does is played there only when
+# `_draws_as_random` holds for that rng.
 COMPILED_RESPONSES = {RandomFair.respond: True, Avoider.respond: False}
+# The methods of `random.Random` that its `choice` rests on.
+CHOICE_METHODS = frozenset({"choice", "_randbelow", "getrandbits"})
+
+
+def _draws_as_random(rng) -> bool:
+    """Whether the compiled loop draws `rng.choice` exactly: `rng` is a
+    `random.Random`, not a subclass, and sets none of `CHOICE_METHODS` on
+    itself, so each draw is `getrandbits` calls as `random.Random.choice`
+    makes them."""
+    return type(rng) is random.Random and not CHOICE_METHODS & vars(rng).keys()
 
 
 class SessionError(Exception):
@@ -225,6 +240,7 @@ def run_session(source, adversary, max_moves: int = 1_000_000, seed=None,
     respond = adversary.respond
     draws = COMPILED_RESPONSES.get(getattr(respond, "__func__", None))
     if (draws is not None and respond.__self__ is adversary
+            and (not draws or _draws_as_random(getattr(adversary, "rng", None)))
             and rank_table.get_engine_class(backend) is ranks.CompiledRankEngine):
         return play_compiled(source, adversary, draws, max_moves, seed)
     gs = GameState(source, backend=backend)
@@ -260,15 +276,16 @@ def compiled_model(decl):
 def play_compiled(source, adversary, draws, max_moves, seed):
     """`run_session` in the compiled core, for an adversary whose `respond`
     is a built-in one: `RandomFair`'s, which `draws` through its rng's
-    `choice`, or the `Avoider`'s."""
+    `getrandbits`, or the `Avoider`'s."""
     lazy = isinstance(source, DeclProvider)
     decl = source.decl if lazy else source
     eng = ranks.CompiledRankEngine()
     # The cap as an int the compiled loop takes: no count of moves reaches
     # sys.maxsize, and an int count reaches x when it reaches ceil(x).
     cap = math.ceil(min(max_moves, sys.maxsize))
+    getrandbits = adversary.rng.getrandbits if draws else None
     transcript, ending, states, virtual_marked, interior_total, interior_covered = eng.play(
-        compiled_model(decl), MoveRecord, cap, lazy, adversary.rng.choice if draws else None)
+        compiled_model(decl), MoveRecord, cap, lazy, getrandbits)
     return transcript, SessionStats(
         states_total=states, states_marked=states - eng.unmarked,
         virtual_marked=virtual_marked, interior_total=interior_total,

@@ -63,7 +63,7 @@ _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex
 # The version of `_native.cpp`'s interface the package speaks. An extension
 # of another version, such as one an older in-place build left in src/, is
 # not used: the whole package runs pure, as when nothing was built.
-NATIVE_PROTOCOL = 3
+NATIVE_PROTOCOL = 4
 
 try:
     from . import _native

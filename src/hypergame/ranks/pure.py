@@ -89,7 +89,8 @@ class PureRankEngine:
     heapq orders the tuples here. Stale entries (the vertex is clean, or
     its stored value moved) and repeated ones stay in it until popped, and
     every push and pop counts one queue op. The compiled core's bucket
-    queue keeps that order and those entries, so the counters agree.
+    queue, which sorts each key's entries once, when it reaches that key,
+    keeps that order and those entries, so the counters agree.
 
     Tests derive exactness from a snapshot. Every dirty vertex has a live
     queue entry at its stored value, so the queue minimum is the smallest

@@ -336,6 +336,11 @@ class TestEdgeKernels:
                     int):
             with pytest.raises(TypeError, match="^bind_edge\\(\\): \\w+ is not a slotted "):
                 native.bind_edge(cls)
+        # Edge's field names and size, but slots of other names.
+        lookalike = type("Lookalike", (), {"__slots__": tuple("abcdef"),
+                                           "__dataclass_fields__": dict.fromkeys(fields)})
+        with pytest.raises(TypeError, match="^bind_edge\\(\\): Lookalike.id is not a slot$"):
+            native.bind_edge(lookalike)
         # A class of the same layout is refused too: Edge stays bound.
         with pytest.raises(TypeError, match="^bind_edge\\(\\): Edge is bound already$"):
             native.bind_edge(dataclasses.make_dataclass("Other", fields, slots=True))

@@ -6,6 +6,9 @@ the loop and reach the endings, caps and model features on which both must
 agree."""
 
 import copy
+import dataclasses
+import functools
+import gc
 import math
 import pickle
 import random
@@ -14,12 +17,12 @@ import pytest
 
 import hypergame.engine
 import hypergame.ranks.table
-from hypergame import (DeclProvider, Edge, apply_transforms, gen_random_bounded_degree,
-                       parse_model, serialize_model)
+from hypergame import (DeclProvider, Edge, ModelDecl, apply_transforms,
+                       gen_random_bounded_degree, parse_model, serialize_model)
 from hypergame.adversaries import Avoider, RandomFair, Scripted, SubsetSystem
 from hypergame.cli import main
-from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON, SessionError,
-                              run_session)
+from hypergame.engine import (ALL_MARKED, MOVE_CAP, UNREACHABLE_REASON, MoveRecord,
+                              SessionError, run_session)
 
 from conftest import gen_strongly_connected, lost_base_decl, random_decl, require_compiled
 
@@ -64,13 +67,37 @@ def model():
 # -- which loop runs ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("adversary", [lambda: RandomFair(4), lambda: InheritingFair(4), Avoider],
-                         ids=["RandomFair", "subclass", "Avoider"])
-def test_built_in_responses_take_the_compiled_loop(adversary, model, compiled_sessions):
+class OwnRandom(random.Random):
+    """A `random.Random` subclass that overrides nothing."""
+
+
+def own_rng_fair(seed):
+    adversary = RandomFair()
+    adversary.rng = OwnRandom(seed)
+    return adversary
+
+
+def patched_choice_fair(seed):
+    adversary = RandomFair(seed)
+    adversary.rng.choice = lambda seq: random.Random.choice(adversary.rng, seq)
+    return adversary
+
+
+@pytest.mark.parametrize("adversary, compiled", [
+    (lambda: RandomFair(4), True), (lambda: InheritingFair(4), True), (Avoider, True),
+    (lambda: own_rng_fair(4), False), (lambda: patched_choice_fair(4), False),
+], ids=["RandomFair", "subclass", "Avoider", "rng-subclass", "rng-patched-choice"])
+def test_built_in_responses_take_the_compiled_loop(adversary, compiled, model, compiled_sessions):
+    # The compiled loop draws as random.Random.choice does, through
+    # getrandbits; an rng of another class, or one whose own choice is
+    # patched, takes the Python loop, which draws the same answers.
     for source in (model, DeclProvider(model)):
-        _, stats = run_session(source, adversary())
-        assert stats.moves > 0
-        assert compiled_sessions.pop() is source
+        got = run_session(source, adversary())
+        assert got[1].moves > 0
+        assert compiled_sessions == ([source] if compiled else [])
+        if not compiled:  # RandomFair's answers all the same
+            assert got == run_session(source, RandomFair(4))
+        compiled_sessions.clear()
 
 
 def test_subclass_override_takes_the_python_loop(model, compiled_sessions):
@@ -273,6 +300,93 @@ def test_repeat_builds_the_integer_model_once(tmp_path, capsys, compiled_session
     assert len(compiled_sessions) == 3
     assert all(source is compiled_sessions[0] for source in compiled_sessions)
     assert len(models) == 3 and all(m is models[0] for m in models)
+
+
+def wide_tails_decl(rng, n=12):
+    """A model whose every state has one edge of each tail width 2..9, ids
+    shuffled so that ties between the tester's edges fall on every width."""
+    vs = [f"v{i:02d}" for i in range(n)]
+    heads_widths = [(v, w) for v in vs for w in range(2, 10)]
+    ids = rng.sample(range(len(heads_widths)), len(heads_widths))
+    edges = [Edge(f"e{i:02d}", v, tuple(rng.sample([u for u in vs if u != v], w)))
+             for i, (v, w) in zip(ids, heads_widths)]
+    return ModelDecl(initial=vs[0], vertices=tuple(vs), edges=tuple(edges))
+
+
+def test_draws_from_every_tail_width_match_random_choice(compiled_sessions):
+    # Widths 2..9 have bit lengths 2..4, and every width that is not a power
+    # of two makes getrandbits reject some results and draw again. Both
+    # loops must leave the rng in the same state (see _loops_agree), and
+    # each answer is the one random.Random.choice gives on the sorted tail.
+    rng = random.Random(25)
+    widths = set()
+    for i in range(12):
+        decl = wide_tails_decl(rng)
+        for source in (decl, DeclProvider(decl)):
+            transcript, _ = run_session(source, RandomFair(i))
+            shadow = random.Random(i)
+            for m in transcript:
+                tail = sorted(decl.by_id[m.edge].tail)
+                widths.add(len(tail))
+                assert m.response == shadow.choice(tail)
+    assert widths == set(range(2, 10))
+    assert len(compiled_sessions) == 24
+
+
+def test_records_made_in_the_compiled_loop_are_move_records(model, compiled_sessions):
+    transcript, _ = run_session(model, RandomFair(8))
+    assert len(compiled_sessions) == 1 and len(transcript) > 20
+    reference = RandomFair(8)
+    reference.respond = functools.partial(RandomFair.respond, reference)
+    assert transcript == run_session(model, reference)[0]  # the Python loop's
+    for m in transcript:
+        assert type(m) is MoveRecord and gc.is_tracked(m)
+        assert dataclasses.replace(m) == m and dataclasses.replace(m, index=0) != m
+        assert pickle.loads(pickle.dumps(m)) == m
+    assert pickle.loads(pickle.dumps(transcript)) == transcript
+    gc.collect()
+    assert [m.index for m in transcript] == list(range(1, len(transcript) + 1))
+
+
+class LookalikeRecord:
+    """MoveRecord's field names and size, with slots of other names."""
+    __slots__ = ("a", "b", "c", "d", "e", "f")
+    __dataclass_fields__ = dict.fromkeys(f.name for f in dataclasses.fields(MoveRecord))
+
+
+def test_play_takes_only_the_six_slot_record_layout(g1, request):
+    require_compiled(request.config)
+    model = hypergame.engine.compiled_model(g1)
+    names = [f.name for f in dataclasses.fields(MoveRecord)]
+
+    class Derived(MoveRecord):
+        __slots__ = ()
+
+    for record in (dataclasses.make_dataclass("R", names[::-1], slots=True),
+                   dataclasses.make_dataclass("R", names + ["note"], slots=True),
+                   dataclasses.make_dataclass("R", names), Derived, tuple):
+        with pytest.raises(TypeError, match="^play\\(\\): \\w+ is not a slotted dataclass of "
+                                            "exactly the fields index, source, edge, response, "
+                                            "newly_marked, rank_before$"):
+            hypergame.ranks.CompiledRankEngine().play(model, record, 10, False, None)
+    with pytest.raises(TypeError, match="^play\\(\\) takes the MoveRecord class$"):
+        hypergame.ranks.CompiledRankEngine().play(model, lambda *fields: fields, 10, False, None)
+    with pytest.raises(TypeError, match="^play\\(\\): LookalikeRecord.index is not a slot$"):
+        hypergame.ranks.CompiledRankEngine().play(model, LookalikeRecord, 10, False, None)
+    # A class of the same layout plays.
+    same = dataclasses.make_dataclass("Same", names, slots=True)
+    records = hypergame.ranks.CompiledRankEngine().play(model, same, 10, False, None)[0]
+    assert records and all(type(m) is same for m in records)
+
+
+def test_play_refuses_a_draw_below_zero(g1, request):
+    # g1's first edge has a tail of width 2, so the session draws once.
+    require_compiled(request.config)
+    model = hypergame.engine.compiled_model(g1)
+    with pytest.raises(ValueError, match="^getrandbits\\(\\) answered -1$"):
+        hypergame.ranks.CompiledRankEngine().play(model, MoveRecord, 10, False, lambda k: -1)
+    with pytest.raises(ZeroDivisionError):
+        hypergame.ranks.CompiledRankEngine().play(model, MoveRecord, 10, False, lambda k: 1 / 0)
 
 
 def test_play_needs_a_fresh_engine(g1, request):

@@ -1,11 +1,13 @@
 """The lazy engine against the naive oracle, on both backends."""
 
+import heapq
 import random
 
 import pytest
 
 import hypergame.engine
 import hypergame.ranks
+import hypergame.ranks.pure as pure
 from hypergame.adversaries import Avoider, RandomFair
 from hypergame.engine import GameState, format_stats, format_trace, run_session
 from hypergame.model import Edge, ModelDecl
@@ -668,3 +670,91 @@ def test_bucket_queue_keeps_the_heap_order(request):
             mid_drain |= len(flushes) > seen and pure.queue_ops > flushes[-1][0]
     assert mid_drain
     assert any(stale for _, stale in flushes)
+
+
+class BucketWatch:
+    """The compiled core's bucket queue, replayed from a pure engine's queue
+    calls: its cursor, and each key's entry count and whether that bucket is
+    sorted. Counts the pushes below the cursor, the pushes into the sorted
+    bucket at the cursor, and the sorts of a bucket that was sorted before
+    and was then pushed into, above the cursor, while it held entries."""
+
+    def __init__(self, eng, monkeypatch):
+        self.buckets = {}  # key: [entries, sorted, pushed into while sorted]
+        self.cursor = 0
+        self.seen = {"below the cursor": 0, "into the sorted cursor bucket": 0,
+                     "sorted again": 0}
+        for key, _ in eng.heap:
+            self.push(key)
+        peek = eng._peek
+
+        def push(heap, item):
+            self.push(item[0])
+            heapq.heappush(heap, item)
+
+        def pop(heap):
+            self.top()
+            self.buckets[self.cursor][0] -= 1
+            return heapq.heappop(heap)
+
+        def peek_top():
+            key = peek()
+            if eng.heap:  # the compiled peek reads the top of a queue it leaves
+                self.top()
+            return key
+
+        monkeypatch.setattr(pure, "heappush", push)
+        monkeypatch.setattr(pure, "heappop", pop)
+        eng._peek = peek_top
+
+    def push(self, key):
+        b = self.buckets.setdefault(key, [0, False, False])
+        if b[1] and key == self.cursor:
+            self.seen["into the sorted cursor bucket"] += 1
+        else:
+            self.seen["below the cursor"] += key < self.cursor
+            b[2] = b[2] or (b[1] and b[0] > 0)
+            b[1] = False
+        self.cursor = min(self.cursor, key)
+        b[0] += 1
+
+    def top(self):
+        while self.buckets.get(self.cursor, [0])[0] == 0:
+            self.cursor += 1
+        b = self.buckets[self.cursor]
+        if not b[1]:
+            self.seen["sorted again"] += b[2]
+            b[1:] = [True, False]
+
+
+def test_bucket_queue_branches_match_the_oracle(backend, monkeypatch):
+    # Random models marked in random order, with a few vertices settled
+    # after each marking, so that a mark pushes into the bucket that a
+    # settled query left sorted at the cursor, or below the cursor, and a
+    # drain then pushes into a sorted bucket above it. Each settled rank is
+    # checked against the oracle, and the backends give equal results,
+    # counters and snapshots.
+    seen = {}
+    rng = random.Random(27)
+    for _ in range(30):
+        decl = random_decl(rng)
+        tables = [make_table(decl, b) for b in dict.fromkeys(("pure", backend))]
+        watch = BucketWatch(tables[0].eng, monkeypatch)
+        order = [v for v in decl.vertices if v != decl.initial]
+        rng.shuffle(order)
+        marked = {decl.initial}
+        for v in order:
+            for t in tables:
+                t.apply_marking(v)
+            marked.add(v)
+            vr, er = oracle_ranks(decl.vertices, decl.edges, marked, include_dead=False)
+            for u in rng.sample(decl.vertices, rng.randint(0, 2)):
+                got = [t.ensure_settled(u) for t in tables]
+                assert got == got[:1] * len(got)
+                rank, edge = got[0]
+                assert rank == vr[u], (u, rank, vr[u])
+                assert edge is None or er[edge.id] == rank - 1
+        assert len({repr((WorkStats.of(t.eng), t.eng.snapshot())) for t in tables}) == 1
+        for branch, count in watch.seen.items():
+            seen[branch] = seen.get(branch, 0) + count
+    assert all(seen.values()), seen
