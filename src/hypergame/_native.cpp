@@ -73,10 +73,11 @@
 // Both queues pop (key, vertex) entries in increasing order, keeping stale
 // and repeated ones, so they count the same queue ops. Keys are finite
 // stored ranks, 1 .. |marked| + 1: this one is a bucket queue indexed by
-// key (R. Dial, CACM 12(11), 1969). Each bucket is an unordered vector that
-// is sorted once when the cursor reaches it and drained from its end, so
-// no bucket needs a heap: during a drain, pushes land only above the
-// cursor.
+// key (R. Dial, CACM 12(11), 1969). A push appends to its key's bucket and
+// marks it unsorted; before a pop, an unsorted bucket at the cursor is
+// sorted, descending, and pops come off its end. No bucket needs a heap: in
+// a drain, where pushes land only above the cursor, each bucket is sorted
+// once.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -680,12 +681,11 @@ typedef long long i64;
 const i64 UNREACH = (i64)1 << 62;  // ranks.pure.UNREACH_INT
 
 // One bucket of vertex ids per key; the cursor is at or below the least key
-// with an entry. A bucket is appended to, and sorted once, descending, when
-// top() reaches it, so pops come off its back in vertex order. A push into
-// the sorted bucket at the cursor keeps it sorted; a push anywhere else
-// appends, and a sorted bucket it lands in is sorted again when reached.
-// Within a drain every push goes above the cursor: only a mark and the
-// flush push lower.
+// with an entry. A push appends to its key's bucket and clears the bucket's
+// sorted flag; top() sorts the cursor's bucket, descending, when the flag is
+// clear, so pops come off its back in vertex order. Within a drain every
+// push goes above the cursor: only a mark and the flush push at or below
+// it, and the bucket they push into is sorted again before its next pop.
 struct Queue {
     struct Bucket {
         std::vector<int> ids;
@@ -697,13 +697,8 @@ struct Queue {
         size_t k = (size_t)key;
         if (k >= buckets.size())
             buckets.resize(k + 1);
-        Bucket &b = buckets[k];
-        if (b.sorted && k == cursor) {
-            b.ids.insert(std::upper_bound(b.ids.begin(), b.ids.end(), v, std::greater<int>()), v);
-        } else {
-            b.ids.push_back(v);
-            b.sorted = false;
-        }
+        buckets[k].ids.push_back(v);
+        buckets[k].sorted = false;
         cursor = std::min(cursor, k);
         count++;
     }
@@ -795,6 +790,19 @@ void push(Engine *self, i64 key, int v) {
     self->st->queue.push(key, v);
 }
 
+// Raises edge e's stored value to value; a clean head whose value the old
+// edge value carried (head = old + 1) goes back into the queue.
+void raise_edge(Engine *self, int e, i64 value) {
+    State &s = *self->st;
+    int d = s.ehead[e];
+    i64 old = s.estored[e];
+    s.estored[e] = value;
+    if (!s.vdirty[d] && s.vstored[d] == old + 1) {
+        s.vdirty[d] = 1;
+        push(self, s.vstored[d], d);
+    }
+}
+
 // Smallest live key, popping stale entries; -1 when the queue is empty.
 i64 peek(Engine *self) {
     State &s = *self->st;
@@ -826,8 +834,9 @@ int step(Engine *self) {
     for (int e = s.efirst[y], end = e + s.ecount[y]; e < end; e++)
         if (s.estored[e] < best)
             best = s.estored[e];
-    // A finite rank is at most |marked| + 1 (see ranks/pure.py).
-    i64 c = best != UNREACH ? best + 1 : UNREACH;
+    // A finite rank is at most |marked| + 1 (see ranks/pure.py); UNREACH + 1
+    // is above that cap too.
+    i64 c = best + 1;
     if (c > (i64)s.vstored.size() - self->unmarked + 1)
         c = UNREACH;
     if (c == key) {
@@ -844,15 +853,9 @@ int step(Engine *self) {
     else
         push(self, c, y);
     for (int e : s.tail_edges[y]) {
-        i64 old = s.estored[e];
-        if (c > old) {
-            s.estored[e] = c;
+        if (c > s.estored[e]) {
+            raise_edge(self, e, c);
             self->relaxations++;
-            int d = s.ehead[e];
-            if (!s.vdirty[d] && s.vstored[d] == old + 1) {
-                s.vdirty[d] = 1;
-                push(self, s.vstored[d], d);
-            }
         }
     }
     return 0;
@@ -893,17 +896,11 @@ void flush_unreachable(Engine *self) {
             s.vdirty[v] = 0;
         }
     }
-    for (size_t e = 0; e < m; e++) {
-        i64 old = s.estored[e];
-        if (cnt[e] > 0 && old != UNREACH) {
-            s.estored[e] = UNREACH;
-            int d = s.ehead[e];
-            if (good[d] && !s.vdirty[d] && s.vstored[d] == old + 1) {
-                s.vdirty[d] = 1;
-                push(self, s.vstored[d], d);
-            }
-        }
-    }
+    // A head outside the good set is UNREACH by now, which no finite old + 1
+    // equals, so only good heads are re-dirtied.
+    for (size_t e = 0; e < m; e++)
+        if (cnt[e] > 0 && s.estored[e] != UNREACH)
+            raise_edge(self, (int)e, UNREACH);
 }
 
 // Reads tail lists (an iterable of iterables of vertex indices) into one
@@ -990,17 +987,16 @@ void mark_vertex(Engine *self, int v, const std::vector<int> &flat,
     bool initial = self->unmarked == (i64)s.vstored.size();
     s.vmarked[v] = 1;
     self->unmarked--;
-    if (initial)
-        self->live_size--;
-    else
-        self->markings++;
     // Losing the marker edge invalidates v; its old value stays as a
-    // lower bound and the queue drains it on demand.
-    if (!s.vdirty[v]) {
-        s.vdirty[v] = 1;
+    // lower bound and the queue drains it on demand. v is clean: only
+    // marked vertices are ever dirty.
+    s.vdirty[v] = 1;
+    if (initial) {
+        self->live_size--;
         s.queue.push(s.vstored[v], v);
-        if (!initial)
-            self->queue_ops++;
+    } else {
+        self->markings++;
+        push(self, s.vstored[v], v);
     }
     register_edges(self, v, flat, offsets);
 }

@@ -8,8 +8,10 @@ Core idea: stored values are lower bounds that only grow. Dirty vertices sit
 in a priority queue keyed by their stored value, and the queue is drained in
 increasing key order only as far as a query needs. Draining pops a vertex,
 recomputes it from its incident live edges, and either certifies the stored
-value (recompute equal) or bumps it and notifies exactly the edges whose
-maximum it carried, whose heads join the queue at their own stored values.
+value (recompute equal) or bumps it and raises the edges whose maximum it
+now carries. Raising an edge (`_raise_edge`, also the unreachable flush's one
+way to change an edge) puts its head back into the queue, at the head's own
+stored value, only when the edge's old value carried it.
 Anything whose true rank lies beyond the drained frontier is left stale; the
 invariant is that every wrong stored value has a dirty witness queued at a
 key no larger than it, so values at or below the frontier are always exact.
@@ -151,17 +153,16 @@ class PureRankEngine:
         initial = self.unmarked == len(self.vstored)
         self.vmarked[v] = True
         self.unmarked -= 1
+        # Losing the marker edge invalidates v; its old value stays as a
+        # lower bound and the queue drains it on demand. v is clean: only
+        # marked vertices are ever dirty.
+        self.vdirty[v] = True
         if initial:
             self.live_size -= 1
+            heappush(self.heap, (self.vstored[v], v))
         else:
             self.markings += 1
-        # Losing the marker edge invalidates v; its old value stays as a
-        # lower bound and the queue drains it on demand.
-        if not self.vdirty[v]:
-            self.vdirty[v] = True
-            heappush(self.heap, (self.vstored[v], v))
-            if not initial:
-                self.queue_ops += 1
+            self._push(self.vstored[v], v)
         self.efirst[v] = len(self.estored)
         self.ecount[v] = len(tail_lists)
         for tails in tail_lists:
@@ -262,8 +263,8 @@ class PureRankEngine:
         cap = len(self.vstored) - self.unmarked + 1
         first = self.efirst[y]
         best = min(self.estored[first:first + self.ecount[y]], default=UNREACH_INT)
-        c = best + 1 if best != UNREACH_INT else UNREACH_INT
-        if c > cap:
+        c = best + 1
+        if c > cap:  # UNREACH_INT + 1 is past it too
             c = UNREACH_INT
         if c == key:
             self.vdirty[y] = False
@@ -275,17 +276,20 @@ class PureRankEngine:
             self.vdirty[y] = False  # unreachability is final
         else:
             self._push(c, y)
-        # Notify edges whose maximum y carried; their heads re-enter the
-        # queue at their own stored values.
         for e in self.tail_edges[y]:
-            old = self.estored[e]
-            if c > old:
-                self.estored[e] = c
+            if c > self.estored[e]:  # y now carries e's maximum
+                self._raise_edge(e, c)
                 self.relaxations += 1
-                d = self.ehead[e]
-                if not self.vdirty[d] and self.vstored[d] == old + 1:
-                    self.vdirty[d] = True
-                    self._push(self.vstored[d], d)
+
+    def _raise_edge(self, e, value):
+        """Raise edge e's stored value to `value`; a clean head whose value
+        the old edge value carried (head = old + 1) goes back into the queue."""
+        d = self.ehead[e]
+        old = self.estored[e]
+        self.estored[e] = value
+        if not self.vdirty[d] and self.vstored[d] == old + 1:
+            self.vdirty[d] = True
+            self._push(self.vstored[d], d)
 
     def _flush_unreachable(self):
         """Recompute the well-founded reachable set (counter pass from the
@@ -312,11 +316,8 @@ class PureRankEngine:
             if not good[v] and self.vstored[v] != UNREACH_INT:
                 self.vstored[v] = UNREACH_INT
                 self.vdirty[v] = False
+        # A head outside the good set is UNREACH_INT by now, which no finite
+        # old + 1 equals, so only good heads are re-dirtied.
         for e in range(len(self.estored)):
-            old = self.estored[e]
-            if cnt[e] > 0 and old != UNREACH_INT:
-                self.estored[e] = UNREACH_INT
-                d = self.ehead[e]
-                if good[d] and not self.vdirty[d] and self.vstored[d] == old + 1:
-                    self.vdirty[d] = True
-                    self._push(self.vstored[d], d)
+            if cnt[e] > 0 and self.estored[e] != UNREACH_INT:
+                self._raise_edge(e, UNREACH_INT)

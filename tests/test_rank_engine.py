@@ -313,6 +313,7 @@ def test_flush_fires_once_the_call_has_spent_its_budget(backend):
         decl, order = lost_base_decl(rng)
         tables = [make_table(decl, b) for b in dict.fromkeys(("pure", backend))]
         pure = tables[0].eng
+        watch_rare_branches(pure)  # each flush checked against `well_founded`
         segment = {}  # the current segment's start and budget, and its checks
 
         def work():
@@ -366,10 +367,33 @@ def ring_chain_decl(rings, length, chain):
     return decl, states
 
 
+def well_founded(eng):
+    """The vertices of a pure engine that have a finite rank: the unmarked
+    ones, and every head of a live edge whose tail holds only such vertices.
+    A plain fixpoint over the live edges, apart from the engine's counter
+    pass."""
+    tails = [[] for _ in eng.estored]
+    for v, edges in enumerate(eng.tail_edges):
+        for e in edges:
+            tails[e].append(v)
+    good = {v for v, marked in enumerate(eng.vmarked) if not marked}
+    grew = True
+    while grew:
+        grew = False
+        for e, h in enumerate(eng.ehead):
+            if h not in good and all(t in good for t in tails[e]):
+                good.add(h)
+                grew = True
+    return good
+
+
 def watch_rare_branches(eng):
     """Count, on a pure engine, the stale queue entries `_step` pops and the
-    clean heads that an unreachable flush puts back into the queue."""
+    clean heads that an unreachable flush puts back into the queue. The
+    flush must finalize exactly the vertices outside `well_founded`, and
+    each head its `_raise_edge` calls re-dirty must be inside it."""
     seen = {"stale pops": 0, "re-dirtied": 0}
+    flushing = {}  # during a flush: "good", the well-founded vertices
 
     def step(real=eng._step):
         key, y = eng.heap[0]
@@ -377,11 +401,20 @@ def watch_rare_branches(eng):
         real()
 
     def flush(real=eng._flush_unreachable):
-        clean = [not d for d in eng.vdirty]
+        flushing["good"] = good = well_founded(eng)
         real()
-        seen["re-dirtied"] += sum(c and d for c, d in zip(clean, eng.vdirty))
+        del flushing["good"]
+        assert {v for v, s in enumerate(eng.vstored) if s != UNREACH_INT} == good
 
-    eng._step, eng._flush_unreachable = step, flush
+    def raise_edge(e, value, real=eng._raise_edge):
+        d = eng.ehead[e]
+        clean = not eng.vdirty[d]
+        real(e, value)
+        if "good" in flushing and clean and eng.vdirty[d]:
+            assert d in flushing["good"], d
+            seen["re-dirtied"] += 1
+
+    eng._step, eng._flush_unreachable, eng._raise_edge = step, flush, raise_edge
     return seen
 
 
@@ -449,7 +482,13 @@ def test_backends_agree_exactly(request):
             trace = []
             for v in order:
                 t.apply_marking(v)
-                trace.append(tuple(t.ensure_settled(u) for u in decl.vertices))
+                ranks = []
+                for u in decl.vertices:
+                    ranks.append(t.ensure_settled(u))
+                    # Only marked vertices are ever dirty, which `mark` relies on.
+                    snap = t.eng.snapshot()
+                    assert not any(d and not m for d, m in zip(snap["vdirty"], snap["vmarked"]))
+                trace.append(tuple(ranks))
             results.append((trace, WorkStats.of(t.eng)))
         assert results[0] == results[1]
     assert results[0][1].flushes >= 1  # the last case is a lost-base model
@@ -675,9 +714,10 @@ def test_bucket_queue_keeps_the_heap_order(request):
 class BucketWatch:
     """The compiled core's bucket queue, replayed from a pure engine's queue
     calls: its cursor, and each key's entry count and whether that bucket is
-    sorted. Counts the pushes below the cursor, the pushes into the sorted
-    bucket at the cursor, and the sorts of a bucket that was sorted before
-    and was then pushed into, above the cursor, while it held entries."""
+    sorted. Every push appends and clears the sorted flag. Counts the pushes
+    below the cursor, the pushes into the partly drained sorted bucket at
+    the cursor, and the sorts of a bucket that was sorted before and was
+    then pushed into while it held entries."""
 
     def __init__(self, eng, monkeypatch):
         self.buckets = {}  # key: [entries, sorted, pushed into while sorted]
@@ -709,12 +749,10 @@ class BucketWatch:
 
     def push(self, key):
         b = self.buckets.setdefault(key, [0, False, False])
-        if b[1] and key == self.cursor:
-            self.seen["into the sorted cursor bucket"] += 1
-        else:
-            self.seen["below the cursor"] += key < self.cursor
-            b[2] = b[2] or (b[1] and b[0] > 0)
-            b[1] = False
+        self.seen["below the cursor"] += key < self.cursor
+        self.seen["into the sorted cursor bucket"] += b[1] and b[0] > 0 and key == self.cursor
+        b[2] = b[2] or (b[1] and b[0] > 0)
+        b[1] = False
         self.cursor = min(self.cursor, key)
         b[0] += 1
 
@@ -729,11 +767,11 @@ class BucketWatch:
 
 def test_bucket_queue_branches_match_the_oracle(backend, monkeypatch):
     # Random models marked in random order, with a few vertices settled
-    # after each marking, so that a mark pushes into the bucket that a
-    # settled query left sorted at the cursor, or below the cursor, and a
-    # drain then pushes into a sorted bucket above it. Each settled rank is
-    # checked against the oracle, and the backends give equal results,
-    # counters and snapshots.
+    # after each marking, so that a mark pushes into the partly drained
+    # bucket that a settled query left sorted at the cursor, which must be
+    # sorted again, or below the cursor, and a drain then pushes into a
+    # sorted bucket above it. Each settled rank is checked against the
+    # oracle, and the backends give equal results, counters and snapshots.
     seen = {}
     rng = random.Random(27)
     for _ in range(30):
