@@ -96,7 +96,7 @@
 
 namespace {
 
-const int PROTOCOL = 4;  // model.NATIVE_PROTOCOL
+const int PROTOCOL = 5;  // model.NATIVE_PROTOCOL
 
 // Owns one reference; releases it on every exit path, C++ exceptions too.
 struct Ref {
@@ -743,7 +743,6 @@ struct Engine {
     i64 relaxations;
     i64 queue_ops;
     i64 live_size;
-    i64 markings;
     i64 max_rank;
     i64 flushes;
 };
@@ -980,7 +979,7 @@ int put(PyObject *dict, const char *key, PyObject *value) {
 // Marks v and registers the edges read by read_tails (or built the same
 // way) as its out-edges. The first call on an engine marks the initial
 // vertex, which is set-up: its marker edge leaves the live size, and it
-// counts no marking and no queue op. v is not marked yet.
+// counts no queue op. v is not marked yet.
 void mark_vertex(Engine *self, int v, const std::vector<int> &flat,
                  const std::vector<size_t> &offsets) {
     State &s = *self->st;
@@ -995,7 +994,6 @@ void mark_vertex(Engine *self, int v, const std::vector<int> &flat,
         self->live_size--;
         s.queue.push(s.vstored[v], v);
     } else {
-        self->markings++;
         push(self, s.vstored[v], v);
     }
     register_edges(self, v, flat, offsets);
@@ -1542,8 +1540,8 @@ PyMethodDef Engine_methods[] = {
 #define COUNTER(name) {#name, T_LONGLONG, offsetof(Engine, name), READONLY, NULL}
 
 PyMemberDef Engine_members[] = {
-    COUNTER(unmarked),  COUNTER(relaxations), COUNTER(queue_ops), COUNTER(live_size),
-    COUNTER(markings),  COUNTER(max_rank),    COUNTER(flushes),
+    COUNTER(unmarked), COUNTER(relaxations), COUNTER(queue_ops), COUNTER(live_size),
+    COUNTER(max_rank), COUNTER(flushes),
     {NULL, 0, 0, 0, NULL},
 };
 

@@ -87,8 +87,9 @@ def scaling_rows(sizes, out_degree=3, fanout=2, seed=1, backends=(None,)):
 
 
 def _lstsq(xs, ys):
-    """Least-squares fit y = a*x + b plus the coefficient of determination;
-    None when the x values do not vary, which leaves no line to fit."""
+    """Least-squares fit y = slope*x + intercept plus the coefficient of
+    determination, as {"slope", "intercept", "r2"}; None when the x values
+    do not vary, which leaves no line to fit."""
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -101,7 +102,7 @@ def _lstsq(xs, ys):
     ss_res = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, ys))
     ss_tot = sum((y - my) ** 2 for y in ys)
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return a, b, r2
+    return {"slope": a, "intercept": b, "r2": r2}
 
 
 def work_fit(rows):
@@ -114,16 +115,8 @@ def work_fit(rows):
 
 
 def rank_growth_fit(rows):
-    """Least-squares fit of R against log2(E); returns (slope, intercept,
-    R^2), or None when E does not vary."""
+    """The `_lstsq` fit of R against log2(E), or None when E does not vary."""
     return _lstsq([math.log2(max(2, r["E"])) for r in rows], [r["R"] for r in rows])
-
-
-def _fit_json(fit):
-    if fit is None:
-        return None
-    slope, intercept, r2 = fit
-    return {"slope": slope, "intercept": intercept, "r2": r2}
 
 
 def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
@@ -138,8 +131,8 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
         c, fit = work_fit(rows)
         result = results[get_engine_class(backend)().backend] = {
             "rows": rows,
-            "work_fit": {"c": c, "log_log": _fit_json(fit)},
-            "rank_growth_fit": _fit_json(rank_growth_fit(rows)),
+            "work_fit": {"c": c, "log_log": fit},
+            "rank_growth_fit": rank_growth_fit(rows),
         }
         print(f"backend: {backend or 'default'}")
         print(f"{'n':>8} {'E':>8} {'R':>4} {'H_prime':>10} {'work':>12} "
@@ -149,8 +142,7 @@ def run_benchmark(sizes, out_degree=3, fanout=2, seed=1, compare=False):
                   f"{r['work']:>12} {r['ratio']:>13.4f} {r['seconds']:>8.3f}")
         line = f"work bound fit: work <= {c:.3f} * (E + R*H')"
         if fit:
-            slope, _, r2 = fit
-            line += f", log-log slope {slope:.3f} (R^2 {r2:.3f})"
+            line += f", log-log slope {fit['slope']:.3f} (R^2 {fit['r2']:.3f})"
         print(line)
         growth = result["rank_growth_fit"]
         if growth:

@@ -28,6 +28,7 @@ that is used when the extension was built (`compiled_make_edges`,
 - `make_edges` builds edges from columns. The compiled copy fills each
   edge's slots without calling `Edge`, after making `Edge`'s checks; an
   edge that fails one, or that it does not take, it builds with `Edge`.
+  `build_edges`, which parses and transforms call, picks the copy.
 - `check_edges` sorts a declaration's edges by id and tells whether they
   pass `ModelDecl`'s per-edge checks. Only when they do not does the Python
   loop, `_edge_problems`, run to name every problem.
@@ -63,7 +64,7 @@ _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex
 # The version of `_native.cpp`'s interface the package speaks. An extension
 # of another version, such as one an older in-place build left in src/, is
 # not used: the whole package runs pure, as when nothing was built.
-NATIVE_PROTOCOL = 4
+NATIVE_PROTOCOL = 5
 
 try:
     from . import _native
@@ -261,6 +262,11 @@ compiled_make_edges = _native.make_edges if _native else None
 compiled_check_edges = _native.check_edges if _native else None
 
 
+def build_edges(*columns):
+    """`make_edges(*columns)`, by its compiled twin when it is built."""
+    return (compiled_make_edges or make_edges)(*columns)
+
+
 def _check_id(token, line=None):
     if not _ID_RE.match(token):
         raise ModelError(f"bad identifier {token!r}", line)
@@ -333,11 +339,11 @@ def _parse_lines(text, strict_vertices):
 
 def _read(columns, strict_vertices):
     """The declaration of `columns`, as `scan_plain` gives them: the plain
-    edges are built by one `make_edges` call, and `_Reader.read` reads the
+    edges are built by one `build_edges` call, and `_Reader.read` reads the
     other lines. An id repeated by two edge lines makes ModelDecl raise,
     if the reader does not, so the reread names the second line."""
     vertices, ids, heads, tails, others = columns
-    edges = (compiled_make_edges or make_edges)(ids, heads, tails)
+    edges = build_edges(ids, heads, tails)
     reader = _Reader(vertices, edges, heads)
     for lineno, line in others:
         reader.read(lineno, line)

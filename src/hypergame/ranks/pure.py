@@ -37,6 +37,11 @@ Gallier, 1984) and finalizes everything outside it as unreachable. The
 sweep thus costs about as much as the drain that paid for it, so a flushing
 call does at most about twice the work of its drains: creep while creeping
 is the cheaper choice, sweep once creeping has cost as much as a sweep.
+
+The paper bounds a session's total work, relaxations plus queue ops, by
+E + R*H'. E is the number of marked states, the initial vertex included
+(`SessionStats.states_marked`, which `hypergame bench` takes as E), R the
+largest rank queried (`max_rank`) and H' the live size (`live_size`).
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ class PureRankEngine:
     - `add_vertex() -> int`: a new unmarked vertex, ids 0, 1, 2, ...;
     - `mark(v, tail_lists)`: mark v and register its out-edges. The first
       call on an engine (no vertex marked yet) marks the initial vertex:
-      that is set-up, so it counts no marking and no work, and its marker
-      edge leaves the live size;
+      that is set-up, so it counts no work, and its marker edge leaves the
+      live size;
     - `ensure(v) -> (rank, k)`: drain until v's rank is exact, and return
       it with the tester's edge: the position k, within v's out-edges, of
       the first one of rank `rank - 1` (-1 when v is unmarked or its rank
@@ -70,7 +75,7 @@ class PureRankEngine:
       counter.
 
     Read-only counters: `unmarked`, `relaxations`, `queue_ops`, `live_size`,
-    `markings`, `max_rank` and `flushes`; `backend` names the backend.
+    `max_rank` and `flushes`; `backend` names the backend.
 
     The compiled engine also has a session entry point, with no pure twin:
     `compile_model(decl)` gives a declaration on integers, and `play` plays
@@ -120,7 +125,6 @@ class PureRankEngine:
         self.relaxations = 0
         self.queue_ops = 0
         self.live_size = 0
-        self.markings = 0
         self.max_rank = 0
         self.flushes = 0
 
@@ -161,7 +165,6 @@ class PureRankEngine:
             self.live_size -= 1
             heappush(self.heap, (self.vstored[v], v))
         else:
-            self.markings += 1
             self._push(self.vstored[v], v)
         self.efirst[v] = len(self.estored)
         self.ecount[v] = len(tail_lists)

@@ -30,7 +30,6 @@ class WorkStats:
     relaxations: int = 0
     queue_ops: int = 0
     live_size_H_prime: int = 0
-    markings_E: int = 0
     max_rank_R: int = 0
     flushes: int = 0  # unreachable sweeps; not in SessionStats.to_json
 
@@ -41,12 +40,12 @@ class WorkStats:
     @classmethod
     def of(cls, e) -> WorkStats:
         """Engine e's counters."""
-        return cls(e.relaxations, e.queue_ops, e.live_size, e.markings, e.max_rank, e.flushes)
+        return cls(e.relaxations, e.queue_ops, e.live_size, e.max_rank, e.flushes)
 
 
 class RankTable:
     """Vertex/edge ranks for one session's declaration, maintained
-    decrementally over the edges its markings have promoted."""
+    decrementally over the edges that marking has promoted."""
 
     def __init__(self, source, backend=None):
         """source: a `ModelDecl`, played eagerly, or a `DeclProvider`, whose

@@ -5,12 +5,14 @@ All four are pure functions decl -> (decl', report). Fresh ids are derived
 from the rewritten construct with dotted suffixes and checked against every
 existing id, so they can be serialized and re-parsed like any other id.
 When several rewrites are requested they compose in a fixed order:
-break-self-loops, then a coverage transform, then compress-chains.
+break-self-loops, then a coverage transform, then compress-chains. The two
+coverage transforms name their waypoints and share one rewrite, `_waypoints`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 from . import model
 from .model import Edge, ModelDecl, VIRTUAL
@@ -30,12 +32,7 @@ class TransformReport:
         self.interior_map.update(other.interior_map)
 
     def to_json(self) -> dict:
-        return {
-            "added_vertices": self.added_vertices,
-            "added_edges": self.added_edges,
-            "rewritten_edges": self.rewritten_edges,
-            "interior_map": self.interior_map,
-        }
+        return asdict(self)
 
 
 class _Fresh:
@@ -96,18 +93,12 @@ def edge_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport
     """State coverage of the inserted waypoint vertices equals edge coverage
     of the input: each edge e: h -> T becomes h -> {w_e} -> T."""
     report = TransformReport()
-    if not decl.edges:
-        return decl, report
     take = _Fresh(decl).take
     for e in decl.edges:
         report.added_vertices.append(take(f"{e.id}.E"))
         report.added_edges.append(take(f"{e.id}.E2"))
-    report.rewritten_edges = [e.id for e in decl.edges]
-    ws = report.added_vertices
-    edges = _rewritten(decl.edges, [(w,) for w in ws])
-    edges += _make_edges(report.added_edges, ws, [e.tail for e in decl.edges],
-                         [VIRTUAL] * len(ws))
-    return decl.with_edges(edges, added_virtual=ws), report
+    return _waypoints(decl, report, [(w,) for w in report.added_vertices],
+                      [e.tail for e in decl.edges])
 
 
 def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -115,8 +106,6 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
     stimulus e was observed at least once. The system still picks the
     outcome, now among the waypoints."""
     report = TransformReport()
-    if not decl.edges:
-        return decl, report
     take = _Fresh(decl).take
     ws, out_tails, tails = report.added_vertices, [], []
     for e in decl.edges:
@@ -126,22 +115,26 @@ def branch_coverage_transform(decl: ModelDecl) -> tuple[ModelDecl, TransformRepo
             report.added_edges.append(take(f"{e.id}.B2.{t}"))
             out_tails.append((t,))
         tails.append(tuple(ws[first:]))
-    report.rewritten_edges = [e.id for e in decl.edges]
-    edges = _rewritten(decl.edges, tails)
-    edges += _make_edges(report.added_edges, ws, out_tails, [VIRTUAL] * len(ws))
-    return decl.with_edges(edges, added_virtual=ws), report
+    return _waypoints(decl, report, tails, out_tails)
 
 
-def _make_edges(*columns):
-    """`model.make_edges(*columns)`, by its compiled twin when it is built."""
-    return (model.compiled_make_edges or model.make_edges)(*columns)
-
-
-def _rewritten(edges, tails):
-    """Each of `edges` with the matching one of `tails` as its tail."""
-    return _make_edges([e.id for e in edges], [e.head for e in edges], tails,
-                       [e.kind for e in edges], [e.label for e in edges],
-                       [e.interior for e in edges])
+def _waypoints(decl, report, tails, out_tails):
+    """The coverage rewrite, once `report` names the waypoints and their
+    out-edges: each edge of `decl` keeps its id, head, kind, label and
+    interior and takes the matching one of `tails`, its waypoints, as its
+    tail; waypoint `report.added_vertices[i]` heads the virtual edge
+    `report.added_edges[i]` into `out_tails[i]`. A model with no edges is
+    returned as it is."""
+    edges = decl.edges
+    if not edges:
+        return decl, report
+    report.rewritten_edges = [e.id for e in edges]
+    ws = report.added_vertices
+    new = model.build_edges(report.rewritten_edges, [e.head for e in edges], tails,
+                            [e.kind for e in edges], [e.label for e in edges],
+                            [e.interior for e in edges])
+    new += model.build_edges(report.added_edges, ws, out_tails, [VIRTUAL] * len(ws))
+    return decl.with_edges(new, added_virtual=ws), report
 
 
 def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
@@ -173,8 +166,6 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
         return decl, report
 
     fresh = _Fresh(decl)
-    removed_edges: set[str] = set()
-    removed_vertices: list[str] = []
     new_edges: list[Edge] = []
     # Walk each maximal chain from its head (the unique predecessor of the
     # first interior that is not itself an interior).
@@ -185,25 +176,29 @@ def compress_chains(decl: ModelDecl) -> tuple[ModelDecl, TransformReport]:
         chain_vertices = []
         chain_edges = [pred]
         cur = v
+        # The walk meets no vertex twice, so it ends at a vertex that is no
+        # interior, and only `cur == pred.head` closes a loop: an interior
+        # has exactly one in-edge and v's comes from pred.head, which is no
+        # interior, so the walk cannot enter a ring of interiors.
         while cur in interiors:
             chain_vertices.append(cur)
             nxt = decl.by_head[cur][0]
             chain_edges.append(nxt)
             cur = nxt.tail[0]
-        if cur == pred.head or cur in chain_vertices:
+        if cur == pred.head:
             continue
         eid = fresh.take(f"{chain_edges[0].id}.C")
         new_edges.append(Edge(eid, pred.head, (cur,), kind=VIRTUAL,
                               interior=tuple(chain_vertices)))
-        removed_edges.update(e.id for e in chain_edges)
-        removed_vertices.extend(chain_vertices)
         report.added_edges.append(eid)
         report.rewritten_edges.extend(e.id for e in chain_edges)
-        report.interior_map[eid] = list(chain_vertices)
+        report.interior_map[eid] = chain_vertices
     if not new_edges:
         return decl, report
-    edges = [e for e in decl.edges if e.id not in removed_edges] + new_edges
-    return decl.with_edges(edges, drop_vertices=removed_vertices), report
+    removed = set(report.rewritten_edges)
+    edges = [e for e in decl.edges if e.id not in removed] + new_edges
+    dropped = chain.from_iterable(report.interior_map.values())
+    return decl.with_edges(edges, drop_vertices=dropped), report
 
 
 _TRANSFORMS = {  # in composition order

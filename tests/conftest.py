@@ -130,7 +130,7 @@ def _loops_agree(play_compiled):
     loop of `run_session`, on the compiled engine, against a copy of the
     adversary taken before the session, and asserts that both loops give
     the same transcript, the same stats (every `WorkStats` field, `flushes`
-    and `markings_E` included) and the same adversary state after it. So
+    included) and the same adversary state after it. So
     every session a test plays on the compiled loop runs both loops."""
     def play(source, adversary, draws, max_moves, seed):
         reference = copy.deepcopy(adversary)

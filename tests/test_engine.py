@@ -260,4 +260,4 @@ class TestStats:
         assert d["terminated"] == ALL_MARKED
         assert d["max_rank_R"] == 2
         assert d["seed"] == 0
-        assert stats.work.markings_E == 2
+        assert stats.states_marked == d["states_marked"]

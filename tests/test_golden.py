@@ -7,7 +7,8 @@ a lost-base model, with and without `branch-coverage`, eager and lazy,
 against RandomFair and the Avoider. The lost-base model also drives a bare
 `RankTable` through the marking order that strands its cyclic region, which
 forces flushes mid-run, and hashes its ranks and counters. The declaration
-layer is pinned too: the serialized grid models, `hypergame rank` output on
+layer is pinned too: the serialized grid models, the output and report of
+each transform and of both legal compositions, `hypergame rank` output on
 the fixtures, and the exact text of each invalid-declaration error. So is
 the parser: the exact error for malformed lines and the serialized parse of
 texts that use its whitespace, comment, label and keyword rules, and the
@@ -41,77 +42,78 @@ from conftest import G1_TEXT, G2_TEXT, G3_TEXT, lost_base_decl, require_compiled
 from test_model import _random_text
 
 MODELS = ["random1", "random2", "random3", "lostbase"]
+FIXTURES = {"G1": G1_TEXT, "G2": G2_TEXT, "G3": G3_TEXT}
 TRANSFORMS = ["none", "branch-coverage"]
 MODES = ["eager", "lazy"]
 ADVERSARIES = ["random", "avoider"]
 
 GOLDEN = {
     "random1-none-eager-random":
-        "a893f2bca2f5c74a2ed1dba6bd55b4c7b8763a1b548f6bd0f6d8cf6299a4c588",
+        "8f43cfd852a47c2729b3fa3712acc4561d0b609cf4c5a712af29595a8ecc663c",
     "random1-none-eager-avoider":
-        "abaa3044c5f489b4dbc45f2712784b978287f8df5e6892a35afa3a5f3c837710",
+        "c0f2406cbc27e289e0933552caffa10eb8f0e60f1eccec566bb5cae749e56dd6",
     "random1-none-lazy-random":
-        "1b6725dd6e4abb7f923ef1e75311961b2619752cc692f61ebf5087d117775c2f",
+        "2dd373807f6f27222c1a3ae29554bf09500a60770edc65facf0eab08a93deb62",
     "random1-none-lazy-avoider":
-        "f811bd6bbc33cee97e195e959f5372b103eeff2c2dae4c5561bde114eeeaf91e",
+        "e7b9593e5ec800c1ddbb7ad08f7a7e3c1c2373927cb8fe6ca7c56087dbfbadd7",
     "random1-branch-coverage-eager-random":
-        "7ff550dba733665f5dc45cf0ac1ac0a5c30bc90d506beccbba51ff6f5ea5fd93",
+        "5e7e3889a0bc558dc3209a86e07cf5bfe98246f8af5d3b323b1bffd9efcbbeca",
     "random1-branch-coverage-eager-avoider":
-        "ce69c11578945394f1e1f8053e7ce2245f6a2582ccf88a714430dcd0a583d2f9",
+        "61495d5c65cea70ef28404d8f5c84798cd36643836747e788ff182bb84cf7fb7",
     "random1-branch-coverage-lazy-random":
-        "9515a21c7acc40706efbeaecb2dca1cabdce66ead7ba89946cd0010b21d9150a",
+        "024eb529aab941e156e44a75bbb3b32bd654722f49da9e89655925f2e0f7983b",
     "random1-branch-coverage-lazy-avoider":
-        "f7ed6235281de75d7f18dcf2b4ddd25497cfea74c321c1bda114b0c3ebbfe746",
+        "051e94c5fea261f0811223822bb6074e10a78ead223763c282583d7193e239ce",
     "random2-none-eager-random":
-        "6ffdc32edaab5d432c87beefa3fd3706c25f26fca8b8df77e50d634803e2cfaf",
+        "2b84c92aee53c515ca8e6d0e380f1ddff663e45bfb573d6b04d2242f6580e5dc",
     "random2-none-eager-avoider":
-        "63e2d110746390690ab6bf2bb80868c258786533d3cef02c3e9c6d50e786bf61",
+        "6734e5268b09e541edd49d12e3692e125a59da407c474ea73c4e41ff29e46fef",
     "random2-none-lazy-random":
-        "33a67275ab8a3167eb3be61e21734b65ebf812aa20691db426200b6ad99c1bee",
+        "c1b3c68bec30a0a6148ddccb4ae933eef1a150e01b2ea456792afc6e95da18a3",
     "random2-none-lazy-avoider":
-        "ccde08367ffa082f132607c0a264525f97a2e1ee496dcf97d0f50e627c8f8c17",
+        "8a19ff50ab74bb3154a4749520c3df12ce7116412466a11e63766af7b0d832e1",
     "random2-branch-coverage-eager-random":
-        "f40acd6ce9dd62720eb1491f997c8a93f6155814449f4e6292f13e5c863bec18",
+        "b8583d3920c399f27d6909eb8a73257d53d09c01c0dca3bd41013af4f98a3912",
     "random2-branch-coverage-eager-avoider":
-        "2f058cde36acaba070ad8460ec88f0875ff76a9576d529f9414cc4ae1e35a8f8",
+        "bf9727b4b99299a764a0ad501460eec7bc1956e7f6fb5b8cb32ccf8193d4f922",
     "random2-branch-coverage-lazy-random":
-        "729fa147856bdc42a4245735f0eda80755b5caf17ad517e1d40437c4a5ccbdea",
+        "651a8c1ffbeea3062458c1db4e633ac05b8549ffcb98024142d6d1557a3239ee",
     "random2-branch-coverage-lazy-avoider":
-        "3a244f0e662f74553277725db0b6503e7c293aa9e6b1c1192be9c1f148adce8c",
+        "e01b9a029b7a78c2869e8f41b61da1c250e4a94fc7a2a5c92f9a8b26f2618878",
     "random3-none-eager-random":
-        "16ec22a4618090d163112e6da10b45b406644ec618fe5e70122dc9b0c1ca8e96",
+        "1c46326160fff0821f8a8452fbda9958e3d014f491e5fdd549a9944f04f1e3ad",
     "random3-none-eager-avoider":
-        "c1678040be49ba42289e803dbed731e68f5742a332fbed3cfa132eb7545f390c",
+        "61b5032ed0ea2cac90b194146ea4556b1f035b82b098f04827ed348ee1151ac2",
     "random3-none-lazy-random":
-        "e393a14fd1353fd956fc96b5ca756f7b5a6eb03f261c36dcbd5bc5f79830c860",
+        "61d0d8e1481b1ed7264d2f5f110748c9fb9699601941aa8dce70cf7772550ffe",
     "random3-none-lazy-avoider":
-        "b7f77d9619ccdcfd0421af4a687b68dad25f2dcf57ed0733865ce68f1ad642aa",
+        "a8eba3f046f9b930b4f7b6f7fba5c8fdef693e985dfb7c59c53e0d3ebb90b269",
     "random3-branch-coverage-eager-random":
-        "868d10448b9f87d37e3cc692c20501b4b6d3024616f12ccd04a4d7e98c1b0139",
+        "e18a1987045297f948550218c2281bf998f0f68b479ae906776f32236ac8673d",
     "random3-branch-coverage-eager-avoider":
-        "dc8fc223399925f1892e317cd35f7dfe41958e6c1767586907f1a231aa9d5929",
+        "527e6173704101827591db09c3b9703d4de3d5a4a352263eca8df6ba470b861d",
     "random3-branch-coverage-lazy-random":
-        "b27e09e03251934540b1881469308ca8f264b8f956a64614d485ccb510cab787",
+        "7c5b6233c853f63fc2aa5d6756879e101c62a0ec959a66363dd1fd5965ce3db2",
     "random3-branch-coverage-lazy-avoider":
-        "17a3f4ea7d82a210d500388d54946bb8bea9546ec90468bd0efe965d46238b35",
+        "f3e9acdccc0d375d8502de78aa66c64bfa5e1a015d396b7b6c810c050ad839fd",
     "lostbase-none-eager-random":
-        "ccc1fa3da81537cab0101226ef0c691debe40c05d6f57163e7688d21962f198c",
+        "1bef516d4532fb8ce8cb4ea0097719b83c003b855826fd0c7334d5040b2e8580",
     "lostbase-none-eager-avoider":
-        "ccc1fa3da81537cab0101226ef0c691debe40c05d6f57163e7688d21962f198c",
+        "1bef516d4532fb8ce8cb4ea0097719b83c003b855826fd0c7334d5040b2e8580",
     "lostbase-none-lazy-random":
-        "fa46f842ec3b06e24319914868718c63e462fc39ec5f3322a0d29432c48b076c",
+        "d1404d5e93bebece5ae208711c9b4f4753e9cea2570f183a61512a9b7082b138",
     "lostbase-none-lazy-avoider":
-        "fa46f842ec3b06e24319914868718c63e462fc39ec5f3322a0d29432c48b076c",
+        "d1404d5e93bebece5ae208711c9b4f4753e9cea2570f183a61512a9b7082b138",
     "lostbase-branch-coverage-eager-random":
-        "92d93741af9e831ab72b7d433f485f3184217b8b44d6a0079c329e59bbbb7db5",
+        "7b71747023b7155dfbd534e2879748a069f1a8e890e5012bb9d644daf20e78da",
     "lostbase-branch-coverage-eager-avoider":
-        "92d93741af9e831ab72b7d433f485f3184217b8b44d6a0079c329e59bbbb7db5",
+        "7b71747023b7155dfbd534e2879748a069f1a8e890e5012bb9d644daf20e78da",
     "lostbase-branch-coverage-lazy-random":
-        "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
+        "1630668e9a95851e65a888caaed094052b5f638e952a4e25b302689a0b2592c1",
     "lostbase-branch-coverage-lazy-avoider":
-        "9a98f93f41b8d76705b2d52dbdfd409c246d5c9406f703f12cbb0c5ea4ffd384",
+        "1630668e9a95851e65a888caaed094052b5f638e952a4e25b302689a0b2592c1",
     "flush":
-        "eb1dbf5a830c5ca406ca8d288c3afebe3bc9cba7f0d1976b8b89f27694e6a8ac",
+        "32b4f41290b73661b13effb41ded49089eb3c0d2f3b29bdabf5fd536bd2926c5",
     # the CLI: `run`, seed 1, on either backend; `solve`; `bench`
     "cli-run-G1-eager-random":
         "05f2c657c3573799e7fc0b3cffcd7c7a0f497ece1d62de862ef083ac98e76601",
@@ -166,6 +168,91 @@ GOLDEN = {
     # either scanner and either builder
     "parse-random-texts":
         "0c9c42e466f23cef0bf970d2ae755de00f378b65a3bf485fb3465db760cbc5a6",
+    # each transform alone and both legal compositions, on either builder
+    "transform-random1-break-self-loops":
+        "e2a8e79c7a53e2038f073c5eebdb8dd0b1a5b44d67669347c0c567ec3db37d71",
+    "transform-random1-edge-coverage":
+        "712198309a4b835ea40881b1ff4b7aa71f9d8d8b6fc2f40d9a5070656ad839b5",
+    "transform-random1-branch-coverage":
+        "06661650fb1cf8feb1f4cf3eb13a9234cc96652fc939ebb38622cbbed3a2e3ea",
+    "transform-random1-compress-chains":
+        "e2a8e79c7a53e2038f073c5eebdb8dd0b1a5b44d67669347c0c567ec3db37d71",
+    "transform-random1-break-self-loops+edge-coverage+compress-chains":
+        "712198309a4b835ea40881b1ff4b7aa71f9d8d8b6fc2f40d9a5070656ad839b5",
+    "transform-random1-break-self-loops+branch-coverage+compress-chains":
+        "06661650fb1cf8feb1f4cf3eb13a9234cc96652fc939ebb38622cbbed3a2e3ea",
+    "transform-random2-break-self-loops":
+        "a9b8135e5ba35824b86fe3df78226ce5baeb95f9b78f702a180575e42e0bb664",
+    "transform-random2-edge-coverage":
+        "408a820b4b89cd846d8692f273bcb535b187aa94cb6899fbd885073ffbbaf177",
+    "transform-random2-branch-coverage":
+        "0a1f61bb7ade190ecdd8aadd25efb581b32675cb7e1580250f6a14ff58abf51d",
+    "transform-random2-compress-chains":
+        "a9b8135e5ba35824b86fe3df78226ce5baeb95f9b78f702a180575e42e0bb664",
+    "transform-random2-break-self-loops+edge-coverage+compress-chains":
+        "408a820b4b89cd846d8692f273bcb535b187aa94cb6899fbd885073ffbbaf177",
+    "transform-random2-break-self-loops+branch-coverage+compress-chains":
+        "0a1f61bb7ade190ecdd8aadd25efb581b32675cb7e1580250f6a14ff58abf51d",
+    "transform-random3-break-self-loops":
+        "fb4ce41c663b1e996089d983bb3d571cb8e4c7da08fd520ea40f991dd0761d8f",
+    "transform-random3-edge-coverage":
+        "664ad05e612d1fe4d952c2cb28d309d97a5822b01b85031b7f200e99a7315c72",
+    "transform-random3-branch-coverage":
+        "d7614dc4f5f46356f214d76a4c38dea214c1e1f8addf9aa8e37b4e8ac6a9436e",
+    "transform-random3-compress-chains":
+        "fb4ce41c663b1e996089d983bb3d571cb8e4c7da08fd520ea40f991dd0761d8f",
+    "transform-random3-break-self-loops+edge-coverage+compress-chains":
+        "664ad05e612d1fe4d952c2cb28d309d97a5822b01b85031b7f200e99a7315c72",
+    "transform-random3-break-self-loops+branch-coverage+compress-chains":
+        "d7614dc4f5f46356f214d76a4c38dea214c1e1f8addf9aa8e37b4e8ac6a9436e",
+    "transform-lostbase-break-self-loops":
+        "ad71d6f847016552be1680ad0be13199353be2fd6acc2e5c07c007ce099d96b7",
+    "transform-lostbase-edge-coverage":
+        "b8fb97122c48e2b020bb738570f0473f40028663e7b1089c426427c1a82f2790",
+    "transform-lostbase-branch-coverage":
+        "8373e06d3b5f028c8971ed85c57fa14f0f2d8579cc83867bbcd015f1d2fba513",
+    "transform-lostbase-compress-chains":
+        "ad71d6f847016552be1680ad0be13199353be2fd6acc2e5c07c007ce099d96b7",
+    "transform-lostbase-break-self-loops+edge-coverage+compress-chains":
+        "b799447a2fd64cd154c4450f27254d30f9e4171ff7b15770d8a35cc597d16149",
+    "transform-lostbase-break-self-loops+branch-coverage+compress-chains":
+        "3f6853f8084af540d5210d61e75dd4ebc31f2ca9a79ca23899a25c45efc3dc68",
+    "transform-G1-break-self-loops":
+        "ed3ff9304a657c390d7459660ecb3d791ce702cc882cc0734f3453650bc29542",
+    "transform-G1-edge-coverage":
+        "e4f079316ab5a04e0f001d9671cb2224173a5e154658b59d5af64972c7829483",
+    "transform-G1-branch-coverage":
+        "74865f541ef398b415b689a3ddfea4650443295a507332211d996ed3d0efbc7b",
+    "transform-G1-compress-chains":
+        "ed3ff9304a657c390d7459660ecb3d791ce702cc882cc0734f3453650bc29542",
+    "transform-G1-break-self-loops+edge-coverage+compress-chains":
+        "37ed67fc44515a249ddb3e1e14f3824a05ee10e873fcd92154e21d012c27caeb",
+    "transform-G1-break-self-loops+branch-coverage+compress-chains":
+        "7a7548f49baa793fef64e1fd6180a01b3f29813edc5c27db7656e1c22f61c48f",
+    "transform-G2-break-self-loops":
+        "5a00203212c9046bff3b5c748ddf7fa9abee1e6b12b1e9adeb83b7af05e0bcdc",
+    "transform-G2-edge-coverage":
+        "5649bcd78d0b1ed9626b7aa1a62acf34480a46f3fc6ae0e15346d27a02db0ba9",
+    "transform-G2-branch-coverage":
+        "2655a9bfb116302f931de04a5299d68f812a0ded187abf34aa135c39b66242a4",
+    "transform-G2-compress-chains":
+        "e821e6602b057b1052dc91f74f3937b35e01226ef2bab35702a0a22adeb4d71b",
+    "transform-G2-break-self-loops+edge-coverage+compress-chains":
+        "b67b12ee4e8a0bc2674662dc8b90d38feeb715402053f53944ec83ea0bc33116",
+    "transform-G2-break-self-loops+branch-coverage+compress-chains":
+        "8290facf9ff19d42eb934e39235c0fd74617bd980dfdd80fbf2c338bad591e06",
+    "transform-G3-break-self-loops":
+        "9092b538e8ab972727568806897d1c29cd05ec3215c017164e090dc9973b5b3d",
+    "transform-G3-edge-coverage":
+        "58575256f523fc4f877400c161b582b2d844b0efddb44bfe5d49228a4b00b638",
+    "transform-G3-branch-coverage":
+        "f7635e9ce3de80103d9f7c9298c935ca4f145128c4ec4435c2c29d68fa2c2e43",
+    "transform-G3-compress-chains":
+        "cc59f5eabae0c16d9e1385aa20f602f76e96c337de4ba6cfd82b193d9f219f49",
+    "transform-G3-break-self-loops+edge-coverage+compress-chains":
+        "6d0aac4fdb4ff8a1b7bac97844290ebea3efb3231992394439d47e7739cc9efc",
+    "transform-G3-break-self-loops+branch-coverage+compress-chains":
+        "c8e4e79fd52a3c0ba862ef59bbd7e087a17b9026266975a7c086c1c96c750a2e",
 }
 
 
@@ -246,6 +333,27 @@ SERIALIZED = {
 def test_serialized_model_is_pinned(model, transform):
     text = serialize_model(_decl(model, transform))
     assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED[f"{model}-{transform}"]
+
+
+# Every transform alone and the two legal compositions, on the grid models
+# and the fixtures: the serialized output and the report, on either builder.
+TRANSFORM_SETS = [["break-self-loops"], ["edge-coverage"], ["branch-coverage"],
+                  ["compress-chains"],
+                  ["break-self-loops", "edge-coverage", "compress-chains"],
+                  ["break-self-loops", "branch-coverage", "compress-chains"]]
+
+
+def transform_digest(model, names):
+    decl = parse_model(FIXTURES[model]) if model in FIXTURES else _decl(model, "none")
+    out, report = apply_transforms(decl, names)
+    text = serialize_model(out) + json.dumps(report.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("names", TRANSFORM_SETS, ids="+".join)
+@pytest.mark.parametrize("model", [*MODELS, *FIXTURES])
+def test_transform_output_is_pinned(model, names, builder):
+    assert transform_digest(model, names) == GOLDEN[f"transform-{model}-{'+'.join(names)}"]
 
 
 RANK_OUTPUT = {
@@ -424,7 +532,6 @@ def test_random_text_parses_are_pinned(scanner, builder):
 
 # -- the CLI ------------------------------------------------------------------
 
-FIXTURES = {"G1": G1_TEXT, "G2": G2_TEXT, "G3": G3_TEXT}
 # The script adversary's answers, on every fixture. On G1 it marks s2 where
 # RandomFair and the Avoider mark s1; G2's first stimulus has no s2 in its
 # tail, which is a contract violation (exit 5); G3 ends before a move.

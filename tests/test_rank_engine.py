@@ -185,7 +185,7 @@ class TestWorkStats:
     def test_fresh_table_counters(self, g1, backend):
         t = make_table(g1, backend)
         w = WorkStats.of(t.eng)
-        assert w.relaxations == 0 and w.queue_ops == 0 and w.markings_E == 0
+        assert w.relaxations == 0 and w.queue_ops == 0 and len(t.marked) == 1
         # marker edges (2 unmarked vertices) + edge a (head + 2 tails)
         assert w.live_size_H_prime == 2 + 3
 
@@ -193,21 +193,21 @@ class TestWorkStats:
         t = make_table(g2, backend)
         t.apply_marking("s1")
         t.apply_marking("s2")
-        assert WorkStats.of(t.eng).markings_E == 2
+        assert len(t.marked) == 3  # the initial vertex, then two markings
 
     def test_counters_nondecreasing(self, g1, backend):
         t = make_table(g1, backend)
-        seen = [WorkStats.of(t.eng)]
+        seen = [(WorkStats.of(t.eng), len(t.marked))]
         t.ensure_settled("s0")
-        seen.append(WorkStats.of(t.eng))
+        seen.append((WorkStats.of(t.eng), len(t.marked)))
         t.apply_marking("s2")
         t.ensure_settled("s2")
-        seen.append(WorkStats.of(t.eng))
-        for a, b in zip(seen, seen[1:]):
+        seen.append((WorkStats.of(t.eng), len(t.marked)))
+        for (a, marked_a), (b, marked_b) in zip(seen, seen[1:]):
             assert b.relaxations >= a.relaxations
             assert b.queue_ops >= a.queue_ops
             assert b.live_size_H_prime >= a.live_size_H_prime
-            assert b.markings_E >= a.markings_E
+            assert marked_b >= marked_a
 
 
 def drive_and_check(decl, backend, rng, ensure_each_step=True, order=None):
@@ -539,18 +539,18 @@ def test_index_out_of_range(backend):
                 call(blank())
 
     def state(e):
-        return (e.ensure(0), e.ensure(1), e.markings,
+        return (e.ensure(0), e.ensure(1), e.unmarked,
                 e.live_size, e.queue_ops, e.relaxations, e.snapshot())
 
     # A call rejected for a bad tail index changes nothing: the engine then
     # takes the same call as one that never saw the bad one. After a
     # rejected first mark, the next mark is still the set-up one, which
-    # counts no marking and no queue op.
+    # marks one vertex and counts no queue op.
     eng = blank()
     with pytest.raises(IndexError):
         eng.mark(0, [(1,), (2,)])
     assert eng.mark(0, [(1,)]) is None
-    assert (eng.markings, eng.queue_ops) == (0, 0)
+    assert (eng.unmarked, eng.queue_ops) == (1, 0)
     assert state(eng) == state(fresh())
     eng, ref = fresh(), fresh()
     with pytest.raises(IndexError):
@@ -579,14 +579,14 @@ def test_ensure_returns_the_least_edge_position(backend):
     eng.mark(s1, [(s0,)])
     assert eng.unmarked == 0
     assert [eng.ensure(v) for v in (s0, s1, s2)] == [(UNREACH_INT, -1)] * 3
-    assert (eng.markings, eng.max_rank) == (2, 2)
+    assert eng.max_rank == 2
 
 
 ENGINE_API = {"add_vertex", "mark", "ensure", "snapshot"}
 # The compiled move loop's entry point, which only the compiled engine has.
 COMPILED_SESSION_API = {"compile_model", "play"}
 ENGINE_COUNTERS = {"unmarked", "relaxations", "queue_ops", "live_size",
-                   "markings", "max_rank", "flushes"}
+                   "max_rank", "flushes"}
 
 
 def test_engine_api_is_the_session_api(request):
@@ -630,8 +630,8 @@ def test_snapshot_copies_and_counts_nothing(backend):
     eng = cls()
     h, t = eng.add_vertex(), eng.add_vertex()
     eng.mark(h, [(t,), (h, t)])
-    # Set-up counts no work and no marking.
-    assert (eng.relaxations, eng.queue_ops, eng.flushes, eng.markings) == (0, 0, 0, 0)
+    # Set-up counts no work.
+    assert (eng.relaxations, eng.queue_ops, eng.flushes) == (0, 0, 0)
     counters = [getattr(eng, name) for name in sorted(ENGINE_COUNTERS)]
     snap = eng.snapshot()
     assert snap == {"vstored": [1, 1], "vdirty": [True, False],

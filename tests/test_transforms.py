@@ -171,6 +171,27 @@ class TestCompressChains:
         out, report = compress_chains(decl)
         assert out == decl and report.interior_map == {}
 
+    def test_ring_nothing_enters_not_compressed(self):
+        # a, b and c each have one singleton in-edge and one singleton
+        # out-edge, but every one's predecessor is in the ring too, so no
+        # chain starts there.
+        decl = parse_model("initial s0\nedge c1 a -> b\nedge c2 b -> c\nedge c3 c -> a\n")
+        out, report = compress_chains(decl)
+        assert out == decl and report.interior_map == {} and report.rewritten_edges == []
+
+    def test_path_into_a_ring_stops_at_its_entry(self):
+        # r1 has two in-edges, from p and from r3, so the chain from p ends
+        # there; the walk from r2 comes back to its head r1 and is left alone.
+        decl = parse_model("initial s0\nedge a s0 -> p\nedge b p -> r1\n"
+                           "edge c1 r1 -> r2\nedge c2 r2 -> r3\nedge c3 r3 -> r1\n")
+        out, report = compress_chains(decl)
+        assert [(e.id, e.head, e.tail, e.interior) for e in out.edges] == [
+            ("a.C", "s0", ("r1",), ("p",)), ("c1", "r1", ("r2",), ()),
+            ("c2", "r2", ("r3",), ()), ("c3", "r3", ("r1",), ())]
+        assert report.rewritten_edges == ["a", "b"]
+        assert report.interior_map == {"a.C": ["p"]}
+        assert sorted(out.vertices) == ["r1", "r2", "r3", "s0"]
+
     def test_coverage_preserved_and_rank_not_worse(self):
         # On models where revisiting a long prepared path is forced, the
         # compressed session keeps coverage (counting interiors) and strictly
