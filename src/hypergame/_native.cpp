@@ -20,19 +20,16 @@
 // Equal vertex names (of vertex lines, heads and tails) share one str
 // object, which makes later set and dict lookups on them cheaper.
 //
-// bind_edge(Edge) checks that Edge's instances hold exactly the six object
-// slots id, head, tail, kind, label and interior, and stores their offsets
-// in the one EdgeLayout that make_edges, check_edges and compile_model read.
-// Only the first class that passes is bound; binding it again does nothing,
-// and binding another class, like any failed call, raises TypeError and
-// keeps the binding. Before a bind the two kernels raise RuntimeError.
+// Each of make_edges, check_edges and compile_model takes the Edge class and
+// checks its layout on every call, as play() does MoveRecord's, so the module
+// keeps no state between calls.
 //
-// - make_edges(ids, heads, tails[, kinds, labels, interiors]) builds each
+// - make_edges(Edge, ids, heads, tails[, kinds, labels, interiors]) builds each
 //   edge with Edge's tp_alloc and fills its slots, after making every check
 //   of Edge.__post_init__. An edge that fails a check, or that the kernel
 //   does not take (a tail that is not a tuple of str, a label that is not
 //   ASCII, ...), is built by calling Edge, so it raises Edge's own error.
-// - check_edges(edges, vertex_set) returns the edges stably sorted by id
+// - check_edges(Edge, edges, vertex_set) returns the edges stably sorted by id
 //   and whether every per-edge check of ModelDecl passed: no repeated id,
 //   a declared head and tail, no misplaced keyword name. It returns None for
 //   input it does not take: anything but a tuple or list of Edge instances
@@ -53,11 +50,11 @@
 // (IndexError) and reads a marking's tail lists in full before it changes
 // anything.
 //
-// The session entry point has no pure twin. compile_model(decl) builds a
-// declaration on integers: the names in decl.vertices order, each head's
+// The session entry point has no pure twin. compile_model(decl, Edge) builds
+// a declaration on integers: the names in decl.vertices order, each head's
 // edges as one range in ModelDecl.by_head order, flat tails in their given
-// order, and each edge's interior names. It reads an Edge's fields from the
-// bound slots, and any other edge's by getattr.
+// order, and each edge's interior names. It reads an Edge's fields from its
+// slots, and any other edge's by getattr.
 // play() plays one whole session of engine.run_session on a fresh engine,
 // RandomFair's or the Avoider's: it interns tails in RankTable's order and
 // calls the mark and ensure internals in the order of the Python loop, the
@@ -66,9 +63,9 @@
 // with getrandbits, the adversary's rng's own; engine.run_session sends it
 // only an rng of exactly that class, whose choice rests on getrandbits. It
 // builds each MoveRecord as make_edges builds an Edge: after checking the
-// class's layout once per call, as bind_edge does, it allocates each record
-// and fills its slots. So ids, pop order, counters, transcripts and rng
-// states equal the Python loop's, which is the reference.
+// class's layout once per call, it allocates each record and fills its
+// slots. So ids, pop order, counters, transcripts and rng states equal the
+// Python loop's, which is the reference.
 //
 // Both queues pop (key, vertex) entries in increasing order, keeping stale
 // and repeated ones, so they count the same queue ops. Keys are finite
@@ -96,7 +93,7 @@
 
 namespace {
 
-const int PROTOCOL = 5;  // model.NATIVE_PROTOCOL
+const int PROTOCOL = 6;  // model.NATIVE_PROTOCOL
 
 // Owns one reference; releases it on every exit path, C++ exceptions too.
 struct Ref {
@@ -111,6 +108,24 @@ struct Ref {
         return out;
     }
 };
+
+// Runs body, turning a C++ exception into MemoryError: every one the code can
+// throw comes from an allocation. A caught one sets *broken when given.
+template <class F>
+PyObject *translated(F body, int *broken = NULL) {
+    try {
+        return body();
+    } catch (const std::bad_alloc &) {
+        if (broken)
+            *broken = 1;
+        return PyErr_NoMemory();
+    } catch (const std::exception &exc) {
+        if (broken)
+            *broken = 1;
+        PyErr_SetString(PyExc_MemoryError, exc.what());
+        return NULL;
+    }
+}
 
 // -- the line scanner --------------------------------------------------------
 
@@ -293,6 +308,25 @@ struct Scan {
     }
 };
 
+// The columns scan_plain returns for an ASCII text of n characters with no
+// line boundary but \n. Out of line: inlined into scan_plain's call of
+// translated, the scan took 4-10% longer (g++ 12, -O3).
+[[gnu::noinline]] PyObject *scan_lines(const char *text, Py_ssize_t n) {
+    Scan scan;
+    if (!scan.ok())
+        return NULL;
+    const char *p = text, *end = text + n;
+    for (Py_ssize_t lineno = 1; p < end; lineno++) {
+        const char *stop = (const char *)std::memchr(p, '\n', end - p);
+        if (stop == NULL)
+            stop = end;
+        if (scan.line(lineno, p, stop) < 0)
+            return NULL;
+        p = stop + 1;
+    }
+    return PyTuple_Pack(5, scan.vertices.p, scan.ids.p, scan.heads.p, scan.tails.p, scan.others.p);
+}
+
 PyObject *scan_plain(PyObject *, PyObject *arg) {
     if (!PyUnicode_Check(arg)) {
         PyErr_SetString(PyExc_TypeError, "scan_plain() takes a str");
@@ -305,27 +339,7 @@ PyObject *scan_plain(PyObject *, PyObject *arg) {
     for (Py_ssize_t i = 0; i < n; i++)
         if (classes.of[(unsigned char)text[i]] & BOUNDARY)
             Py_RETURN_NONE;
-    try {
-        Scan scan;
-        if (!scan.ok())
-            return NULL;
-        const char *p = text, *end = text + n;
-        for (Py_ssize_t lineno = 1; p < end; lineno++) {
-            const char *stop = (const char *)std::memchr(p, '\n', end - p);
-            if (stop == NULL)
-                stop = end;
-            if (scan.line(lineno, p, stop) < 0)
-                return NULL;
-            p = stop + 1;
-        }
-        return PyTuple_Pack(5, scan.vertices.p, scan.ids.p, scan.heads.p, scan.tails.p,
-                            scan.others.p);
-    } catch (const std::bad_alloc &) {
-        return PyErr_NoMemory();
-    } catch (const std::exception &exc) {
-        PyErr_SetString(PyExc_MemoryError, exc.what());
-        return NULL;
-    }
+    return translated([&] { return scan_lines(text, n); });
 }
 
 // -- the edge kernels --------------------------------------------------------
@@ -335,256 +349,6 @@ enum { ID_F, HEAD_F, TAIL_F, KIND_F, LABEL_F, INTERIOR_F, N_FIELDS };
 // Tails and interiors longer than this go through Python; a duplicate tail
 // vertex is looked for pairwise.
 const Py_ssize_t LONG_TUPLE = 32;
-
-// Edge's class and slot offsets, and the field values the kernels compare
-// with or fill in.
-struct EdgeLayout {
-    PyTypeObject *cls = NULL;
-    Py_ssize_t offset[N_FIELDS] = {};
-    PyObject *real = NULL, *virtual_ = NULL, *no_label = NULL, *no_interior = NULL;
-
-    ~EdgeLayout() {
-        Py_XDECREF(cls);
-        Py_XDECREF(real);
-        Py_XDECREF(virtual_);
-        Py_XDECREF(no_label);
-        Py_XDECREF(no_interior);
-    }
-    PyObject *&slot(PyObject *edge, int field) const {
-        return *(PyObject **)((char *)edge + offset[field]);
-    }
-};
-
-// The layout bind_edge stored, or NULL before it succeeds. It is never
-// freed or replaced: a kernel that calls back into Python may still read it.
-const EdgeLayout *edge_layout = NULL;
-
-// The error of a kernel called before bind_edge succeeded.
-PyObject *unbound(const char *kernel) {
-    return PyErr_Format(PyExc_RuntimeError, "%s(): no Edge class is bound; call bind_edge(Edge)",
-                        kernel);
-}
-
-// Field f of edge e, read from its slot when e is an instance of the bound
-// class and the slot is filled, else by getattr. A new reference, or NULL
-// with an error set.
-PyObject *edge_field(PyObject *e, int f) {
-    const EdgeLayout *L = edge_layout;
-    if (L && Py_TYPE(e) == L->cls && L->slot(e, f)) {
-        Py_INCREF(L->slot(e, f));
-        return L->slot(e, f);
-    }
-    return PyObject_GetAttrString(e, FIELDS[f]);
-}
-
-// a == b for two str objects.
-inline bool str_eq(PyObject *a, PyObject *b) {
-    if (a == b)
-        return true;
-    Py_ssize_t n = PyUnicode_GET_LENGTH(a);
-    int kind = PyUnicode_KIND(a);
-    return n == PyUnicode_GET_LENGTH(b) && kind == PyUnicode_KIND(b) &&
-           std::memcmp(PyUnicode_DATA(a), PyUnicode_DATA(b), n * kind) == 0;
-}
-
-// a < b for two str objects, by code point as Python compares them.
-inline bool str_less(PyObject *a, PyObject *b) {
-    if (PyUnicode_KIND(a) == PyUnicode_1BYTE_KIND && PyUnicode_KIND(b) == PyUnicode_1BYTE_KIND) {
-        Py_ssize_t na = PyUnicode_GET_LENGTH(a), nb = PyUnicode_GET_LENGTH(b);
-        int c = std::memcmp(PyUnicode_1BYTE_DATA(a), PyUnicode_1BYTE_DATA(b), std::min(na, nb));
-        return c < 0 || (c == 0 && na < nb);
-    }
-    return PyUnicode_Compare(a, b) < 0;  // cannot fail on two str
-}
-
-// Whether `tuple` is a tuple of at most LONG_TUPLE str.
-bool str_tuple(PyObject *tuple) {
-    if (!PyTuple_CheckExact(tuple) || PyTuple_GET_SIZE(tuple) > LONG_TUPLE)
-        return false;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++)
-        if (!PyUnicode_CheckExact(PyTuple_GET_ITEM(tuple, i)))
-            return false;
-    return true;
-}
-
-bool tuple_has(PyObject *tuple, PyObject *str) {
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++)
-        if (str_eq(PyTuple_GET_ITEM(tuple, i), str))
-            return true;
-    return false;
-}
-
-// Whether Edge(*fields) passes every check of Edge.__post_init__ in a way
-// the kernel can tell: the kind is `real` or `virtual`; the tail is a
-// non-empty tuple with no vertex twice (a single vertex may be any object,
-// two or more must be str); the label is an ASCII str with no line break.
-bool plain_edge(const EdgeLayout &L, PyObject *const *fields) {
-    PyObject *kind = fields[KIND_F], *tail = fields[TAIL_F], *label = fields[LABEL_F];
-    if (kind != L.real && kind != L.virtual_ &&
-        !(PyUnicode_CheckExact(kind) && (str_eq(kind, L.real) || str_eq(kind, L.virtual_))))
-        return false;
-    if (!PyTuple_CheckExact(tail) || PyTuple_GET_SIZE(tail) == 0)
-        return false;
-    Py_ssize_t n = PyTuple_GET_SIZE(tail);
-    if (n > 1) {
-        if (!str_tuple(tail))
-            return false;
-        for (Py_ssize_t i = 1; i < n; i++)
-            for (Py_ssize_t j = 0; j < i; j++)
-                if (str_eq(PyTuple_GET_ITEM(tail, i), PyTuple_GET_ITEM(tail, j)))
-                    return false;
-    }
-    if (!PyUnicode_CheckExact(label))
-        return false;
-    if (PyUnicode_GET_LENGTH(label) == 0)
-        return true;
-    if (!PyUnicode_IS_ASCII(label))
-        return false;
-    const char *p = (const char *)PyUnicode_1BYTE_DATA(label);
-    for (Py_ssize_t i = 0; i < PyUnicode_GET_LENGTH(label); i++)
-        if (p[i] == '\n' || classes.of[(unsigned char)p[i]] & BOUNDARY)
-            return false;
-    return true;
-}
-
-PyObject *make_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs < 3 || nargs > N_FIELDS) {
-        PyErr_SetString(PyExc_TypeError, "make_edges() takes 3 to 6 columns");
-        return NULL;
-    }
-    if (edge_layout == NULL)
-        return unbound("make_edges");
-    const EdgeLayout &L = *edge_layout;
-    PyObject *defaults[N_FIELDS] = {NULL, NULL, NULL, L.real, L.no_label, L.no_interior};
-    Ref columns[N_FIELDS];
-    for (int f = 0; f < nargs; f++) {
-        if (args[f] == Py_None && f > TAIL_F)
-            continue;
-        columns[f].p = PySequence_Fast(args[f], "make_edges() takes sequences");
-        if (columns[f].p == NULL)
-            return NULL;
-    }
-    auto size = [&](int f) { return PySequence_Fast_GET_SIZE(columns[f].p); };
-    Py_ssize_t n = size(ID_F);
-    for (int f = 0; f < N_FIELDS; f++)
-        if (columns[f].p && size(f) != n) {
-            PyErr_SetString(PyExc_ValueError, "make_edges() columns differ in length");
-            return NULL;
-        }
-    Ref out(PyList_New(n));
-    if (out.p == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *fields[N_FIELDS];
-        for (int f = 0; f < N_FIELDS; f++)
-            fields[f] = columns[f].p ? PySequence_Fast_GET_ITEM(columns[f].p, i) : defaults[f];
-        PyObject *edge;
-        if (plain_edge(L, fields)) {
-            edge = L.cls->tp_alloc(L.cls, 0);
-            if (edge == NULL)
-                return NULL;
-            for (int f = 0; f < N_FIELDS; f++) {
-                Py_INCREF(fields[f]);
-                L.slot(edge, f) = fields[f];
-            }
-        } else {
-            // Edge's own checks raise with its own message; a column is
-            // only read, but Python code may run, so the fields are held.
-            for (PyObject *field : fields)
-                Py_INCREF(field);
-            edge = PyObject_Vectorcall((PyObject *)L.cls, fields, N_FIELDS, NULL);
-            for (PyObject *field : fields)
-                Py_DECREF(field);
-            if (edge == NULL)
-                return NULL;
-            for (int f = 0; f < N_FIELDS; f++)
-                if (columns[f].p && size(f) != n) {
-                    Py_DECREF(edge);
-                    PyErr_SetString(PyExc_RuntimeError, "make_edges() column changed size");
-                    return NULL;
-                }
-        }
-        PyList_SET_ITEM(out.p, i, edge);
-    }
-    return out.release();
-}
-
-PyObject *check_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "check_edges() takes edges and a vertex set");
-        return NULL;
-    }
-    if (edge_layout == NULL)
-        return unbound("check_edges");
-    const EdgeLayout &L = *edge_layout;
-    PyObject *edges = args[0], *vset = args[1];
-    if (!(PyTuple_CheckExact(edges) || PyList_CheckExact(edges)) || !PyAnySet_Check(vset))
-        Py_RETURN_NONE;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(edges);
-    PyObject **items = PySequence_Fast_ITEMS(edges);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *e = items[i];
-        if (Py_TYPE(e) != L.cls)
-            Py_RETURN_NONE;
-        for (int f : {ID_F, HEAD_F, KIND_F})
-            if (L.slot(e, f) == NULL || !PyUnicode_CheckExact(L.slot(e, f)))
-                Py_RETURN_NONE;
-        for (int f : {TAIL_F, INTERIOR_F})
-            if (L.slot(e, f) == NULL || !str_tuple(L.slot(e, f)))
-                Py_RETURN_NONE;
-    }
-    try {
-        std::vector<PyObject *> order(items, items + n);
-        auto by_id = [&](PyObject *a, PyObject *b) {
-            return str_less(L.slot(a, ID_F), L.slot(b, ID_F));
-        };
-        bool sorted = std::is_sorted(order.begin(), order.end(), by_id);
-        if (!sorted)
-            std::stable_sort(order.begin(), order.end(), by_id);
-        Ref out;
-        if (sorted && PyTuple_CheckExact(edges)) {
-            Py_INCREF(edges);
-            out.p = edges;
-        } else {
-            out.p = PyTuple_New(n);
-            if (out.p == NULL)
-                return NULL;
-            for (Py_ssize_t i = 0; i < n; i++) {
-                Py_INCREF(order[i]);
-                PyTuple_SET_ITEM(out.p, i, order[i]);
-            }
-        }
-        int virtual_named = PySet_Contains(vset, L.virtual_);
-        if (virtual_named < 0)
-            return NULL;
-        bool ok = true;
-        PyObject *prev = NULL;
-        for (Py_ssize_t i = 0; ok && i < n; i++) {
-            PyObject *e = order[i];
-            PyObject *id = L.slot(e, ID_F), *tail = L.slot(e, TAIL_F), *kind = L.slot(e, KIND_F),
-                     *interior = L.slot(e, INTERIOR_F);
-            if (prev != NULL && str_eq(prev, id))
-                ok = false;
-            prev = id;
-            int known = PySet_Contains(vset, L.slot(e, HEAD_F));
-            Py_ssize_t k = PyTuple_GET_SIZE(tail);
-            for (Py_ssize_t j = 0; known > 0 && j < k; j++)
-                known = PySet_Contains(vset, PyTuple_GET_ITEM(tail, j));
-            if (known < 0)
-                return NULL;
-            ok = ok && known;
-            // The two reserved-name checks of ModelDecl.
-            if (virtual_named && tuple_has(tail, L.virtual_) &&
-                !(str_eq(kind, L.virtual_) && k > 0 && str_eq(PyTuple_GET_ITEM(tail, k - 1), L.virtual_)))
-                ok = false;
-            if (PyTuple_GET_SIZE(interior) && str_eq(kind, L.real) && tuple_has(interior, L.virtual_))
-                ok = false;
-        }
-        return Py_BuildValue("(NO)", out.release(), ok ? Py_True : Py_False);
-    } catch (const std::bad_alloc &) {
-        return PyErr_NoMemory();
-    }
-}
 
 // The offset of cls's slot `name`, or -1 with TypeError set, naming
 // caller, unless it is a writable object slot of `cls` itself.
@@ -646,32 +410,243 @@ PyTypeObject *slot_layout(PyObject *arg, const char *caller, const char *takes,
     return cls;
 }
 
-PyObject *bind_edge(PyObject *, PyObject *arg) {
-    Py_ssize_t offsets[N_FIELDS];
-    PyTypeObject *cls = slot_layout(arg, "bind_edge", "Edge", FIELDS, offsets);
-    if (cls == NULL)
-        return NULL;
-    if (edge_layout) {
-        if (edge_layout->cls == cls)
-            Py_RETURN_NONE;
-        PyErr_Format(PyExc_TypeError, "bind_edge(): %s is bound already",
-                     edge_layout->cls->tp_name);
+// Edge's class and slot offsets, checked by one kernel call, and the field
+// values the kernels compare with or fill in, held for that call. The class
+// is the caller's argument, which the call keeps alive.
+struct EdgeLayout {
+    PyTypeObject *cls = NULL;
+    Py_ssize_t offset[N_FIELDS] = {};
+    Ref real{PyUnicode_InternFromString("real")}, virtual_{PyUnicode_InternFromString("virtual")},
+        no_label{PyUnicode_New(0, 0)}, no_interior{PyTuple_New(0)};
+
+    // Takes arg as the Edge class when slot_layout passes it; false with an
+    // error set, naming caller, otherwise.
+    bool take(PyObject *arg, const char *caller) {
+        return real.p && virtual_.p && no_label.p && no_interior.p &&
+               (cls = slot_layout(arg, caller, "Edge", FIELDS, offset)) != NULL;
+    }
+    PyObject *&slot(PyObject *edge, int field) const {
+        return *(PyObject **)((char *)edge + offset[field]);
+    }
+};
+
+// Field f of edge e, read from its slot when e is an instance of L's class
+// and the slot is filled, else by getattr. A new reference, or NULL with an
+// error set.
+PyObject *edge_field(const EdgeLayout &L, PyObject *e, int f) {
+    if (Py_TYPE(e) == L.cls && L.slot(e, f)) {
+        Py_INCREF(L.slot(e, f));
+        return L.slot(e, f);
+    }
+    return PyObject_GetAttrString(e, FIELDS[f]);
+}
+
+// a == b for two str objects.
+inline bool str_eq(PyObject *a, PyObject *b) {
+    if (a == b)
+        return true;
+    Py_ssize_t n = PyUnicode_GET_LENGTH(a);
+    int kind = PyUnicode_KIND(a);
+    return n == PyUnicode_GET_LENGTH(b) && kind == PyUnicode_KIND(b) &&
+           std::memcmp(PyUnicode_DATA(a), PyUnicode_DATA(b), n * kind) == 0;
+}
+
+// a < b for two str objects, by code point as Python compares them.
+inline bool str_less(PyObject *a, PyObject *b) {
+    if (PyUnicode_KIND(a) == PyUnicode_1BYTE_KIND && PyUnicode_KIND(b) == PyUnicode_1BYTE_KIND) {
+        Py_ssize_t na = PyUnicode_GET_LENGTH(a), nb = PyUnicode_GET_LENGTH(b);
+        int c = std::memcmp(PyUnicode_1BYTE_DATA(a), PyUnicode_1BYTE_DATA(b), std::min(na, nb));
+        return c < 0 || (c == 0 && na < nb);
+    }
+    return PyUnicode_Compare(a, b) < 0;  // cannot fail on two str
+}
+
+// Whether `tuple` is a tuple of at most LONG_TUPLE str.
+bool str_tuple(PyObject *tuple) {
+    if (!PyTuple_CheckExact(tuple) || PyTuple_GET_SIZE(tuple) > LONG_TUPLE)
+        return false;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++)
+        if (!PyUnicode_CheckExact(PyTuple_GET_ITEM(tuple, i)))
+            return false;
+    return true;
+}
+
+bool tuple_has(PyObject *tuple, PyObject *str) {
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(tuple); i++)
+        if (str_eq(PyTuple_GET_ITEM(tuple, i), str))
+            return true;
+    return false;
+}
+
+// Whether Edge(*fields) passes every check of Edge.__post_init__ in a way
+// the kernel can tell: the kind is `real` or `virtual`; the tail is a
+// non-empty tuple with no vertex twice (a single vertex may be any object,
+// two or more must be str); the label is an ASCII str with no line break.
+bool plain_edge(const EdgeLayout &L, PyObject *const *fields) {
+    PyObject *kind = fields[KIND_F], *tail = fields[TAIL_F], *label = fields[LABEL_F];
+    if (kind != L.real.p && kind != L.virtual_.p &&
+        !(PyUnicode_CheckExact(kind) && (str_eq(kind, L.real.p) || str_eq(kind, L.virtual_.p))))
+        return false;
+    if (!PyTuple_CheckExact(tail) || PyTuple_GET_SIZE(tail) == 0)
+        return false;
+    Py_ssize_t n = PyTuple_GET_SIZE(tail);
+    if (n > 1) {
+        if (!str_tuple(tail))
+            return false;
+        for (Py_ssize_t i = 1; i < n; i++)
+            for (Py_ssize_t j = 0; j < i; j++)
+                if (str_eq(PyTuple_GET_ITEM(tail, i), PyTuple_GET_ITEM(tail, j)))
+                    return false;
+    }
+    if (!PyUnicode_CheckExact(label))
+        return false;
+    if (PyUnicode_GET_LENGTH(label) == 0)
+        return true;
+    if (!PyUnicode_IS_ASCII(label))
+        return false;
+    const char *p = (const char *)PyUnicode_1BYTE_DATA(label);
+    for (Py_ssize_t i = 0; i < PyUnicode_GET_LENGTH(label); i++)
+        if (p[i] == '\n' || classes.of[(unsigned char)p[i]] & BOUNDARY)
+            return false;
+    return true;
+}
+
+PyObject *make_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs < 4 || nargs > 1 + N_FIELDS) {
+        PyErr_SetString(PyExc_TypeError, "make_edges() takes Edge and 3 to 6 columns");
         return NULL;
     }
-    std::unique_ptr<EdgeLayout> layout(new (std::nothrow) EdgeLayout);
-    if (!layout)
-        return PyErr_NoMemory();
-    Py_INCREF(cls);
-    layout->cls = cls;
-    std::copy(offsets, offsets + N_FIELDS, layout->offset);
-    layout->real = PyUnicode_InternFromString("real");
-    layout->virtual_ = PyUnicode_InternFromString("virtual");
-    layout->no_label = PyUnicode_New(0, 0);
-    layout->no_interior = PyTuple_New(0);
-    if (!layout->real || !layout->virtual_ || !layout->no_label || !layout->no_interior)
+    EdgeLayout L;
+    if (!L.take(args[0], "make_edges"))
         return NULL;
-    edge_layout = layout.release();
-    Py_RETURN_NONE;
+    args++, nargs--;  // the columns
+    PyObject *defaults[N_FIELDS] = {NULL, NULL, NULL, L.real.p, L.no_label.p, L.no_interior.p};
+    Ref columns[N_FIELDS];
+    for (int f = 0; f < nargs; f++) {
+        if (args[f] == Py_None && f > TAIL_F)
+            continue;
+        columns[f].p = PySequence_Fast(args[f], "make_edges() takes sequences");
+        if (columns[f].p == NULL)
+            return NULL;
+    }
+    auto size = [&](int f) { return PySequence_Fast_GET_SIZE(columns[f].p); };
+    Py_ssize_t n = size(ID_F);
+    for (int f = 0; f < N_FIELDS; f++)
+        if (columns[f].p && size(f) != n) {
+            PyErr_SetString(PyExc_ValueError, "make_edges() columns differ in length");
+            return NULL;
+        }
+    Ref out(PyList_New(n));
+    if (out.p == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *fields[N_FIELDS];
+        for (int f = 0; f < N_FIELDS; f++)
+            fields[f] = columns[f].p ? PySequence_Fast_GET_ITEM(columns[f].p, i) : defaults[f];
+        PyObject *edge;
+        if (plain_edge(L, fields)) {
+            edge = L.cls->tp_alloc(L.cls, 0);
+            if (edge == NULL)
+                return NULL;
+            for (int f = 0; f < N_FIELDS; f++) {
+                Py_INCREF(fields[f]);
+                L.slot(edge, f) = fields[f];
+            }
+        } else {
+            // Edge's own checks raise with its own message; a column is
+            // only read, but Python code may run, so the fields are held.
+            for (PyObject *field : fields)
+                Py_INCREF(field);
+            edge = PyObject_Vectorcall((PyObject *)L.cls, fields, N_FIELDS, NULL);
+            for (PyObject *field : fields)
+                Py_DECREF(field);
+            if (edge == NULL)
+                return NULL;
+            for (int f = 0; f < N_FIELDS; f++)
+                if (columns[f].p && size(f) != n) {
+                    Py_DECREF(edge);
+                    PyErr_SetString(PyExc_RuntimeError, "make_edges() column changed size");
+                    return NULL;
+                }
+        }
+        PyList_SET_ITEM(out.p, i, edge);
+    }
+    return out.release();
+}
+
+PyObject *check_edges(PyObject *, PyObject *const *args, Py_ssize_t nargs) {
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "check_edges() takes Edge, edges and a vertex set");
+        return NULL;
+    }
+    EdgeLayout L;
+    if (!L.take(args[0], "check_edges"))
+        return NULL;
+    PyObject *edges = args[1], *vset = args[2], *real = L.real.p, *virtual_ = L.virtual_.p;
+    if (!(PyTuple_CheckExact(edges) || PyList_CheckExact(edges)) || !PyAnySet_Check(vset))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(edges);
+    PyObject **items = PySequence_Fast_ITEMS(edges);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *e = items[i];
+        if (Py_TYPE(e) != L.cls)
+            Py_RETURN_NONE;
+        for (int f : {ID_F, HEAD_F, KIND_F})
+            if (L.slot(e, f) == NULL || !PyUnicode_CheckExact(L.slot(e, f)))
+                Py_RETURN_NONE;
+        for (int f : {TAIL_F, INTERIOR_F})
+            if (L.slot(e, f) == NULL || !str_tuple(L.slot(e, f)))
+                Py_RETURN_NONE;
+    }
+    return translated([&]() -> PyObject * {
+        std::vector<PyObject *> order(items, items + n);
+        auto by_id = [&](PyObject *a, PyObject *b) {
+            return str_less(L.slot(a, ID_F), L.slot(b, ID_F));
+        };
+        bool sorted = std::is_sorted(order.begin(), order.end(), by_id);
+        if (!sorted)
+            std::stable_sort(order.begin(), order.end(), by_id);
+        Ref out;
+        if (sorted && PyTuple_CheckExact(edges)) {
+            Py_INCREF(edges);
+            out.p = edges;
+        } else {
+            out.p = PyTuple_New(n);
+            if (out.p == NULL)
+                return NULL;
+            for (Py_ssize_t i = 0; i < n; i++) {
+                Py_INCREF(order[i]);
+                PyTuple_SET_ITEM(out.p, i, order[i]);
+            }
+        }
+        int virtual_named = PySet_Contains(vset, virtual_);
+        if (virtual_named < 0)
+            return NULL;
+        bool ok = true;
+        PyObject *prev = NULL;
+        for (Py_ssize_t i = 0; ok && i < n; i++) {
+            PyObject *e = order[i];
+            PyObject *id = L.slot(e, ID_F), *tail = L.slot(e, TAIL_F), *kind = L.slot(e, KIND_F),
+                     *interior = L.slot(e, INTERIOR_F);
+            if (prev != NULL && str_eq(prev, id))
+                ok = false;
+            prev = id;
+            int known = PySet_Contains(vset, L.slot(e, HEAD_F));
+            Py_ssize_t k = PyTuple_GET_SIZE(tail);
+            for (Py_ssize_t j = 0; known > 0 && j < k; j++)
+                known = PySet_Contains(vset, PyTuple_GET_ITEM(tail, j));
+            if (known < 0)
+                return NULL;
+            ok = ok && known;
+            // The two reserved-name checks of ModelDecl.
+            if (virtual_named && tuple_has(tail, virtual_) &&
+                !(str_eq(kind, virtual_) && k > 0 && str_eq(PyTuple_GET_ITEM(tail, k - 1), virtual_)))
+                ok = false;
+            if (PyTuple_GET_SIZE(interior) && str_eq(kind, real) && tuple_has(interior, virtual_))
+                ok = false;
+        }
+        return Py_BuildValue("(NO)", out.release(), ok ? Py_True : Py_False);
+    });
 }
 
 // -- the rank engine ---------------------------------------------------------
@@ -747,23 +722,15 @@ struct Engine {
     i64 flushes;
 };
 
-// Runs a method body, turning a C++ exception into a Python one.
+// Runs a method body behind translated; a C++ exception marks the engine
+// broken.
 template <class F>
 PyObject *guarded(Engine *self, F body) {
     if (self->broken) {
         PyErr_SetString(PyExc_RuntimeError, "rank engine is unusable after a failed allocation");
         return NULL;
     }
-    try {
-        return body();
-    } catch (const std::bad_alloc &) {
-        self->broken = 1;
-        return PyErr_NoMemory();
-    } catch (const std::exception &exc) {
-        self->broken = 1;
-        PyErr_SetString(PyExc_MemoryError, exc.what());
-        return NULL;
-    }
+    return translated(body, &self->broken);
 }
 
 int read_index(PyObject *obj, size_t count, const char *what, int *out) {
@@ -1147,7 +1114,7 @@ void gather(const std::vector<int> &xs, const std::vector<size_t> &ends,
     }
 }
 
-PyObject *build_model(PyObject *decl) {
+PyObject *build_model(PyObject *decl, const EdgeLayout &L) {
     Ref names_attr(PyObject_GetAttrString(decl, "vertices"));
     Ref edges_attr(PyObject_GetAttrString(decl, "edges"));
     Ref initial(PyObject_GetAttrString(decl, "initial"));
@@ -1189,12 +1156,12 @@ PyObject *build_model(PyObject *decl) {
     std::vector<size_t> tail_ends{0}, interior_ends{0};
     for (Py_ssize_t k = 0; k < m; k++) {
         PyObject *e = PyTuple_GET_ITEM(edges.p, k);
-        PyObject *id = edge_field(e, ID_F);
+        PyObject *id = edge_field(L, e, ID_F);
         if (!id)
             return NULL;
         PyTuple_SET_ITEM(ids.p, k, id);
-        Ref head(edge_field(e, HEAD_F)), tail(edge_field(e, TAIL_F));
-        Ref interior(edge_field(e, INTERIOR_F));
+        Ref head(edge_field(L, e, HEAD_F)), tail(edge_field(L, e, TAIL_F));
+        Ref interior(edge_field(L, e, INTERIOR_F));
         if (!head.p || !tail.p || !interior.p || index_of(index.p, head.p, false, &heads[k]) < 0 ||
             read_names(tail.p, index.p, false, tails, tail_ends) < 0 ||
             read_names(interior.p, interior_index.p, true, interiors, interior_ends) < 0)
@@ -1465,12 +1432,13 @@ PyObject *Engine_play(Engine *self, PyObject *args) {
     });
 }
 
-PyObject *Engine_compile_model(PyObject *, PyObject *decl) {
-    try {
-        return build_model(decl);
-    } catch (const std::bad_alloc &) {
-        return PyErr_NoMemory();
-    }
+PyObject *Engine_compile_model(PyObject *, PyObject *args) {
+    PyObject *decl, *edge;
+    EdgeLayout L;
+    if (!PyArg_UnpackTuple(args, "compile_model", 2, 2, &decl, &edge) ||
+        !L.take(edge, "compile_model"))
+        return NULL;
+    return translated([&] { return build_model(decl, L); });
 }
 
 PyObject *Engine_snapshot(Engine *self, PyObject *) {
@@ -1527,8 +1495,8 @@ PyMethodDef Engine_methods[] = {
            "v's first out-edge of rank - 1, or -1."),
     METHOD(snapshot, METH_NOARGS,
            "snapshot() -> dict: copies of vstored, vdirty, vmarked and estored."),
-    METHOD(compile_model, METH_O | METH_STATIC,
-           "compile_model(decl) -> the declaration on integers, for play()."),
+    METHOD(compile_model, METH_VARARGS | METH_STATIC,
+           "compile_model(decl, Edge) -> the declaration on integers, for play()."),
     METHOD(play, METH_VARARGS,
            "play(model, record, max_moves, lazy, getrandbits) -> (records, ending, vertices, "
            "virtual_marked, interior_total, interior_covered): a whole session on this "
@@ -1556,15 +1524,12 @@ PyMethodDef native_methods[] = {
     {"scan_plain", scan_plain, METH_O,
      "scan_plain(text) -> (vertices, ids, heads, tails, others), or None for a text "
      "that is not ASCII or has a line boundary other than \\n."},
-    {"bind_edge", bind_edge, METH_O,
-     "bind_edge(Edge): check Edge's layout and bind make_edges, check_edges and "
-     "compile_model to its slots, once."},
     {"make_edges", (PyCFunction)(void (*)(void))make_edges, METH_FASTCALL,
-     "make_edges(ids, heads, tails[, kinds, labels, interiors]) -> list of Edge; a column "
-     "given as None gives each edge that field's default."},
+     "make_edges(Edge, ids, heads, tails[, kinds, labels, interiors]) -> list of Edge; a "
+     "column given as None gives each edge that field's default."},
     {"check_edges", (PyCFunction)(void (*)(void))check_edges, METH_FASTCALL,
-     "check_edges(edges, vertex_set) -> (edges sorted by id, every check passed), or None "
-     "for input the kernel does not take."},
+     "check_edges(Edge, edges, vertex_set) -> (edges sorted by id, every check passed), or "
+     "None for input the kernel does not take."},
     {NULL, NULL, 0, NULL},
 };
 

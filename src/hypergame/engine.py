@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 from . import ranks
 from .adversaries import Avoider, RandomFair
+from .model import Edge
 from .providers import DeclProvider
 from .ranks import UNREACHABLE, RankTable
 from .ranks import table as rank_table
@@ -269,7 +270,8 @@ def compiled_model(decl):
     `by_head` is."""
     model = decl.__dict__.get("compiled_model")
     if model is None:
-        model = decl.__dict__["compiled_model"] = ranks.CompiledRankEngine.compile_model(decl)
+        model = ranks.CompiledRankEngine.compile_model(decl, Edge)
+        decl.__dict__["compiled_model"] = model
     return model
 
 

@@ -34,17 +34,18 @@ that is used when the extension was built (`compiled_make_edges`,
   loop, `_edge_problems`, run to name every problem.
 
 This module is the one place that imports the compiled extension,
-`hypergame._native`. Its `PROTOCOL` is the one check made of it; the module
-binds the two kernels to `Edge` with `_native.bind_edge(Edge)`. `ranks`
-takes its `CompiledRankEngine` from `_native` here, which is None when the
-package runs pure.
+`hypergame._native`. Its `PROTOCOL` is the one check made of it. The
+extension keeps no state: each kernel takes `Edge` as its first argument
+and checks its layout on every call, so a changed `Edge` raises TypeError
+at the first call. `ranks` takes its `CompiledRankEngine` from `_native`
+here, which is None when the package runs pure.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -64,7 +65,7 @@ _PLAIN_LINE_RE = re.compile(rf"edge ({_ID}) ({_ID}) -> ({_ID}(?: {_ID})*)|vertex
 # The version of `_native.cpp`'s interface the package speaks. An extension
 # of another version, such as one an older in-place build left in src/, is
 # not used: the whole package runs pure, as when nothing was built.
-NATIVE_PROTOCOL = 5
+NATIVE_PROTOCOL = 6
 
 try:
     from . import _native
@@ -100,7 +101,8 @@ class Edge:
 
     The compiled `make_edges` fills these six slots itself and repeats the
     checks of `__post_init__`, so a change to either is made in `_native.cpp`
-    too; a change to the fields makes the import of this module raise.
+    too; a change to the fields makes the first call of a kernel raise
+    TypeError.
     """
 
     id: str
@@ -255,11 +257,9 @@ def _edge_problems(edges, vset):
             yield f"ReservedVertex({VIRTUAL}): interior of edge {e.id}"
 
 
-if _native:
-    _native.bind_edge(Edge)
 compiled_scan_plain = _native.scan_plain if _native else None
-compiled_make_edges = _native.make_edges if _native else None
-compiled_check_edges = _native.check_edges if _native else None
+compiled_make_edges = partial(_native.make_edges, Edge) if _native else None
+compiled_check_edges = partial(_native.check_edges, Edge) if _native else None
 
 
 def build_edges(*columns):

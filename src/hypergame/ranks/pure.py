@@ -78,8 +78,8 @@ class PureRankEngine:
     `max_rank` and `flushes`; `backend` names the backend.
 
     The compiled engine also has a session entry point, with no pure twin:
-    `compile_model(decl)` gives a declaration on integers, and `play` plays
-    a whole session of `engine.run_session` on a fresh engine for the
+    `compile_model(decl, Edge)` gives a declaration on integers, and `play`
+    plays a whole session of `engine.run_session` on a fresh engine for the
     built-in adversaries, through the same `mark` and `ensure` internals.
     The Python loop of `run_session`, over the four methods above, is its
     reference, and plays every other session on either backend.

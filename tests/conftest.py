@@ -46,9 +46,10 @@ def _build_compiled(tmp: Path, config) -> str | None:
     its move loop, checked by `_loops_agree`, as
     hypergame.engine.play_compiled, the line scanner, checked by
     `_scanners_agree`, as hypergame.model.compiled_scan_plain, and the edge
-    kernels, bound to Edge and checked by `_builders_agree`, as
-    hypergame.model.compiled_make_edges and compiled_check_edges. Returns
-    None on success, else the reason the compiled backend is missing."""
+    kernels, each given Edge as its first argument, as model.py gives it,
+    and checked by `_builders_agree`, as hypergame.model.compiled_make_edges
+    and compiled_check_edges. Returns None on success, else the reason the
+    compiled backend is missing."""
     config.stash[BUILT] = None
     if not _have_compiler():
         return NO_COMPILER
@@ -67,10 +68,9 @@ def _build_compiled(tmp: Path, config) -> str | None:
     hypergame.ranks.CompiledRankEngine = native.CompiledRankEngine
     hypergame.engine.play_compiled = _loops_agree(hypergame.engine.play_compiled)
     hypergame.model.compiled_scan_plain = _scanners_agree(native.scan_plain)
-    native.bind_edge(Edge)
     (hypergame.model.compiled_make_edges,
-     hypergame.model.compiled_check_edges) = _builders_agree(native.make_edges,
-                                                             native.check_edges)
+     hypergame.model.compiled_check_edges) = _builders_agree(
+        functools.partial(native.make_edges, Edge), functools.partial(native.check_edges, Edge))
     return None
 
 
@@ -241,8 +241,10 @@ def builder(request, monkeypatch):
     if request.param == "compiled":
         require_compiled(request.config)
         built = request.config.stash[BUILT]
-    monkeypatch.setattr(hypergame.model, "compiled_make_edges", built and built.make_edges)
-    monkeypatch.setattr(hypergame.model, "compiled_check_edges", built and built.check_edges)
+    monkeypatch.setattr(hypergame.model, "compiled_make_edges",
+                        built and functools.partial(built.make_edges, Edge))
+    monkeypatch.setattr(hypergame.model, "compiled_check_edges",
+                        built and functools.partial(built.check_edges, Edge))
     return request.param
 
 

@@ -48,7 +48,7 @@ PROTOCOL = int(re.findall(r"^NATIVE_PROTOCOL = (\d+)$", (SRC / "model.py").read_
 # The two extensions `_native` replaces, each with what the package took
 # from it; all of it now comes from the one module, at its one protocol.
 FORMER = {
-    "hypergame._scan": ("scan_plain", "bind_edge", "make_edges", "check_edges"),
+    "hypergame._scan": ("scan_plain", "make_edges", "check_edges"),
     "hypergame.ranks._core": ("CompiledRankEngine",),
 }
 
@@ -70,8 +70,8 @@ def test_extension_and_package_speak_one_protocol(names, request):
 # Fake extension modules, each (name, version, names of its edge
 # functions); a version of None makes the import of `name` fail. Were the
 # package to use a fake, its scanner, edge kernels or engine would not be
-# None, or, for a fake without `bind_edge`, its import would fail.
-BIND = ("bind_edge", "make_edges", "check_edges")  # since protocol 3
+# None, or, for a fake without `make_edges`, its import would fail.
+SPLIT = ("make_edges", "check_edges")  # since protocol 3
 KERNELS = ("edge_kernels",)  # protocols 1 and 2: a (make_edges, check_edges) pair
 STALE_BUILD = """
 import sys, types
@@ -105,8 +105,8 @@ for source in (decl, hypergame.DeclProvider(decl)):
 print("pure")
 """
 STALE = {
-    "other-versions": [(NAME, PROTOCOL + 1, BIND)],
-    # A build of the interface before `bind_edge`.
+    "other-versions": [(NAME, PROTOCOL + 1, SPLIT)],
+    # A build of the interface before the two kernels were split.
     "former-protocol": [(NAME, 2, KERNELS)],
     # No `_native`, and the two modules that builds of protocol 1 made left
     # in place: `*.so` is not tracked, so they outlive a checkout.

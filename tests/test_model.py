@@ -1,9 +1,6 @@
 import dataclasses
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,55 +324,37 @@ class TestEdgeKernels:
         assert model.compiled_check_edges((Edge("a", "s0", ("s1",)),), ["s0", "s1"]) is None
 
     @pytest.mark.parametrize("builder", ["compiled"], indirect=True)
-    def test_bind_edge_checks_the_layout(self, builder):
+    def test_the_kernels_check_the_layout(self, builder):
         native = sys.modules["hypergame._native"]
         fields = [f.name for f in dataclasses.fields(Edge)]
-        for cls in (dataclasses.make_dataclass("E", fields[::-1], slots=True),
-                    dataclasses.make_dataclass("E", fields + ["note"], slots=True),
-                    dataclasses.make_dataclass("E", fields),
-                    int):
-            with pytest.raises(TypeError, match="^bind_edge\\(\\): \\w+ is not a slotted "):
-                native.bind_edge(cls)
+        decl = ModelDecl(initial="s0", vertices=("s0", "s1"), edges=(Edge("a", "s0", ("s1",)),))
+        kernels = {
+            "make_edges": lambda cls: native.make_edges(cls, ["a"], ["s0"], [("s1",)]),
+            "check_edges": lambda cls: native.check_edges(cls, (), {"s0"}),
+            "compile_model": lambda cls: native.CompiledRankEngine.compile_model(decl, cls),
+        }
         # Edge's field names and size, but slots of other names.
         lookalike = type("Lookalike", (), {"__slots__": tuple("abcdef"),
                                            "__dataclass_fields__": dict.fromkeys(fields)})
-        with pytest.raises(TypeError, match="^bind_edge\\(\\): Lookalike.id is not a slot$"):
-            native.bind_edge(lookalike)
-        # A class of the same layout is refused too: Edge stays bound.
-        with pytest.raises(TypeError, match="^bind_edge\\(\\): Edge is bound already$"):
-            native.bind_edge(dataclasses.make_dataclass("Other", fields, slots=True))
-        assert native.bind_edge(Edge) is None
-        assert native.make_edges(["a"], ["s0"], [("s1",)]) == [Edge("a", "s0", ("s1",))]
-
-    @pytest.mark.parametrize("builder", ["compiled"], indirect=True)
-    def test_the_kernels_raise_until_edge_is_bound(self, builder):
-        # In a fresh interpreter: the module as loaded, then as model.py binds it.
-        script = UNBOUND.format(path=sys.modules["hypergame._native"].__file__)
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
-        unbound = "(): no Edge class is bound; call bind_edge(Edge)\n"
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == f"make_edges{unbound}check_edges{unbound}bound\n"
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-UNBOUND = """
-import importlib.util, sys
-spec = importlib.util.spec_from_file_location("hypergame._native", {path!r})
-sys.modules[spec.name] = native = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(native)
-for call in (lambda: native.make_edges(["a"], ["s0"], [("s1",)]),
-             lambda: native.check_edges((), {{"s0"}})):
-    try:
-        call()
-    except RuntimeError as exc:
-        print(exc)
-from hypergame import model  # binds Edge
-assert model.compiled_make_edges is native.make_edges
-assert native.make_edges(["a"], ["s0"], [("s1",)]) == [model.Edge("a", "s0", ("s1",))]
-assert native.check_edges((), {{"s0"}}) == ((), True)
-print("bound")
-"""
+        for name, kernel in kernels.items():
+            for cls in (dataclasses.make_dataclass("E", fields[::-1], slots=True),
+                        dataclasses.make_dataclass("E", fields + ["note"], slots=True),
+                        dataclasses.make_dataclass("E", fields),
+                        int):
+                with pytest.raises(TypeError, match=f"^{name}\\(\\): \\w+ is not a slotted "):
+                    kernel(cls)
+            with pytest.raises(TypeError, match=f"^{name}\\(\\): Lookalike.id is not a slot$"):
+                kernel(lookalike)
+        # A class of Edge's layout is built as Edge is, as play() builds a
+        # record class of MoveRecord's layout; passed that class,
+        # check_edges declines Edge's own instances.
+        other = dataclasses.make_dataclass("Other", fields, slots=True)
+        made = native.make_edges(other, ["a"], ["s0"], [("s1",)])
+        assert [type(e) for e in made] == [other]
+        assert dataclasses.astuple(made[0]) == dataclasses.astuple(Edge("a", "s0", ("s1",)))
+        assert native.check_edges(other, made, {"s0", "s1"}) == ((made[0],), True)
+        assert native.check_edges(other, (Edge("a", "s0", ("s1",)),), {"s0", "s1"}) is None
+        assert native.make_edges(Edge, ["a"], ["s0"], [("s1",)]) == [Edge("a", "s0", ("s1",))]
 
 
 class TestValidate:
